@@ -1,14 +1,17 @@
 """Acceptance suite: one check per release criterion, with a stable report.
 
 Every criterion prints one line; details carry deterministic counts only so
-that two runs render byte-identical text.  Criterion 9 re-runs the whole
-suite with a different thread count and compares the rendered reports.
+that two runs render byte-identical text.  Criterion 9 compares the bytes
+of one certificate emitted by command-line processes with different hash
+seeds against the same certificate built in this process.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -32,9 +35,10 @@ from .degeneration import (
     build_pairs,
     degeneration_certificate,
     demazure_quotient,
+    report_to_json,
     separating_form,
 )
-from .pathcrystal import enumerate_crystal
+from .pathcrystal import CrystalCache
 from .polyhedra import conic_hull
 from .strings import dominant_weights, string_image, weighted_points
 
@@ -60,26 +64,16 @@ class AcceptanceRun:
     """Caches shared between criteria of a single suite run."""
 
     def __init__(self):
-        self._data = {}
-        self._graphs = {key: {} for key in CASES}
+        self.crystals = {
+            key: CrystalCache(build_cartan(*_CASE_DATA[key])) for key in CASES
+        }
         self._words = {}
         self._images = {}
         self._reports = {}
         self._dem_cones = {}
 
     def datum(self, key):
-        if key not in self._data:
-            self._data[key] = build_cartan(*_CASE_DATA[key])
-        return self._data[key]
-
-    def graphs(self, key):
-        return self._graphs[key]
-
-    def graph(self, key, lam):
-        cache = self._graphs[key]
-        if lam not in cache:
-            cache[lam] = enumerate_crystal(self.datum(key), lam)
-        return cache[lam]
+        return self.crystals[key].datum
 
     def words(self, key):
         """Reduced-word sample: every word, except one in four for A3."""
@@ -95,7 +89,7 @@ class AcceptanceRun:
         slot = (key, word, lam)
         if slot not in self._images:
             self._images[slot] = string_image(
-                self.datum(key), lam, word, graph=self.graph(key, lam)
+                self.datum(key), lam, word, crystals=self.crystals[key]
             )
         return self._images[slot]
 
@@ -108,7 +102,7 @@ class AcceptanceRun:
                 longest_word(datum),
                 level_bound=2,
                 check_level=check_level,
-                graphs=self.graphs(key),
+                crystals=self.crystals[key],
             )
         return self._reports[key]
 
@@ -116,7 +110,7 @@ class AcceptanceRun:
         slot = (key, w0_word)
         if slot not in self._dem_cones:
             pts = weighted_points(
-                self.datum(key), w0_word, 2, graphs=self.graphs(key)
+                self.datum(key), w0_word, 2, crystals=self.crystals[key]
             )
             self._dem_cones[slot] = conic_hull([p.lam + p.psi for p in pts])
         return self._dem_cones[slot]
@@ -132,7 +126,7 @@ def _criterion_1(run: AcceptanceRun):
         words = run.words(key)
         total_words += len(words)
         for lam in dominant_weights(datum.rank, 2):
-            graph = run.graph(key, lam)
+            graph = run.crystals[key][lam]
             dim = weyl_dim(datum, lam)
             if graph.size != dim:
                 return False, f"crystal size {graph.size} != dim {dim} at {key} {lam}"
@@ -172,7 +166,7 @@ def _criterion_3(run: AcceptanceRun):
     for key in ("A2", "B2"):
         datum = run.datum(key)
         for word in run.words(key):
-            points = weighted_points(datum, word, 1, graphs=run.graphs(key))
+            points = weighted_points(datum, word, 1, crystals=run.crystals[key])
             for p, q in itertools.combinations_with_replacement(points, 2):
                 lam = tuple(a + b for a, b in zip(p.lam, q.lam))
                 psi = tuple(a + b for a, b in zip(p.psi, q.psi))
@@ -214,7 +208,7 @@ def _criterion_5(run: AcceptanceRun):
                 w_word,
                 2,
                 cone=run.demazure_cone(key, w0_word),
-                graphs=run.graphs(key),
+                crystals=run.crystals[key],
             )
             if not quotient.adapted:
                 return False, f"word {w0_word} is not adapted to {w_word} ({key})"
@@ -240,7 +234,7 @@ def _criterion_6(run: AcceptanceRun):
     for key in CASES:
         datum = run.datum(key)
         pairs = build_pairs(
-            datum, longest_word(datum), 2, graphs=run.graphs(key)
+            datum, longest_word(datum), 2, crystals=run.crystals[key]
         )
         start = time.perf_counter()
         form = separating_form(pairs, datum.num_positive_roots)
@@ -279,8 +273,7 @@ def _criterion_8(run: AcceptanceRun):
     for key in CASES:
         datum = run.datum(key)
         for lam in dominant_weights(datum.rank, 2):
-            graph = run.graph(key, lam)
-            observed = Counter(graph.weights)
+            observed = Counter(run.crystals[key][lam].weights)
             expected = weyl_character(datum, lam).as_dict()
             if dict(observed) != expected:
                 return False, f"weight multiset mismatch at {key} {lam}"
@@ -304,6 +297,36 @@ def _criterion_8(run: AcceptanceRun):
     )
 
 
+# B2 certificate with a Demazure word: about 0.3 s, and every stage runs.
+_DETERMINISM_ARGS = ("degenerate", "--type", "B", "--rank", "2",
+                     "--level-bound", "1", "--demazure", "1")
+_HASH_SEEDS = ("0", "1")
+
+
+def _criterion_9(run: AcceptanceRun):
+    """Certificate bytes depend neither on the hash seed nor on the process."""
+    import subprocess  # only this criterion spawns processes
+
+    datum = run.datum("B2")
+    expected = report_to_json(degeneration_certificate(
+        datum, longest_word(datum), (1,), 1, crystals=run.crystals["B2"]
+    )).encode()
+    # The children import the package from the same place as this process.
+    path = os.pathsep.join(sys.path)
+    outputs = []
+    for seed in _HASH_SEEDS:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stringcone.cli", *_DETERMINISM_ARGS],
+            env=env, capture_output=True, check=False,
+        )
+        outputs.append(proc.stdout)
+    identical = all(out == expected for out in outputs)
+    detail = (f"hash seeds {' and '.join(_HASH_SEEDS)}, "
+              + ("identical certificates" if identical else "divergent certificates"))
+    return identical, detail
+
+
 _CRITERIA = (
     (1, "string-count-identity", _criterion_1),
     (2, "injectivity-and-full-peel", _criterion_2),
@@ -313,27 +336,8 @@ _CRITERIA = (
     (6, "separating-form", _criterion_6),
     (7, "hilbert-basis-soundness", _criterion_7),
     (8, "oracle-cross-validation", _criterion_8),
+    (9, "determinism", _criterion_9),
 )
-
-
-def run_criteria(threads: int = 1):
-    """Run criteria 1 through 8 with fresh caches.
-
-    Work is executed sequentially whatever the thread count: the stages are
-    small and serial execution is what makes the report reproducible.
-    """
-    if threads < 1:
-        raise ValueError("thread count must be at least 1")
-    run = AcceptanceRun()
-    results = []
-    for index, slug, fn in _CRITERIA:
-        try:
-            passed, detail = fn(run)
-        except Exception as exc:  # report the failure, never hide it
-            passed = False
-            detail = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-        results.append(CriterionResult(index, slug, passed, detail))
-    return tuple(results)
 
 
 def render_report(results) -> str:
@@ -346,16 +350,18 @@ def render_report(results) -> str:
 
 
 def run_full():
-    """Full suite: criteria 1-8 twice (thread counts 1 and 2), then 9.
+    """Run every criterion once over one set of shared caches.
 
-    Returns the rendered report text and the result tuple including the
-    determinism criterion.
+    Returns the rendered report text and the result tuple.
     """
-    first = run_criteria(threads=1)
-    second = run_criteria(threads=2)
-    identical = render_report(first) == render_report(second)
-    detail = "thread counts 1 and 2, " + (
-        "identical reports" if identical else "divergent reports"
-    )
-    results = first + (CriterionResult(9, "determinism", identical, detail),)
+    run = AcceptanceRun()
+    results = []
+    for index, slug, fn in _CRITERIA:
+        try:
+            passed, detail = fn(run)
+        except Exception as exc:  # report the failure, never hide it
+            passed = False
+            detail = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        results.append(CriterionResult(index, slug, passed, detail))
+    results = tuple(results)
     return render_report(results), results

@@ -197,6 +197,22 @@ def is_reduced_word(datum: CartanDatum, word) -> bool:
     return inversion_count(datum, word) == len(word)
 
 
+def check_reduced_word(datum: CartanDatum, word) -> WeylWord:
+    """The word as a tuple; WordError unless it is reduced."""
+    word = validate_word(datum, word)
+    if not is_reduced_word(datum, word):
+        raise WordError(f"word {word} is not reduced")
+    return word
+
+
+def check_longest_word(datum: CartanDatum, word) -> WeylWord:
+    """The word as a tuple; WordError unless it is a reduced word of w0."""
+    word = validate_word(datum, word)
+    if len(word) != datum.num_positive_roots or not is_reduced_word(datum, word):
+        raise WordError(f"word {word} is not a reduced word of the longest element")
+    return word
+
+
 def longest_word(datum: CartanDatum) -> WeylWord:
     """Canonical reduced word for the longest element.
 
@@ -228,9 +244,7 @@ def _braid_orders(datum: CartanDatum):
 
 def all_reduced_words(datum: CartanDatum, word, cap: int = DEFAULT_WORD_CAP):
     """All reduced words of the word's element, by braid-move closure."""
-    word = validate_word(datum, word)
-    if not is_reduced_word(datum, word):
-        raise WordError(f"word {word} is not reduced")
+    word = check_reduced_word(datum, word)
     orders = _braid_orders(datum)
     seen = {word}
     frontier = [word]
@@ -259,9 +273,7 @@ def all_reduced_words(datum: CartanDatum, word, cap: int = DEFAULT_WORD_CAP):
 
 def adapted_word(datum: CartanDatum, w_word) -> WeylWord:
     """Extend a reduced word to a reduced longest word having it as prefix."""
-    w_word = validate_word(datum, w_word)
-    if not is_reduced_word(datum, w_word):
-        raise WordError(f"word {w_word} is not reduced")
+    w_word = check_reduced_word(datum, w_word)
     total = datum.num_positive_roots
     letters = list(w_word)
     simples = [

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import CartanDatum, Weight, is_dominant, is_reduced_word, longest_word, validate_word
-from .errors import WeightError, WordError
+from .cartan import CartanDatum, Weight, check_reduced_word, is_dominant, longest_word
+from .errors import WeightError
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,10 @@ def demazure_character(datum: CartanDatum, lam, word) -> WeightPolynomial:
     The word ``(j1, ..., jp)`` yields ``D_j1(...(D_jp(e^lam))...)``, the
     rightmost letter acting first.
     """
-    word = validate_word(datum, word)
+    word = check_reduced_word(datum, word)
     lam = tuple(lam)
     if not is_dominant(lam):
         raise WeightError(f"weight {lam} is not dominant")
-    if not is_reduced_word(datum, word):
-        raise WordError(f"word {word} is not reduced")
     poly = monomial(lam)
     for letter in reversed(word):
         poly = demazure_operator(datum, letter, poly)

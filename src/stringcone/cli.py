@@ -18,7 +18,7 @@ from pathlib import Path
 from .cartan import build_cartan, is_dominant, longest_word, validate_word
 from .degeneration import degeneration_certificate, report_to_json
 from .errors import RootSystemError, StringConeError, WordError
-from .pathcrystal import DEFAULT_NODE_CAP, edge_lines, enumerate_crystal
+from .pathcrystal import DEFAULT_NODE_CAP, CrystalCache, edge_lines, enumerate_crystal
 from .polyhedra import conic_hull, format_h_rep, section_lattice_points
 from .strings import weighted_points
 from .acceptance import run_full
@@ -43,7 +43,6 @@ class RunConfig:
     level_bound: int = 2
     node_cap: int = DEFAULT_NODE_CAP
     out: str | None = None
-    threads: int = 1
 
     def canonical_args(self):
         """Echo the config as a flag list; parsing it again round-trips."""
@@ -64,8 +63,6 @@ class RunConfig:
             args += ["--cap", str(self.node_cap)]
         if self.out is not None:
             args += ["--out", self.out]
-        if self.threads != 1:
-            args += ["--threads", str(self.threads)]
         return args
 
 
@@ -86,24 +83,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="String parametrizations, weighted string cones, and "
         "toric-degeneration certificates",
     )
+    pipeline = argparse.ArgumentParser(add_help=False)
+    pipeline.add_argument("--type", dest="type_label")
+    pipeline.add_argument("--rank", type=int)
+    pipeline.add_argument("--word", type=_int_tuple)
+    pipeline.add_argument("--lambda", dest="lam", type=_int_tuple)
+    pipeline.add_argument("--demazure", type=_int_tuple)
+    pipeline.add_argument("--level-bound", type=int, default=2)
+    pipeline.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
+    pipeline.add_argument("--out")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, blurb in (
         ("crystal", "dump one crystal graph"),
         ("polytope", "integral section of the weighted cone at one weight"),
         ("cone", "infer the weighted string cone"),
         ("degenerate", "emit a degeneration certificate"),
-        ("verify", "run the acceptance suite"),
     ):
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--type", dest="type_label")
-        p.add_argument("--rank", type=int)
-        p.add_argument("--word", type=_int_tuple)
-        p.add_argument("--lambda", dest="lam", type=_int_tuple)
-        p.add_argument("--demazure", type=_int_tuple)
-        p.add_argument("--level-bound", type=int, default=2)
-        p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
-        p.add_argument("--out")
-        p.add_argument("--threads", type=int, default=1)
+        sub.add_parser(name, help=blurb, parents=[pipeline])
+    sub.add_parser("verify", help="run the acceptance suite").add_argument("--out")
     return parser
 
 
@@ -115,6 +112,8 @@ def parse_args(argv=None):
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
+    if ns.command == "verify":
+        return ns.command, RunConfig(out=ns.out)
     config = RunConfig(
         type_label=ns.type_label,
         rank=ns.rank,
@@ -124,40 +123,46 @@ def parse_args(argv=None):
         level_bound=ns.level_bound,
         node_cap=ns.cap,
         out=ns.out,
-        threads=ns.threads,
     )
-    if config.threads < 1:
-        parser.error("--threads must be at least 1")
-    if config.level_bound < 0:
-        parser.error("--level-bound must be nonnegative")
-    if ns.command != "verify":
-        if config.type_label is None or config.rank is None:
-            parser.error(f"{ns.command} requires --type and --rank")
-        try:
-            datum = build_cartan(config.type_label, config.rank)
-        except RootSystemError as exc:
-            parser.error(str(exc))
-        for word in (config.w0_word, config.demazure_word):
-            if word is not None:
-                try:
-                    validate_word(datum, word)
-                except WordError as exc:
-                    parser.error(str(exc))
-        if config.lam is not None:
-            if len(config.lam) != config.rank:
-                parser.error(f"--lambda needs {config.rank} coordinates")
-            if not is_dominant(config.lam):
-                parser.error(f"lambda {config.lam} is not dominant")
+    least = 1 if ns.command == "degenerate" else 0
+    if config.level_bound < least:
+        parser.error(f"{ns.command} needs --level-bound of at least {least}")
+    if config.node_cap < 1:
+        parser.error("--cap must be at least 1")
+    if config.type_label is None or config.rank is None:
+        parser.error(f"{ns.command} requires --type and --rank")
+    try:
+        datum = build_cartan(config.type_label, config.rank)
+    except RootSystemError as exc:
+        parser.error(str(exc))
+    for word in (config.w0_word, config.demazure_word):
+        if word is not None:
+            try:
+                validate_word(datum, word)
+            except WordError as exc:
+                parser.error(str(exc))
+    if config.lam is not None:
+        if len(config.lam) != config.rank:
+            parser.error(f"--lambda needs {config.rank} coordinates")
+        if not is_dominant(config.lam):
+            parser.error(f"lambda {config.lam} is not dominant")
     if ns.command in ("crystal", "polytope") and config.lam is None:
         parser.error(f"{ns.command} requires --lambda")
     return ns.command, config
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise StringConeError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        _write(out, text)
 
 
 def _fmt(vec) -> str:
@@ -186,7 +191,8 @@ def _cmd_crystal(config: RunConfig) -> int:
 def _infer_cone(config: RunConfig, datum):
     word = config.w0_word if config.w0_word is not None else longest_word(datum)
     points = weighted_points(
-        datum, word, config.level_bound, node_cap=config.node_cap
+        datum, word, config.level_bound,
+        crystals=CrystalCache(datum, config.node_cap),
     )
     return word, conic_hull([p.lam + p.psi for p in points])
 
@@ -226,9 +232,7 @@ def _cmd_cone(config: RunConfig) -> int:
         "rays": [list(r) for r in cone.rays],
         "facets": [list(u) for u in cone.facets],
     }
-    Path(config.out + ".json").write_text(
-        json.dumps(doc, separators=(",", ":")) + "\n"
-    )
+    _write(config.out + ".json", json.dumps(doc, separators=(",", ":")) + "\n")
     return 0
 
 
@@ -240,7 +244,7 @@ def _cmd_degenerate(config: RunConfig) -> int:
         word,
         config.demazure_word,
         config.level_bound,
-        node_cap=config.node_cap,
+        crystals=CrystalCache(datum, config.node_cap),
     )
     _emit(report_to_json(report), config.out)
     for stage, ms in report.timings.items():

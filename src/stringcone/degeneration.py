@@ -15,11 +15,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import CartanDatum, apply_word, is_reduced_word, rho, validate_word
+from .cartan import CartanDatum, apply_word, check_longest_word, check_reduced_word, rho
 from .characters import demazure_character, dimension_of, weyl_dim
-from .errors import DegenerationError, WordError
+from .errors import DegenerationError
 from .linalg import kernel_basis_int, vec_dot
-from .pathcrystal import DEFAULT_NODE_CAP, enumerate_crystal
+from .pathcrystal import CrystalCache
 from .polyhedra import (
     RationalCone,
     conic_hull,
@@ -48,34 +48,19 @@ class SeparatingForm:
         return vec_dot(self.coefficients, entries)
 
 
-def _full_word(datum: CartanDatum, word):
-    word = validate_word(datum, word)
-    if len(word) != datum.num_positive_roots or not is_reduced_word(datum, word):
-        raise WordError(f"word {word} is not a reduced word of the longest element")
-    return word
-
-
-def _fill_graph(datum, lam, graphs, node_cap):
-    if graphs is None:
-        return enumerate_crystal(datum, lam, node_cap=node_cap)
-    if lam not in graphs:
-        graphs[lam] = enumerate_crystal(datum, lam, node_cap=node_cap)
-    return graphs[lam]
-
-
 def build_pairs(datum: CartanDatum, word, level_bound: int, *,
-                node_cap: int = DEFAULT_NODE_CAP, graphs: dict | None = None):
+                crystals: CrystalCache | None = None):
     """Equal-weight pairs (phi, psi, lambda) with phi lexicographically first.
 
     Within each string image the points are grouped by their weight; every
     two-element combination of a group yields one oriented pair.
     """
-    word = _full_word(datum, word)
+    word = check_longest_word(datum, word)
+    crystals = CrystalCache.for_datum(datum, crystals)
     pairs = []
     for lam in dominant_weights(datum.rank, level_bound):
-        graph = _fill_graph(datum, lam, graphs, node_cap)
         groups: dict = {}
-        for sv in string_image(datum, lam, word, graph=graph):
+        for sv in string_image(datum, lam, word, crystals=crystals):
             groups.setdefault(string_weight(datum, lam, sv), []).append(sv)
         for mu in groups.values():
             for a, b in itertools.combinations(mu, 2):
@@ -162,22 +147,17 @@ class DemazureQuotient:
 
 def demazure_quotient(datum: CartanDatum, w0_word, w_word, level_bound: int, *,
                       cone: RationalCone | None = None,
-                      node_cap: int = DEFAULT_NODE_CAP,
-                      graphs: dict | None = None) -> DemazureQuotient:
+                      crystals: CrystalCache | None = None) -> DemazureQuotient:
     """Demazure string sections, face test, and the tail-vanishing flag.
 
     A word is adapted when its length-l(w) prefix is itself a reduced word
     of w; only then is the image guaranteed to be a coordinate face.
     """
-    w0_word = _full_word(datum, w0_word)
-    w_word = validate_word(datum, w_word)
-    if not is_reduced_word(datum, w_word):
-        raise WordError(f"word {w_word} is not reduced")
-    if graphs is None:
-        graphs = {}
+    w0_word = check_longest_word(datum, w0_word)
+    w_word = check_reduced_word(datum, w_word)
+    crystals = CrystalCache.for_datum(datum, crystals)
     if cone is None:
-        pts = weighted_points(datum, w0_word, level_bound,
-                              node_cap=node_cap, graphs=graphs)
+        pts = weighted_points(datum, w0_word, level_bound, crystals=crystals)
         cone = conic_hull([p.lam + p.psi for p in pts])
     image = rho(datum)
     prefix = w0_word[: len(w_word)]
@@ -187,8 +167,7 @@ def demazure_quotient(datum: CartanDatum, w0_word, w_word, level_bound: int, *,
     weighted = []
     zero_tail = True
     for lam in dominant_weights(datum.rank, level_bound):
-        graph = _fill_graph(datum, lam, graphs, node_cap)
-        dem = demazure_strings(datum, lam, w_word, w0_word, graph=graph)
+        dem = demazure_strings(datum, lam, w_word, w0_word, crystals=crystals)
         sections.append((lam, dem))
         for sv in dem:
             if any(sv.entries[cut:]):
@@ -262,8 +241,7 @@ def _decomposer(gens, facets):
 
 def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
                              level_bound: int = 2, check_level: int | None = None,
-                             *, node_cap: int = DEFAULT_NODE_CAP,
-                             graphs: dict | None = None) -> DegenerationReport:
+                             *, crystals: CrystalCache | None = None) -> DegenerationReport:
     """Run the full pipeline and record every check outcome.
 
     The cone is inferred from points with weight coordinates up to
@@ -272,11 +250,9 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     hull enlarges the build level and retries; a cone section point
     absent from the enumeration is a genuine failure and raises.
     """
-    w0_word = _full_word(datum, w0_word)
+    w0_word = check_longest_word(datum, w0_word)
     if w_word is not None:
-        w_word = validate_word(datum, w_word)
-        if not is_reduced_word(datum, w_word):
-            raise WordError(f"word {w_word} is not reduced")
+        w_word = check_reduced_word(datum, w_word)
     if level_bound < 1:
         raise DegenerationError("level bound must be at least 1")
     if check_level is None:
@@ -284,13 +260,11 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     if check_level < level_bound:
         raise DegenerationError("check level cannot be below the build level")
     timings: dict = {}
-    if graphs is None:
-        graphs = {}
+    crystals = CrystalCache.for_datum(datum, crystals)
     clock = time.perf_counter
 
     t = clock()
-    data = weighted_points(datum, w0_word, check_level,
-                           node_cap=node_cap, graphs=graphs)
+    data = weighted_points(datum, w0_word, check_level, crystals=crystals)
     timings["enumerate"] = (clock() - t) * 1000.0
 
     t = clock()
@@ -323,7 +297,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     quotient = None
     if w_word is not None:
         quotient = demazure_quotient(datum, w0_word, w_word, check_level,
-                                     cone=cone, node_cap=node_cap, graphs=graphs)
+                                     cone=cone, crystals=crystals)
     dem_sections = dict(quotient.sections) if quotient is not None else {}
     sections = []
     for lam in dominant_weights(n, check_level):
@@ -371,8 +345,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     timings["relations"] = (clock() - t) * 1000.0
 
     t = clock()
-    pairs = build_pairs(datum, w0_word, level_bound,
-                        node_cap=node_cap, graphs=graphs)
+    pairs = build_pairs(datum, w0_word, level_bound, crystals=crystals)
     form = separating_form(pairs, ncoords)
     strict = all(
         form.value(a.entries) < form.value(b.entries) for a, b, _ in pairs

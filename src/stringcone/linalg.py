@@ -30,27 +30,8 @@ def primitive(v):
 
 
 def rank_int(rows) -> int:
-    """Rank of an integer matrix by exact elimination."""
-    mat = [[Fraction(c) for c in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [c * inv for c in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    """Rank of an integer matrix: the row count of its Hermite form."""
+    return len(hnf_rows(rows))
 
 
 def det_int(matrix) -> int:
@@ -190,9 +171,8 @@ def lattice_span_basis(vectors, dim):
 def snf_with_uinv(matrix):
     """Diagonalize by unimodular row and column operations.
 
-    Returns ``(diag, uinv)`` where U * A * V = diag(d) with d positive and
-    ``uinv`` = U^{-1}.  Diagonal divisibility is not enforced; residue
-    enumeration only needs some unimodular diagonalization.
+    Returns ``(diag, uinv)`` where U * A * V = diag(d) is the Smith normal
+    form (d positive, each entry dividing the next) and ``uinv`` = U^{-1}.
     """
     a = [list(r) for r in matrix]
     n = len(a)
@@ -255,8 +235,15 @@ def snf_with_uinv(matrix):
                     if a[t][j] != 0:
                         col_swap(j, t)
                         dirty = True
-            if not dirty:
+            if dirty:
+                continue
+            # The pivot must divide the rest of the matrix; adding a row
+            # holding a non-multiple makes the next pass shrink the pivot.
+            bad = next((i for i in range(t + 1, n)
+                        if any(a[i][j] % a[t][t] for j in range(t + 1, m))), None)
+            if bad is None:
                 break
+            row_addmul(t, bad, 1)
         t += 1
     diag = [a[k][k] for k in range(t)]
     return diag, uinv

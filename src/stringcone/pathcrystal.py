@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import CartanDatum, Weight, is_dominant, is_reduced_word, validate_word
-from .errors import EnumerationCapError, InvariantViolation, WeightError, WordError
+from .cartan import CartanDatum, Weight, check_reduced_word, is_dominant
+from .errors import EnumerationCapError, InvariantViolation, RootSystemError, WeightError
 
 DEFAULT_NODE_CAP = 20000
 
@@ -181,7 +181,6 @@ class CrystalGraph:
 
     datum: CartanDatum
     lam: Weight
-    paths: tuple[PiecewisePath, ...]
     f_edge: tuple[tuple[int, ...], ...]
     e_edge: tuple[tuple[int, ...], ...]
     eps: tuple[tuple[int, ...], ...]
@@ -190,7 +189,7 @@ class CrystalGraph:
 
     @property
     def size(self) -> int:
-        return len(self.paths)
+        return len(self.weights)
 
     highest = 0
 
@@ -235,7 +234,6 @@ def enumerate_crystal(datum: CartanDatum, lam, node_cap: int = DEFAULT_NODE_CAP)
     return CrystalGraph(
         datum=datum,
         lam=tuple(lam),
-        paths=tuple(paths),
         f_edge=tuple(f_rows),
         e_edge=tuple(tuple(r) for r in e_rows),
         eps=tuple(tuple(s[0] for s in row) for row in stats),
@@ -244,15 +242,38 @@ def enumerate_crystal(datum: CartanDatum, lam, node_cap: int = DEFAULT_NODE_CAP)
     )
 
 
+class CrystalCache(dict):
+    """Crystals of one Cartan datum keyed by weight, each enumerated once."""
+
+    def __init__(self, datum: CartanDatum, node_cap: int = DEFAULT_NODE_CAP):
+        super().__init__()
+        self.datum = datum
+        self.node_cap = node_cap
+
+    def __missing__(self, lam) -> CrystalGraph:
+        graph = self[lam] = enumerate_crystal(self.datum, lam, node_cap=self.node_cap)
+        return graph
+
+    @classmethod
+    def for_datum(cls, datum: CartanDatum, crystals: CrystalCache | None) -> CrystalCache:
+        """``crystals`` after checking it was built for ``datum``; a fresh cache if None."""
+        if crystals is None:
+            return cls(datum)
+        if crystals.datum != datum:
+            raise RootSystemError(
+                f"crystal cache built for {crystals.datum.type_label}{crystals.datum.rank}"
+                f" used with {datum.type_label}{datum.rank}"
+            )
+        return crystals
+
+
 def demazure_crystal(graph: CrystalGraph, w_word) -> frozenset:
     """Node set swept out by lowering closures along a reduced word.
 
     The word ``(j1, ..., jp)`` closes under f_jp first and f_j1 last, so the
     last-applied letter is the word's first letter.
     """
-    w_word = validate_word(graph.datum, w_word)
-    if not is_reduced_word(graph.datum, w_word):
-        raise WordError(f"word {w_word} is not reduced")
+    w_word = check_reduced_word(graph.datum, w_word)
     nodes = {graph.highest}
     for letter in reversed(w_word):
         stack = list(nodes)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cartan import CartanDatum, Weight, WeylWord, is_reduced_word, validate_word
+from .cartan import CartanDatum, Weight, WeylWord, check_longest_word
 from .errors import InvariantViolation, WordError
-from .pathcrystal import CrystalGraph, demazure_crystal, enumerate_crystal, DEFAULT_NODE_CAP
+from .pathcrystal import CrystalCache, CrystalGraph, demazure_crystal
 
 
 @dataclass(frozen=True, order=True)
@@ -35,20 +35,8 @@ class WeightedPoint:
         return self.lam + self.psi
 
 
-def _validate_longest_word(datum: CartanDatum, word) -> WeylWord:
-    word = validate_word(datum, word)
-    if len(word) != datum.num_positive_roots or not is_reduced_word(datum, word):
-        raise WordError(
-            f"word {word} is not a reduced word of the longest element"
-        )
-    return word
-
-
-def string_param(graph: CrystalGraph, node: int, word) -> StringVector:
-    """Peel a node along the word, recording the maximal raising exponents."""
-    word = _validate_longest_word(graph.datum, word)
-    if not 0 <= node < graph.size:
-        raise InvariantViolation(f"node {node} out of range")
+def _peel(graph: CrystalGraph, node: int, word: WeylWord) -> StringVector:
+    """Peel a node along an already checked longest word."""
     entries = []
     current = node
     for letter in word:
@@ -63,15 +51,23 @@ def string_param(graph: CrystalGraph, node: int, word) -> StringVector:
     return StringVector(entries=tuple(entries), word=word)
 
 
-def string_image(datum: CartanDatum, lam, word, *, graph: CrystalGraph | None = None,
-                 node_cap: int = DEFAULT_NODE_CAP) -> tuple[StringVector, ...]:
+def string_param(graph: CrystalGraph, node: int, word) -> StringVector:
+    """Peel a node along the word, recording the maximal raising exponents."""
+    word = check_longest_word(graph.datum, word)
+    if not 0 <= node < graph.size:
+        raise InvariantViolation(f"node {node} out of range")
+    return _peel(graph, node, word)
+
+
+def string_image(datum: CartanDatum, lam, word, *,
+                 crystals: CrystalCache | None = None) -> tuple[StringVector, ...]:
     """Sorted string vectors of the whole crystal; injectivity is enforced."""
-    if graph is None:
-        graph = enumerate_crystal(datum, lam, node_cap=node_cap)
-    vectors = sorted(string_param(graph, node, word) for node in range(graph.size))
+    word = check_longest_word(datum, word)
+    graph = CrystalCache.for_datum(datum, crystals)[tuple(lam)]
+    vectors = sorted(_peel(graph, node, word) for node in range(graph.size))
     if len(set(vectors)) != graph.size:
         raise InvariantViolation(
-            f"string parametrization along {tuple(word)} is not injective"
+            f"string parametrization along {word} is not injective"
         )
     return tuple(vectors)
 
@@ -92,36 +88,26 @@ def dominant_weights(rank: int, level_bound: int):
 
 
 def weighted_points(datum: CartanDatum, word, level_bound: int, *,
-                    node_cap: int = DEFAULT_NODE_CAP,
-                    graphs: dict | None = None) -> tuple[WeightedPoint, ...]:
-    """All (lambda, string) points for dominant lambda up to the bound.
-
-    ``graphs`` may carry previously enumerated crystals keyed by lambda and
-    is filled in as a cache.
-    """
-    word = _validate_longest_word(datum, word)
+                    crystals: CrystalCache | None = None) -> tuple[WeightedPoint, ...]:
+    """All (lambda, string) points for dominant lambda up to the bound."""
+    word = check_longest_word(datum, word)
     if level_bound < 0:
         raise WordError("level bound must be nonnegative")
-    if graphs is None:
-        graphs = {}
+    crystals = CrystalCache.for_datum(datum, crystals)
     points = []
     for lam in dominant_weights(datum.rank, level_bound):
-        if lam not in graphs:
-            graphs[lam] = enumerate_crystal(datum, lam, node_cap=node_cap)
-        for sv in string_image(datum, lam, word, graph=graphs[lam]):
+        for sv in string_image(datum, lam, word, crystals=crystals):
             points.append(WeightedPoint(lam=lam, psi=sv.entries))
     return tuple(sorted(points))
 
 
 def demazure_strings(datum: CartanDatum, lam, w_word, w0_word, *,
-                     graph: CrystalGraph | None = None,
-                     node_cap: int = DEFAULT_NODE_CAP) -> tuple[StringVector, ...]:
-    """Sorted string vectors of the Demazure subset for w along w0_word."""
-    w_word = validate_word(datum, w_word)
-    if not is_reduced_word(datum, w_word):
-        raise WordError(f"word {w_word} is not reduced")
-    w0_word = _validate_longest_word(datum, w0_word)
-    if graph is None:
-        graph = enumerate_crystal(datum, lam, node_cap=node_cap)
+                     crystals: CrystalCache | None = None) -> tuple[StringVector, ...]:
+    """Sorted string vectors of the Demazure subset for w along w0_word.
+
+    ``demazure_crystal`` checks that w_word is reduced.
+    """
+    w0_word = check_longest_word(datum, w0_word)
+    graph = CrystalCache.for_datum(datum, crystals)[tuple(lam)]
     nodes = demazure_crystal(graph, w_word)
-    return tuple(sorted(string_param(graph, node, w0_word) for node in nodes))
+    return tuple(sorted(_peel(graph, node, w0_word) for node in nodes))

@@ -8,7 +8,7 @@ from stringcone.polyhedra import parse_h_rep
 
 def test_parse_round_trip():
     config = RunConfig(type_label="B", rank=2, w0_word=(2, 1, 2, 1),
-                       lam=(1, 1), level_bound=3, threads=2)
+                       lam=(1, 1), level_bound=3)
     command, parsed = parse_args(["degenerate"] + config.canonical_args())
     assert command == "degenerate"
     assert parsed == config
@@ -25,6 +25,9 @@ def test_parse_round_trip():
     ["degenerate", "--type", "A", "--rank", "2", "--level-bound=-1"],
     ["verify", "--threads", "0"],
     ["bogus"],
+    ["crystal", "--type", "A", "--rank", "2", "--lambda", "1,0", "--cap", "0"],
+    ["degenerate", "--type", "A", "--rank", "2", "--level-bound", "0"],
+    ["verify", "--type", "A"],
 ])
 def test_usage_errors_exit_two(argv):
     with pytest.raises(SystemExit) as info:
@@ -97,6 +100,20 @@ def test_crystal_cap_stage_code(capsys):
                "--lambda", "1,1", "--cap", "3"])
     assert rc == 4
     assert capsys.readouterr().err.startswith("error[crystal]:")
+
+
+def test_unwritable_out_is_a_general_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "report.json"
+    rc = main(["degenerate", "--type", "A", "--rank", "1",
+               "--level-bound", "1", "--out", str(missing)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error[general]: cannot write")
+    # the cone text is writable, its JSON companion is not
+    target = tmp_path / "cone.txt"
+    (tmp_path / "cone.txt.json").mkdir()
+    rc = main(["cone", "--type", "A", "--rank", "1", "--out", str(target)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error[general]: cannot write")
 
 
 class FakeResult:

@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stringcone.linalg import (
@@ -85,6 +86,7 @@ small_matrices = st.integers(min_value=-5, max_value=5)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(small_matrices, small_matrices, small_matrices),
                 min_size=3, max_size=3))
+@example(rows=[(0, 0, 1), (0, 2, 0), (3, 0, 0)])
 def test_snf_divisibility_chain(rows):
     det = det_int(rows)
     if det == 0:
@@ -106,3 +108,24 @@ def test_kernel_vectors_annihilate(rows):
     for vec in kernel_basis_int(rows, 3):
         for row in rows:
             assert sum(r * v for r, v in zip(row, vec)) == 0
+
+
+def _rank_by_minors(rows):
+    """Largest k with a nonzero k x k minor."""
+    nrows, ncols = len(rows), len(rows[0])
+    for k in range(min(nrows, ncols), 0, -1):
+        for rs in itertools.combinations(range(nrows), k):
+            for cs in itertools.combinations(range(ncols), k):
+                if det_int([[rows[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+entries = st.integers(min_value=-3, max_value=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda ncols: st.lists(st.tuples(*[entries] * ncols), min_size=1, max_size=4)))
+def test_rank_matches_minor_oracle(rows):
+    assert rank_int(rows) == _rank_by_minors(rows)

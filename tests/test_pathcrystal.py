@@ -60,6 +60,12 @@ def test_a2_fundamental_graph():
     assert edge_lines(graph) == ["0 1 1", "1 2 2"]
 
 
+def test_graph_keeps_no_paths():
+    graph = enumerate_crystal(build_cartan("A", 2), (1, 1))
+    assert not hasattr(graph, "paths")
+    assert graph.size == len(graph.weights) == 8
+
+
 def test_zero_weight_crystal():
     datum = build_cartan("A", 2)
     graph = enumerate_crystal(datum, (0, 0))

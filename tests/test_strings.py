@@ -1,9 +1,10 @@
 import pytest
 
+from stringcone import cartan
 from stringcone.cartan import build_cartan, longest_word
 from stringcone.characters import weyl_dim
-from stringcone.errors import WordError
-from stringcone.pathcrystal import enumerate_crystal
+from stringcone.errors import RootSystemError, WordError
+from stringcone.pathcrystal import CrystalCache, enumerate_crystal
 from stringcone.strings import (
     StringVector,
     WeightedPoint,
@@ -88,11 +89,33 @@ def test_weighted_points_a2_level_one():
 
 def test_weighted_points_cache_reuse():
     datum = build_cartan("A", 2)
-    graphs = {}
-    first = weighted_points(datum, (1, 2, 1), 1, graphs=graphs)
-    assert set(graphs) == set(dominant_weights(2, 1))
-    again = weighted_points(datum, (1, 2, 1), 1, graphs=graphs)
+    crystals = CrystalCache(datum)
+    first = weighted_points(datum, (1, 2, 1), 1, crystals=crystals)
+    assert set(crystals) == set(dominant_weights(2, 1))
+    again = weighted_points(datum, (1, 2, 1), 1, crystals=crystals)
     assert first == again
+
+
+def test_cache_for_another_datum_is_rejected():
+    crystals = CrystalCache(build_cartan("B", 2))
+    with pytest.raises(RootSystemError):
+        weighted_points(build_cartan("A", 2), (1, 2, 1), 1, crystals=crystals)
+    assert not crystals
+
+
+def test_string_image_checks_the_word_once(monkeypatch):
+    datum = build_cartan("A", 2)
+    calls = []
+    original = cartan.is_reduced_word
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cartan, "is_reduced_word", counting)
+    image = string_image(datum, (1, 1), (1, 2, 1))
+    assert len(image) == 8
+    assert len(calls) == 1
 
 
 def test_demazure_strings_a2():
