@@ -1,6 +1,6 @@
 """Independent character oracles: Weyl dimensions and Demazure operators.
 
-These routines never touch the path model, so they can cross-validate the
+These routines never touch the crystal graphs, so they can cross-validate the
 crystal enumeration and the string-side counts.
 """
 

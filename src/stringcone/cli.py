@@ -9,15 +9,17 @@ timings go to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from .cartan import build_cartan, is_dominant, longest_word, validate_word
+from .characters import weyl_dim
 from .degeneration import degeneration_certificate, report_to_json
-from .errors import RootSystemError, StringConeError, WordError
+from .errors import PolyhedralError, RootSystemError, StringConeError, WordError
 from .pathcrystal import DEFAULT_NODE_CAP, CrystalCache, edge_lines, enumerate_crystal
 from .polyhedra import conic_hull, format_h_rep, section_lattice_points
 from .strings import weighted_points
@@ -152,9 +154,19 @@ def parse_args(argv=None):
 
 
 def _write(path: str, text: str) -> None:
+    """Write through a temporary file next to ``path``, then rename it over.
+
+    A reader never sees a half-written file, and a failed write leaves no
+    temporary file behind.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        Path(path).write_text(text)
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         raise StringConeError(f"cannot write {path}: {exc.strerror}") from exc
 
 
@@ -201,6 +213,13 @@ def _cmd_polytope(config: RunConfig) -> int:
     datum = build_cartan(config.type_label, config.rank)
     word, cone = _infer_cone(config, datum)
     section = section_lattice_points(cone, config.lam)
+    expected = weyl_dim(datum, config.lam)
+    if len(section) != expected:
+        raise PolyhedralError(
+            f"section at lambda={config.lam} has {len(section)} points but"
+            f" V(lambda) has dimension {expected}: the cone inferred up to level"
+            f" bound {config.level_bound} misses points there; try a higher --level-bound"
+        )
     lines = [
         f"polytope {config.type_label}{config.rank}"
         f" word {_fmt(word)} lambda {_fmt(config.lam)}",

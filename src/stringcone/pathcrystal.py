@@ -1,10 +1,20 @@
-"""Piecewise-linear path model for crystal graphs.
+"""Crystal graphs of dominant weights: fundamental paths, tensor products.
 
 A path is a list of (direction, duration) segments starting at the origin;
 directions are integer weight vectors and durations are exact rationals
 summing to one.  Root operators cut the height profile of a path at exact
 rational times, reflect the middle window, and translate the tail, so the
 whole crystal of a dominant weight can be generated from the straight path.
+
+The path model builds only the crystals of zero and of the fundamental
+weights, and stays the oracle for the others.  Every other B(lambda) is the
+component of the highest pair in B(lambda - omega_j) (x) B(omega_j), whose
+root operators follow Kashiwara's tensor-product rule on the integer
+eps/phi/edge tables of the two factors (Littelmann, *Paths and root
+operators*, 1995: B(lambda) is the component of the concatenation).  Both
+constructions number nodes breadth-first from the highest node in operator
+order, and B(lambda) has no nontrivial automorphism, so they give identical
+tables.
 """
 
 from __future__ import annotations
@@ -45,14 +55,18 @@ def make_path(segments) -> PiecewisePath:
     return PiecewisePath(tuple(merged))
 
 
-def highest_path(datum: CartanDatum, lam) -> PiecewisePath:
-    """Straight path to a dominant weight."""
+def _dominant(datum: CartanDatum, lam) -> Weight:
     lam = tuple(lam)
     if len(lam) != datum.rank:
         raise WeightError(f"weight {lam} has wrong rank")
     if not is_dominant(lam):
         raise WeightError(f"weight {lam} is not dominant")
-    return PiecewisePath(((lam, Fraction(1)),))
+    return lam
+
+
+def highest_path(datum: CartanDatum, lam) -> PiecewisePath:
+    """Straight path to a dominant weight."""
+    return PiecewisePath(((_dominant(datum, lam), Fraction(1)),))
 
 
 def path_weight(path: PiecewisePath) -> Weight:
@@ -194,7 +208,29 @@ class CrystalGraph:
     highest = 0
 
 
-def enumerate_crystal(datum: CartanDatum, lam, node_cap: int = DEFAULT_NODE_CAP) -> CrystalGraph:
+def _cap_error(lam, node_cap: int) -> EnumerationCapError:
+    return EnumerationCapError(f"crystal for lambda={lam} exceeded node cap {node_cap}")
+
+
+def _graph(datum: CartanDatum, lam: Weight, f_rows, eps, phi, weights) -> CrystalGraph:
+    """Package breadth-first tables; ``e_edge`` inverts ``f_edge``."""
+    e_rows = [[-1] * datum.rank for _ in f_rows]
+    for src, row in enumerate(f_rows):
+        for pos, dst in enumerate(row):
+            if dst != -1:
+                e_rows[dst][pos] = src
+    return CrystalGraph(
+        datum=datum,
+        lam=lam,
+        f_edge=tuple(f_rows),
+        e_edge=tuple(tuple(r) for r in e_rows),
+        eps=tuple(eps),
+        phi=tuple(phi),
+        weights=tuple(weights),
+    )
+
+
+def _path_crystal(datum: CartanDatum, lam: Weight, node_cap: int) -> CrystalGraph:
     """Generate the full crystal below the straight dominant path.
 
     Breadth-first, expanding operator indices in increasing order, so node
@@ -215,31 +251,108 @@ def enumerate_crystal(datum: CartanDatum, lam, node_cap: int = DEFAULT_NODE_CAP)
             else:
                 if nxt not in index:
                     if len(paths) >= node_cap:
-                        raise EnumerationCapError(
-                            f"crystal for lambda={tuple(lam)} exceeded node cap {node_cap}"
-                        )
+                        raise _cap_error(lam, node_cap)
                     index[nxt] = len(paths)
                     paths.append(nxt)
                 row.append(index[nxt])
         f_rows.append(tuple(row))
         k += 1
-    e_rows = [[-1] * datum.rank for _ in paths]
-    for src, row in enumerate(f_rows):
-        for pos, dst in enumerate(row):
-            if dst != -1:
-                e_rows[dst][pos] = src
     stats = [
         tuple(epsilon_phi(p, i) for i in range(1, datum.rank + 1)) for p in paths
     ]
-    return CrystalGraph(
-        datum=datum,
-        lam=tuple(lam),
-        f_edge=tuple(f_rows),
-        e_edge=tuple(tuple(r) for r in e_rows),
-        eps=tuple(tuple(s[0] for s in row) for row in stats),
-        phi=tuple(tuple(s[1] for s in row) for row in stats),
-        weights=tuple(path_weight(p) for p in paths),
+    return _graph(
+        datum, lam, f_rows,
+        eps=(tuple(s[0] for s in row) for row in stats),
+        phi=(tuple(s[1] for s in row) for row in stats),
+        weights=(path_weight(p) for p in paths),
     )
+
+
+def _split(lam: Weight) -> tuple[Weight, Weight]:
+    """(lam - omega_j, omega_j) for the first j with lam_j > 0."""
+    j = next(k for k, c in enumerate(lam) if c > 0)
+    omega = tuple(int(k == j) for k in range(len(lam)))
+    return tuple(c - o for c, o in zip(lam, omega)), omega
+
+
+def _tensor_crystal(datum: CartanDatum, lam: Weight, left: CrystalGraph,
+                    right: CrystalGraph, node_cap: int) -> CrystalGraph:
+    """Component of the highest pair (0, 0) in ``left`` (x) ``right``.
+
+    Kashiwara's rule: f_i(a (x) b) is f_i a (x) b when phi_i(a) > eps_i(b),
+    and a (x) f_i b otherwise.  Breadth-first in operator order, as in
+    ``_path_crystal``.
+    """
+    rank = datum.rank
+    lf, le, lp, lw = left.f_edge, left.eps, left.phi, left.weights
+    rf, reps = right.f_edge, right.eps
+    index = {(0, 0): 0}
+    pairs = [(0, 0)]
+    f_rows = []
+    k = 0
+    while k < len(pairs):
+        a, b = pairs[k]
+        pa, eb = lp[a], reps[b]
+        row = []
+        for i in range(rank):
+            if pa[i] > eb[i]:
+                nxt = (lf[a][i], b)
+            else:
+                fb = rf[b][i]
+                if fb == -1:
+                    row.append(-1)
+                    continue
+                nxt = (a, fb)
+            dst = index.get(nxt)
+            if dst is None:
+                if len(pairs) >= node_cap:
+                    raise _cap_error(lam, node_cap)
+                dst = index[nxt] = len(pairs)
+                pairs.append(nxt)
+            row.append(dst)
+        f_rows.append(tuple(row))
+        k += 1
+    weights = [tuple(x + y for x, y in zip(lw[a], right.weights[b])) for a, b in pairs]
+    eps = [
+        tuple(max(ea, eb - wa) for ea, eb, wa in zip(le[a], reps[b], lw[a]))
+        for a, b in pairs
+    ]
+    phi = [tuple(e + w for e, w in zip(row, wt)) for row, wt in zip(eps, weights)]
+    return _graph(datum, lam, f_rows, eps, phi, weights)
+
+
+def enumerate_crystal(datum: CartanDatum, lam, node_cap: int = DEFAULT_NODE_CAP, *,
+                      crystals: CrystalCache | None = None) -> CrystalGraph:
+    """Crystal of a dominant weight, nodes numbered breadth-first in operator order.
+
+    Zero and fundamental weights come from the path model.  Any other lam
+    is the component of the highest pair in ``crystals[lam - omega_j]`` (x)
+    ``crystals[omega_j]`` (a fresh cache with ``node_cap`` when None), so a
+    level sweep builds each crystal once.  The smaller crystals are built
+    smallest first, which keeps the recursion one level deep.  Each of them
+    is no larger than B(lam), so when one exceeds the cache's cap the error
+    names lam.
+    """
+    lam = _dominant(datum, lam)
+    if sum(lam) <= 1:
+        return _path_crystal(datum, lam, node_cap)
+    if crystals is None:
+        crystals = CrystalCache(datum, node_cap)
+    else:
+        crystals = CrystalCache.for_datum(datum, crystals)
+    chain = []
+    mu = lam
+    while sum(mu) > 1:
+        mu, omega = _split(mu)
+        chain.append((mu, omega))
+    try:
+        for mu, omega in reversed(chain):
+            crystals[omega]
+            crystals[mu]
+    except EnumerationCapError as exc:
+        raise _cap_error(lam, crystals.node_cap) from exc
+    left, omega = chain[0]
+    return _tensor_crystal(datum, lam, crystals[left], crystals[omega], node_cap)
 
 
 class CrystalCache(dict):
@@ -251,7 +364,7 @@ class CrystalCache(dict):
         self.node_cap = node_cap
 
     def __missing__(self, lam) -> CrystalGraph:
-        graph = self[lam] = enumerate_crystal(self.datum, lam, node_cap=self.node_cap)
+        graph = self[lam] = enumerate_crystal(self.datum, lam, self.node_cap, crystals=self)
         return graph
 
     @classmethod

@@ -102,6 +102,33 @@ def test_crystal_cap_stage_code(capsys):
     assert capsys.readouterr().err.startswith("error[crystal]:")
 
 
+def test_crystal_cap_names_the_requested_weight(capsys):
+    rc = main(["crystal", "--type", "A", "--rank", "2",
+               "--lambda", "2,2", "--cap", "5"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error[crystal]:")
+    assert "lambda=(2, 2)" in err
+
+
+def test_polytope_undercount_is_a_polyhedral_error(capsys):
+    # the level-1 cone of B2 gives 240 points at (3, 3); dim V(3, 3) = 256
+    rc = main(["polytope", "--type", "B", "--rank", "2",
+               "--lambda", "3,3", "--level-bound", "1"])
+    assert rc == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[polyhedra]:")
+    assert "240 points" in captured.err and "256" in captured.err
+    assert "--level-bound" in captured.err
+
+
+def test_polytope_saturated_section_passes(capsys):
+    assert main(["polytope", "--type", "B", "--rank", "2",
+                 "--lambda", "3,3", "--level-bound", "2"]) == 0
+    assert "points 256\n" in capsys.readouterr().out
+
+
 def test_unwritable_out_is_a_general_error(tmp_path, capsys):
     missing = tmp_path / "missing" / "report.json"
     rc = main(["degenerate", "--type", "A", "--rank", "1",
@@ -114,6 +141,10 @@ def test_unwritable_out_is_a_general_error(tmp_path, capsys):
     rc = main(["cone", "--type", "A", "--rank", "1", "--out", str(target)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error[general]: cannot write")
+    # the companion's temporary file was written, failed to replace the
+    # directory, and was removed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cone.txt", "cone.txt.json"]
+    assert list((tmp_path / "cone.txt.json").iterdir()) == []
 
 
 class FakeResult:

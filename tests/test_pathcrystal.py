@@ -1,11 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from stringcone import pathcrystal
 from stringcone.cartan import build_cartan
 from stringcone.characters import weyl_dim
 from stringcone.errors import EnumerationCapError, WeightError
 from stringcone.pathcrystal import (
+    DEFAULT_NODE_CAP,
+    _path_crystal,
     demazure_crystal,
     edge_lines,
     enumerate_crystal,
@@ -113,8 +117,59 @@ def test_statistics_consistency():
 
 def test_node_cap():
     datum = build_cartan("A", 2)
-    with pytest.raises(EnumerationCapError):
+    # (0, 2) is the first smaller crystal over the cap; the error names (2, 2)
+    with pytest.raises(EnumerationCapError, match=r"lambda=\(2, 2\) exceeded node cap 5"):
         enumerate_crystal(datum, (2, 2), node_cap=5)
+    with pytest.raises(EnumerationCapError, match=r"lambda=\(2, 2\) exceeded node cap 26"):
+        enumerate_crystal(datum, (2, 2), node_cap=26)
+    assert enumerate_crystal(datum, (2, 2), node_cap=27).size == 27
+
+
+def _weights_up_to(rank, bound):
+    return list(itertools.product(range(bound + 1), repeat=rank))
+
+
+ORACLE_CASES = [
+    pytest.param(label, rank, lam, id=f"{label}{rank}-{','.join(map(str, lam))}")
+    for label, rank, lams in [
+        ("A", 2, _weights_up_to(2, 2)),
+        ("B", 2, _weights_up_to(2, 2)),
+        ("C", 2, _weights_up_to(2, 2)),
+        ("G", 2, _weights_up_to(2, 2)),
+        ("A", 3, _weights_up_to(3, 1)),
+        ("B", 3, [(1, 1, 1)]),
+        ("C", 3, [(1, 1, 1)]),
+        ("A", 4, [(1, 1, 1, 1)]),
+        ("D", 4, [(0, 1, 0, 1)]),
+    ]
+    for lam in lams
+]
+
+
+@pytest.mark.parametrize("label,rank,lam", ORACLE_CASES)
+def test_tensor_product_matches_path_model(label, rank, lam):
+    datum = build_cartan(label, rank)
+    graph = enumerate_crystal(datum, lam)
+    oracle = _path_crystal(datum, lam, DEFAULT_NODE_CAP)
+    for table in ("f_edge", "e_edge", "eps", "phi", "weights"):
+        assert getattr(graph, table) == getattr(oracle, table), table
+    assert graph.lam == oracle.lam == lam
+
+
+def test_path_model_runs_only_on_fundamental_crystals(monkeypatch):
+    seen = []
+    original = pathcrystal.lowering_operator
+
+    def counting(datum, path, i):
+        seen.append(path_weight(path))
+        return original(datum, path, i)
+
+    monkeypatch.setattr(pathcrystal, "lowering_operator", counting)
+    datum = build_cartan("A", 2)
+    assert enumerate_crystal(datum, (2, 2)).size == 27
+    # each node of B(omega_1) and B(omega_2), once per operator index
+    fundamental = [(1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (-1, 0)]
+    assert sorted(seen) == sorted(fundamental * 2)
 
 
 def test_demazure_crystal_growth():
