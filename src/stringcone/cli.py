@@ -242,7 +242,6 @@ def _cmd_cone(config: RunConfig) -> int:
     if config.out is None:
         _emit(text, None)
         return 0
-    _emit(text, config.out)
     doc = {
         "type": config.type_label,
         "rank": config.rank,
@@ -251,7 +250,9 @@ def _cmd_cone(config: RunConfig) -> int:
         "rays": [list(r) for r in cone.rays],
         "facets": [list(u) for u in cone.facets],
     }
+    # the companion goes first, so a failed companion leaves --out untouched
     _write(config.out + ".json", json.dumps(doc, separators=(",", ":")) + "\n")
+    _write(config.out, text)
     return 0
 
 

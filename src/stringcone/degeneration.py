@@ -23,6 +23,7 @@ from .pathcrystal import CrystalCache
 from .polyhedra import (
     RationalCone,
     conic_hull,
+    contains,
     hilbert_basis,
     is_face,
     saturation_check,
@@ -246,9 +247,10 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
 
     The cone is inferred from points with weight coordinates up to
     level_bound and audited against the enumeration at check_level
-    (one level higher by default).  A data point falling outside the
-    hull enlarges the build level and retries; a cone section point
-    absent from the enumeration is a genuine failure and raises.
+    (one level higher by default).  While a data point falls outside the
+    hull, the build level grows and the hull is rebuilt; the sections are
+    then scanned once, and a cone section point absent from the
+    enumeration is a genuine failure and raises.
     """
     w0_word = check_longest_word(datum, w0_word)
     if w_word is not None:
@@ -273,18 +275,16 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
         hull_pts = [p.lam + p.psi for p in data
                     if all(c <= build_level for c in p.lam)]
         cone = conic_hull(hull_pts)
-        report = saturation_check(cone, data, check_level)
-        if report.data_points_outside_cone and build_level < check_level:
-            build_level += 1
-            continue
-        if report.cone_points_missing_from_data:
-            witness = report.cone_points_missing_from_data[0]
-            raise DegenerationError(
-                f"cone section point {witness} is absent from the enumeration"
-            )
-        if report.data_points_outside_cone:
-            raise DegenerationError("hull failed to absorb enumerated points")
-        break
+        if build_level == check_level or all(
+                contains(cone, p.lam + p.psi) for p in data):
+            break
+        build_level += 1
+    report = saturation_check(cone, data, check_level)
+    if report.cone_points_missing_from_data:
+        witness = report.cone_points_missing_from_data[0]
+        raise DegenerationError(
+            f"cone section point {witness} is absent from the enumeration"
+        )
     certified_level = check_level
     timings["cone"] = (clock() - t) * 1000.0
 

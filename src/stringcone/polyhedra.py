@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PolyhedralError, UnboundedSectionError
 from .linalg import (
@@ -156,8 +155,13 @@ def section_lattice_points(cone: RationalCone, lam):
     """Integer points of the cone section with the leading block fixed to lam.
 
     The section polytope is homogenized and its vertices bound an exact box;
-    a depth-first scan with per-facet suffix bounds filters the box.
-    Unbounded sections are rejected with a certifying recession ray.
+    unbounded sections are rejected with a certifying recession ray.  The
+    scan fixes the free coordinates from the last to the first.  A facet
+    whose first nonzero free coefficient sits at k bounds x_k once the
+    coordinates after k are fixed, so each facet is enforced exactly once and
+    every emitted point satisfies all of them.  String cones suit this order:
+    their lambda-inequalities bound each coordinate by the ones after it in
+    the word (Littelmann, "Cones, crystals, and patterns", Prop. 1.5).
     """
     lam = tuple(lam)
     n = len(lam)
@@ -177,44 +181,37 @@ def section_lattice_points(cone: RationalCone, lam):
             )
     if not rays:
         return ()
-    verts = [[Fraction(c, r[0]) for c in r[1:]] for r in rays]
-    lo = [math.ceil(min(v[k] for v in verts)) for k in range(nfree)]
-    hi = [math.floor(max(v[k] for v in verts)) for k in range(nfree)]
-    if any(l > h for l, h in zip(lo, hi)):
-        return ()
-    # suffix_max[f][k]: largest achievable tail sum of facet f from coordinate k on
-    suffix_max = []
-    for _, coeffs in rows:
-        tail = [0] * (nfree + 1)
-        for k in range(nfree - 1, -1, -1):
-            c = coeffs[k]
-            tail[k] = tail[k + 1] + (c * hi[k] if c > 0 else c * lo[k])
-        suffix_max.append(tail)
+    lo = [min(_ceil_div(v[k], v[0]) for v in rays) for k in range(1, nfree + 1)]
+    hi = [max(v[k] // v[0] for v in rays) for k in range(1, nfree + 1)]
+    # buckets[k]: (constant, c_k, ((j, c_j) for the nonzero c_j with j > k))
+    buckets = [[] for _ in range(nfree)]
+    for const, coeffs in rows:
+        k = next((j for j, c in enumerate(coeffs) if c), None)
+        if k is None:
+            if const < 0:
+                return ()
+            continue
+        tail = tuple((j, c) for j, c in enumerate(coeffs) if c and j > k)
+        buckets[k].append((const, coeffs[k], tail))
     found = []
-    prefix = [0] * nfree
+    point = [0] * nfree
 
-    def scan(k, partials):
-        if k == nfree:
-            found.append(tuple(prefix))
+    def scan(k):
+        if k < 0:
+            found.append(tuple(point))
             return
         lo_k, hi_k = lo[k], hi[k]
-        for f, (_, coeffs) in enumerate(rows):
-            c = coeffs[k]
-            rest = suffix_max[f][k + 1]
+        for const, c, tail in buckets[k]:
+            rest = const + sum(cj * point[j] for j, cj in tail)
             if c > 0:
-                lo_k = max(lo_k, _ceil_div(-partials[f] - rest, c))
-            elif c < 0:
-                room = partials[f] + rest
-                if room < 0:
-                    return
-                hi_k = min(hi_k, room // (-c))
-            elif partials[f] + rest < 0:
-                return
+                lo_k = max(lo_k, _ceil_div(-rest, c))
+            else:
+                hi_k = min(hi_k, rest // -c)
         for v in range(lo_k, hi_k + 1):
-            prefix[k] = v
-            scan(k + 1, [p + coeffs[k] * v for p, (_, coeffs) in zip(partials, rows)])
+            point[k] = v
+            scan(k - 1)
 
-    scan(0, [const for const, _ in rows])
+    scan(nfree - 1)
     return tuple(sorted(found))
 
 

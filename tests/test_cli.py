@@ -142,9 +142,16 @@ def test_unwritable_out_is_a_general_error(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error[general]: cannot write")
     # the companion's temporary file was written, failed to replace the
-    # directory, and was removed
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cone.txt", "cone.txt.json"]
+    # directory, and was removed; the text was never written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cone.txt.json"]
     assert list((tmp_path / "cone.txt.json").iterdir()) == []
+    # an existing text keeps its bytes when the companion fails
+    target.write_text("old cone\n")
+    rc = main(["cone", "--type", "A", "--rank", "1", "--out", str(target)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error[general]: cannot write")
+    assert target.read_text() == "old cone\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cone.txt", "cone.txt.json"]
 
 
 class FakeResult:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from stringcone.cartan import build_cartan
+import stringcone.degeneration
+from stringcone.cartan import build_cartan, longest_word
 from stringcone.degeneration import (
     build_pairs,
     degeneration_certificate,
@@ -170,3 +171,20 @@ def test_report_json_deterministic(a2):
     second = report_to_json(
         degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2))
     assert first == second
+
+
+def test_certificate_scans_sections_once(monkeypatch):
+    # B2's level-1 hull misses data points, so the build level escalates
+    calls = []
+    original = stringcone.degeneration.saturation_check
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stringcone.degeneration, "saturation_check", counting)
+    datum = build_cartan("B", 2)
+    report = degeneration_certificate(datum, longest_word(datum), level_bound=1)
+    assert calls == [2]
+    assert report.certified_level == 2
+    assert report.passing

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stringcone.errors import PolyhedralError, UnboundedSectionError
@@ -161,3 +163,35 @@ def test_dualize_round_trip(points):
     cone = conic_hull(points)
     back = dualize(dualize(cone))
     assert back == cone
+
+
+@st.composite
+def sections(draw):
+    n = draw(st.integers(min_value=1, max_value=2))
+    f = draw(st.integers(min_value=1, max_value=2))
+    entry = st.integers(min_value=-3, max_value=4)
+    gens = draw(st.lists(st.tuples(*[entry] * (n + f)), min_size=1, max_size=6))
+    lam = draw(st.tuples(*[st.integers(min_value=-2, max_value=4)] * n))
+    return gens, lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(sections())
+@example(([(3, -1, -3, -3), (4, 2, 0, -1), (-1, 3, -2, -1), (3, 2, -1, -3)], (4, 1)))
+def test_section_matches_brute_force(case):
+    gens, lam = case
+    cone = conic_hull(gens)
+    n = len(lam)
+    nfree = cone.ambient_dim - n
+    try:
+        points = section_lattice_points(cone, lam)
+    except UnboundedSectionError as exc:
+        assert any(exc.ray)
+        for u in cone.facets:
+            assert sum(c * r for c, r in zip(u[n:], exc.ray)) >= 0
+        return
+    assert list(points) == sorted(set(points))
+    for p in points:
+        assert contains(cone, lam + p)
+    box = itertools.product(range(-25, 26), repeat=nfree)
+    assert {p for p in box if contains(cone, lam + p)} <= set(points)
