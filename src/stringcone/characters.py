@@ -7,7 +7,6 @@ crystal enumeration and the string-side counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cartan import CartanDatum, Weight, check_reduced_word, is_dominant, longest_word
 from .errors import WeightError
@@ -59,14 +58,13 @@ def weyl_dim(datum: CartanDatum, lam) -> int:
     if not is_dominant(lam):
         raise WeightError(f"weight {lam} is not dominant")
     d = datum.symmetrizers
-    result = Fraction(1)
+    num = den = 1
     for root in datum.positive_roots:
-        num = sum(k * di * (li + 1) for k, di, li in zip(root, d, lam))
-        den = sum(k * di for k, di in zip(root, d))
-        result *= Fraction(num, den)
-    if result.denominator != 1:
+        num *= sum(k * di * (li + 1) for k, di, li in zip(root, d, lam))
+        den *= sum(k * di for k, di in zip(root, d))
+    if num % den:
         raise WeightError("Weyl dimension did not come out integral")
-    return int(result)
+    return num // den
 
 
 def demazure_operator(datum: CartanDatum, i: int, poly: WeightPolynomial) -> WeightPolynomial:

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cartan import CartanDatum, apply_word, check_longest_word, check_reduced_word, rho
 from .characters import demazure_character, dimension_of, weyl_dim
@@ -82,8 +80,9 @@ def separating_form(pairs, n_coords: int) -> SeparatingForm:
     Coordinate s contributes 1 plus an epsilon-scaled copy of the form on
     the later coordinates; epsilon is the largest power of two at most the
     strictest gap ratio among pairs first separated at s, halved once, and
-    1 when no pair constrains the step.  Denominators are cleared at the
-    end, so all coefficients are positive integers.
+    1 when no pair constrains the step.  The coefficients are kept as
+    integers over a common power of two whose last entry is 1, so they are
+    already the cleared, coprime positive integers.
     """
     split = []
     for pair in pairs:
@@ -98,26 +97,23 @@ def separating_form(pairs, n_coords: int) -> SeparatingForm:
                 f"pair ({phi}, {psi}) is not oriented lexicographically"
             )
         split.append((s, phi, psi))
-    coeffs = [Fraction(1)]
+    coeffs = [1]  # the form so far, as integers over 2**shift
+    shift = 0
     for s in range(n_coords - 2, -1, -1):
-        bounds = []
+        steps = []
         for k, phi, psi in split:
             if k != s:
                 continue
             tail = sum(c * phi[s + 1 + j] for j, c in enumerate(coeffs))
             if tail > 0:
-                bounds.append(Fraction(psi[s] - phi[s]) / tail)
-        if bounds:
-            bound = min(bounds)
+                steps.append((tail, psi[s] - phi[s]))
+        if steps:
             k = 0
-            while Fraction(1, 2 ** k) > bound:
+            while any(tail > gap << (shift + k) for tail, gap in steps):
                 k += 1
-            eps = Fraction(1, 2 ** (k + 1))
-        else:
-            eps = Fraction(1)
-        coeffs = [Fraction(1)] + [eps * c for c in coeffs]
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    form = SeparatingForm(tuple(int(c * scale) for c in coeffs))
+            shift += k + 1
+        coeffs = [1 << shift] + coeffs
+    form = SeparatingForm(tuple(coeffs))
     for _, phi, psi in split:
         if form.value(phi) >= form.value(psi):
             raise DegenerationError(f"form {form.coefficients} fails on ({phi}, {psi})")

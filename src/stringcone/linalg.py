@@ -1,6 +1,7 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer linear algebra on small dense matrices.
 
-Everything here works over Python ints and fractions; no floating point.
+Everything here works over Python ints, with no floating point; only
+``invert_fraction`` returns Fractions, and the pipeline no longer calls it.
 Vectors are tuples, matrices are sequences of row tuples.
 """
 
@@ -171,13 +172,17 @@ def lattice_span_basis(vectors, dim):
 def snf_with_uinv(matrix):
     """Diagonalize by unimodular row and column operations.
 
-    Returns ``(diag, uinv)`` where U * A * V = diag(d) is the Smith normal
-    form (d positive, each entry dividing the next) and ``uinv`` = U^{-1}.
+    Returns ``(diag, uinv, v)`` where U * A * V = D is the Smith normal form
+    of the n x m matrix A: D is n x m with the positive entries ``diag``,
+    each dividing the next, leading its diagonal and zeros elsewhere.
+    ``uinv`` = U^{-1} is n x n and ``v`` = V is m x m, both unimodular, so
+    A * V = uinv * D.
     """
     a = [list(r) for r in matrix]
     n = len(a)
     m = len(a[0]) if n else 0
     uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -195,11 +200,11 @@ def snf_with_uinv(matrix):
             r[src] -= q * r[dst]
 
     def col_swap(i, j):
-        for row in a:
+        for row in a + v:
             row[i], row[j] = row[j], row[i]
 
     def col_addmul(dst, src, q):
-        for row in a:
+        for row in a + v:
             row[dst] += q * row[src]
 
     t = 0
@@ -246,4 +251,4 @@ def snf_with_uinv(matrix):
             row_addmul(t, bad, 1)
         t += 1
     diag = [a[k][k] for k in range(t)]
-    return diag, uinv
+    return diag, uinv, v

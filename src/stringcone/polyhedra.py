@@ -9,20 +9,10 @@ opposite facet pairs, which makes dualization a plain swap.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import PolyhedralError, UnboundedSectionError
-from .linalg import (
-    det_int,
-    hnf_rows,
-    invert_fraction,
-    lattice_span_basis,
-    primitive,
-    rank_int,
-    snf_with_uinv,
-    vec_dot,
-)
+from .linalg import hnf_rows, primitive, rank_int, snf_with_uinv, vec_dot
 from .strings import WeightedPoint, dominant_weights
 
 
@@ -155,13 +145,14 @@ def section_lattice_points(cone: RationalCone, lam):
     """Integer points of the cone section with the leading block fixed to lam.
 
     The section polytope is homogenized and its vertices bound an exact box;
-    unbounded sections are rejected with a certifying recession ray.  The
-    scan fixes the free coordinates from the last to the first.  A facet
-    whose first nonzero free coefficient sits at k bounds x_k once the
-    coordinates after k are fixed, so each facet is enforced exactly once and
-    every emitted point satisfies all of them.  String cones suit this order:
-    their lambda-inequalities bound each coordinate by the ones after it in
-    the word (Littelmann, "Cones, crystals, and patterns", Prop. 1.5).
+    an empty section yields no points, and unbounded sections are rejected
+    with a certifying recession ray.  The scan fixes the free coordinates
+    from the last to the first.  A facet whose first nonzero free
+    coefficient sits at k bounds x_k once the coordinates after k are fixed,
+    so each facet is enforced exactly once and every emitted point satisfies
+    all of them.  String cones suit this order: their lambda-inequalities
+    bound each coordinate by the ones after it in the word (Littelmann,
+    "Cones, crystals, and patterns", Prop. 1.5).
     """
     lam = tuple(lam)
     n = len(lam)
@@ -174,13 +165,13 @@ def section_lattice_points(cone: RationalCone, lam):
     homog = [(1,) + (0,) * nfree]
     homog += [(const,) + tuple(coeffs) for const, coeffs in rows]
     lin, rays = _dd_pair(homog, nfree + 1)
+    if not any(v[0] > 0 for v in rays):
+        return ()  # the homogenized cone lies in x_0 = 0: the section is empty
     for v in lin + rays:
         if v[0] == 0:
             raise UnboundedSectionError(
                 f"section at lambda={lam} is unbounded", ray=v[1:]
             )
-    if not rays:
-        return ()
     lo = [min(_ceil_div(v[k], v[0]) for v in rays) for k in range(1, nfree + 1)]
     hi = [max(v[k] // v[0] for v in rays) for k in range(1, nfree + 1)]
     # buckets[k]: (constant, c_k, ((j, c_j) for the nonzero c_j with j > k))
@@ -270,25 +261,24 @@ def _triangulate(rays):
     return rec(tuple(sorted(rays)))
 
 
-def _parallelepiped_points(simplex):
-    """Nonzero lattice points of the half-open parallelepiped of a simplex."""
-    k = len(simplex)
-    matrix = [[simplex[j][i] for j in range(k)] for i in range(k)]
-    if abs(det_int(matrix)) == 1:
-        return ()
-    diag, uinv = snf_with_uinv(matrix)
-    inv = invert_fraction(matrix)
+def _parallelepiped_points(matrix):
+    """Nonzero lattice points of the half-open parallelepiped of a simplex.
+
+    ``matrix`` is the dim x k matrix M whose columns are the simplex rays,
+    of rank k; dim may exceed k.  With U * M * V = D in Smith form, the
+    points M * lam with lam in [0, 1)^k are integral exactly for
+    lam = frac(V * (y_i / d_i)) with y in prod [0, d_i).  Scaling by the
+    last invariant factor d_k keeps every step in integers.
+    """
+    diag, _, v = snf_with_uinv(matrix)
+    top = diag[-1]
     points = []
     for residue in itertools.product(*(range(d) for d in diag)):
         if not any(residue):
             continue
-        x = [sum(uinv[i][j] * residue[j] for j in range(k)) for i in range(k)]
-        coords = [sum(inv[i][j] * x[j] for j in range(k)) for i in range(k)]
-        shift = [math.floor(c) for c in coords]
-        pt = tuple(
-            x[i] - sum(matrix[i][j] * shift[j] for j in range(k)) for i in range(k)
-        )
-        points.append(pt)
+        scaled = [y * (top // d) for y, d in zip(residue, diag)]
+        lam = [vec_dot(row, scaled) % top for row in v]
+        points.append(tuple(vec_dot(row, lam) // top for row in matrix))
     return tuple(points)
 
 
@@ -296,9 +286,11 @@ def hilbert_basis(cone: RationalCone, grading):
     """Minimal generating set of the cone's lattice-point semigroup.
 
     Requires a pointed cone and a grading strictly positive on the rays.
-    Candidates come from a pulling triangulation plus the lattice points of
-    each simplicial parallelepiped; a candidate survives when it is not the
-    sum of a lower-degree survivor and another cone point.
+    The cone may be lower-dimensional; the lattice is always Z^dim.
+    Candidates are the rays plus the lattice points of each simplicial
+    parallelepiped of a pulling triangulation (Bruns-Koch, "Computing the
+    integral closure of an affine semigroup", 2001); a candidate survives
+    when subtracting a lower-degree survivor leaves the cone.
     """
     if not cone.pointed:
         raise PolyhedralError("Hilbert basis requires a pointed cone")
@@ -310,68 +302,23 @@ def hilbert_basis(cone: RationalCone, grading):
     for r in cone.rays:
         if vec_dot(grading, r) <= 0:
             raise PolyhedralError(f"grading is not positive on ray {r}")
-    dim = cone.ambient_dim
-    k = rank_int(cone.rays)
-    if k == dim:
-        to_full = None
-        red_rays = list(cone.rays)
-        red_facets = sorted({u for u in cone.facets})
-        red_grading = grading
-    else:
-        span = lattice_span_basis(cone.rays, dim)
-        gram = [[vec_dot(a, b) for b in span] for a in span]
-        gram_inv = invert_fraction(gram)
-
-        def to_reduced(x):
-            proj = [vec_dot(x, b) for b in span]
-            coords = [
-                sum(gram_inv[i][j] * proj[j] for j in range(k)) for i in range(k)
-            ]
-            out = []
-            for c in coords:
-                if c.denominator != 1:
-                    raise PolyhedralError("point outside the ray lattice")
-                out.append(int(c))
-            return tuple(out)
-
-        to_full = span
-        red_rays = [to_reduced(r) for r in cone.rays]
-        red_facets = sorted(
-            {
-                primitive(tuple(vec_dot(u, b) for b in span))
-                for u in cone.facets
-            }
-            - {(0,) * k}
-        )
-        red_grading = tuple(vec_dot(grading, b) for b in span)
-
-    def lift(x):
-        if to_full is None:
-            return tuple(x)
-        return tuple(
-            sum(x[j] * to_full[j][i] for j in range(k)) for i in range(dim)
-        )
-
-    def in_cone(x):
-        return all(vec_dot(u, x) >= 0 for u in red_facets)
-
-    candidates = set(red_rays)
-    for simplex in _triangulate(tuple(red_rays)):
-        candidates.update(_parallelepiped_points(simplex))
-    graded = sorted(candidates, key=lambda c: (vec_dot(red_grading, c), c))
+    candidates = set(cone.rays)
+    for simplex in _triangulate(cone.rays):
+        candidates.update(_parallelepiped_points(list(zip(*simplex))))
+    graded = sorted(candidates, key=lambda c: (vec_dot(grading, c), c))
     basis = []
     for h in graded:
-        gh = vec_dot(red_grading, h)
+        gh = vec_dot(grading, h)
         reducible = False
         for g in basis:
-            if vec_dot(red_grading, g) >= gh:
+            if vec_dot(grading, g) >= gh:
                 break
-            if in_cone(tuple(a - b for a, b in zip(h, g))):
+            if contains(cone, tuple(a - b for a, b in zip(h, g))):
                 reducible = True
                 break
         if not reducible:
             basis.append(h)
-    return tuple(sorted(lift(h) for h in basis))
+    return tuple(sorted(basis))
 
 
 @dataclass(frozen=True)

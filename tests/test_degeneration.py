@@ -1,6 +1,11 @@
 import json
+import math
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stringcone.degeneration
 from stringcone.cartan import build_cartan, longest_word
@@ -13,6 +18,7 @@ from stringcone.degeneration import (
     separating_form,
 )
 from stringcone.errors import DegenerationError, WordError
+from stringcone.polyhedra import conic_hull, hilbert_basis
 from stringcone.strings import WeightedPoint
 
 
@@ -59,6 +65,58 @@ def test_separating_form_rejections():
         separating_form([((1, 0), (0, 1), None)], 2)
     with pytest.raises(DegenerationError):
         separating_form([((0, 1), (1, 0), None)], 3)
+
+
+def _separating_coefficients_over_fractions(pairs, n_coords):
+    """Reference form: the same right-to-left construction in Fractions.
+
+    ``pairs`` holds lexicographically oriented ``(phi, psi)`` tuples.
+    """
+    split = []
+    for phi, psi in pairs:
+        s = next(k for k in range(n_coords) if phi[k] != psi[k])
+        split.append((s, phi, psi))
+    coeffs = [Fraction(1)]
+    for s in range(n_coords - 2, -1, -1):
+        bounds = []
+        for k, phi, psi in split:
+            if k != s:
+                continue
+            tail = sum(c * phi[s + 1 + j] for j, c in enumerate(coeffs))
+            if tail > 0:
+                bounds.append(Fraction(psi[s] - phi[s]) / tail)
+        if bounds:
+            bound = min(bounds)
+            k = 0
+            while Fraction(1, 2 ** k) > bound:
+                k += 1
+            eps = Fraction(1, 2 ** (k + 1))
+        else:
+            eps = Fraction(1)
+        coeffs = [Fraction(1)] + [eps * c for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * scale) for c in coeffs)
+
+
+@st.composite
+def oriented_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    vec = st.tuples(*[st.integers(min_value=0, max_value=6)] * n)
+    pairs = []
+    for a, b in draw(st.lists(st.tuples(vec, vec), max_size=8)):
+        if a != b:
+            pairs.append((min(a, b), max(a, b)))
+    return n, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(oriented_pairs())
+def test_separating_form_matches_fraction_reference(case):
+    n, pairs = case
+    form = separating_form([(phi, psi, None) for phi, psi in pairs], n)
+    assert form.coefficients == _separating_coefficients_over_fractions(pairs, n)
+    for phi, psi in pairs:
+        assert form.value(phi) < form.value(psi)
 
 
 def test_lattice_relations():
@@ -127,6 +185,20 @@ def test_certificate_a2(a2):
         "relations_balance": True,
         "separating_form_strict": True,
     }
+
+
+def test_hilbert_path_needs_no_rational_elimination(a2, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational elimination called")
+
+    for name in ("invert_fraction", "det_int", "lattice_span_basis"):
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("stringcone"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+    assert hilbert_basis(conic_hull([(2, 4)]), (1, 1)) == ((1, 2),)
+    report = degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2)
+    assert report.passing
+    assert len(report.hilbert_basis) == 6
 
 
 def test_certificate_with_demazure_word(a2):

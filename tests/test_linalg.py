@@ -70,35 +70,46 @@ def test_lattice_span():
     assert lattice_span_basis([(0, 0)], 2) == ()
 
 
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def test_snf_uinv_roundtrip():
-    diag, uinv = snf_with_uinv([(2, 4), (6, 8)])
+    diag, uinv, v = snf_with_uinv([(2, 4), (6, 8)])
     assert all(d > 0 for d in diag)
     prod = 1
     for d in diag:
         prod *= d
     assert prod == abs(det_int([(2, 4), (6, 8)]))
     assert abs(det_int(uinv)) == 1
+    assert abs(det_int(v)) == 1
 
 
 small_matrices = st.integers(min_value=-5, max_value=5)
+shapes = st.sampled_from([(3, 3), (2, 3), (3, 2), (4, 2)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(small_matrices, small_matrices, small_matrices),
-                min_size=3, max_size=3))
+@settings(max_examples=120, deadline=None)
+@given(shapes.flatmap(lambda shape: st.lists(
+    st.tuples(*[small_matrices] * shape[1]), min_size=shape[0], max_size=shape[0])))
 @example(rows=[(0, 0, 1), (0, 2, 0), (3, 0, 0)])
 def test_snf_divisibility_chain(rows):
-    det = det_int(rows)
-    if det == 0:
-        return
-    diag, uinv = snf_with_uinv(rows)
+    n, m = len(rows), len(rows[0])
+    diag, uinv, v = snf_with_uinv(rows)
+    assert all(d > 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
-    prod = 1
-    for d in diag:
-        prod *= d
-    assert prod == abs(det)
+    smith = [[diag[i] if i == j and i < len(diag) else 0 for j in range(m)]
+             for i in range(n)]
+    assert _matmul(rows, v) == _matmul(uinv, smith)
+    assert abs(det_int(v)) == 1
     assert abs(det_int(uinv)) == 1
+    assert len(diag) == rank_int(rows)
+    if n == m and len(diag) == n:
+        prod = 1
+        for d in diag:
+            prod *= d
+        assert prod == abs(det_int(rows))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,11 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stringcone.errors import PolyhedralError, UnboundedSectionError
+from stringcone.linalg import vec_dot
 from stringcone.polyhedra import (
     conic_hull,
     contains,
@@ -71,6 +72,12 @@ def test_section_unbounded():
     with pytest.raises(UnboundedSectionError) as info:
         section_lattice_points(cone, (1,))
     assert info.value.ray == (1,)
+
+
+def test_empty_section_is_not_unbounded():
+    # The recession direction (1,) does not matter: no point has lambda = -1.
+    cone = conic_hull([(1, 0), (0, 1), (0, -1)])
+    assert section_lattice_points(cone, (-1,)) == ()
 
 
 def test_is_face_cases():
@@ -195,3 +202,51 @@ def test_section_matches_brute_force(case):
         assert contains(cone, lam + p)
     box = itertools.product(range(-25, 26), repeat=nfree)
     assert {p for p in box if contains(cone, lam + p)} <= set(points)
+
+
+@st.composite
+def graded_cones(draw):
+    """Generators of a pointed cone in Z^2..Z^4 and a grading positive on them.
+
+    The generators span a subspace of dimension ``span``: drawn in Z^span,
+    then extended by ``dim - span`` integer linear functionals of them.
+    """
+    dim = draw(st.integers(min_value=2, max_value=4))
+    span = draw(st.integers(min_value=1, max_value=dim))
+    entry = st.integers(min_value=-2, max_value=2)
+    gens = draw(st.lists(st.tuples(*[entry] * span), min_size=span, max_size=span + 3))
+    extra = draw(st.lists(st.tuples(*[st.integers(min_value=-1, max_value=1)] * span),
+                          min_size=dim - span, max_size=dim - span))
+    points = [g + tuple(vec_dot(a, g) for a in extra) for g in gens]
+    grading = draw(st.tuples(*[st.integers(min_value=-1, max_value=3)] * dim))
+    points = [p if vec_dot(grading, p) > 0 else tuple(-c for c in p)
+              for p in points if vec_dot(grading, p)]
+    assume(points)
+    return points, grading
+
+
+def _hilbert_by_brute_force(cone, grading):
+    """Irreducible nonzero lattice points of the cone, from a bounding box.
+
+    Every basis element lies in the half-open parallelepiped of a simplicial
+    cone spanned by rays, so ``|x_i| <= sum over rays of |r_i|``.  A point is
+    reducible exactly when it minus some lower-degree basis element stays in
+    the cone.
+    """
+    bounds = [sum(abs(r[i]) for r in cone.rays) for i in range(cone.ambient_dim)]
+    box = itertools.product(*(range(-b, b + 1) for b in bounds))
+    points = sorted((p for p in box if any(p) and contains(cone, p)),
+                    key=lambda p: (vec_dot(grading, p), p))
+    basis = []
+    for p in points:
+        if not any(contains(cone, tuple(a - b for a, b in zip(p, h))) for h in basis):
+            basis.append(p)
+    return tuple(sorted(basis))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_cones())
+def test_hilbert_basis_matches_brute_force(case):
+    points, grading = case
+    cone = conic_hull(points)
+    assert hilbert_basis(cone, grading) == _hilbert_by_brute_force(cone, grading)
