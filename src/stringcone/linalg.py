@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def vec_dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_content(v) -> int:

@@ -2,8 +2,10 @@
 
 Double description over exact integers gives minimal V- and H-
 representations; sections, face tests, Hilbert bases, and saturation checks
-ride on top.  Lineality is encoded as opposite ray pairs and equations as
-opposite facet pairs, which makes dualization a plain swap.
+ride on top.  One routine, ``_dd_pair``, computes every hull, section box
+and triangulation cell; it decides adjacency from the zero sets of the
+rays, with no elimination.  Lineality is encoded as opposite ray pairs and
+equations as opposite facet pairs, which makes dualization a plain swap.
 """
 
 from __future__ import annotations
@@ -35,22 +37,20 @@ def _canonical_constraints(vectors):
     return sorted(out)
 
 
-def _adjacent(r1, r2, processed, dim, lin_dim):
-    common = [a for a in processed if vec_dot(a, r1) == 0 and vec_dot(a, r2) == 0]
-    return rank_int(common) == dim - lin_dim - 2
-
-
 def _dd_pair(constraints, dim):
     """Lineality basis and extreme rays of an intersection of halfspaces.
 
-    Incremental insertion; rays stay primitive and the exact rank test on
-    the processed constraints decides adjacency.  Constraints already
-    satisfied by the current cone are redundant for the final cone and are
-    skipped.
+    Incremental insertion; rays stay primitive.  Each ray carries a bitmask
+    of the inserted constraints it is tight on, and adjacency is decided on
+    these zero sets alone (Fukuda-Prodon, "Double description method
+    revisited", 1996): two rays are adjacent when their common zero set has
+    at least dim - lineality - 2 members and no third ray is tight on all
+    of it.  Constraints already satisfied by the current cone are redundant
+    for the final cone and are skipped.
     """
     lineality = [tuple(1 if j == k else 0 for j in range(dim)) for k in range(dim)]
-    rays: list = []
-    processed: list = []
+    rays: dict = {}  # ray -> bitmask of the inserted constraints tight on it
+    bit = 1
     for c in _canonical_constraints(constraints):
         lvals = [vec_dot(c, l) for l in lineality]
         if any(lvals):
@@ -64,32 +64,39 @@ def _dd_pair(constraints, dim):
                     continue
                 new_lin.append(primitive(tuple(a * p0 - b * pl for a, b in zip(l, l0))))
             lineality = new_lin
-            projected = []
-            for r in rays:
+            # every inserted constraint vanishes on l0, so projecting along
+            # l0 keeps a ray's zero set and makes it tight on c
+            projected = {}
+            for r, m in rays.items():
                 pr = vec_dot(c, r)
                 cand = primitive(tuple(a * p0 - b * pr for a, b in zip(r, l0)))
                 if any(cand):
-                    projected.append(cand)
-            projected.append(l0)
-            rays = sorted(set(projected))
-            processed.append(c)
+                    projected[cand] = m | bit
+            projected[l0] = bit - 1
+            rays = projected
+            bit <<= 1
             continue
-        vals = [vec_dot(c, r) for r in rays]
-        if all(v >= 0 for v in vals):
+        vals = [(r, m, vec_dot(c, r)) for r, m in rays.items()]
+        if all(v >= 0 for _, _, v in vals):
             continue
-        keep = [r for r, v in zip(rays, vals) if v >= 0]
-        plus = [(r, v) for r, v in zip(rays, vals) if v > 0]
-        minus = [(r, v) for r, v in zip(rays, vals) if v < 0]
-        fresh = []
-        for rp, vp in plus:
-            for rm, vm in minus:
-                if _adjacent(rp, rm, processed, dim, len(lineality)):
-                    fresh.append(
-                        primitive(tuple(-vm * a + vp * b for a, b in zip(rp, rm)))
-                    )
-        rays = sorted(set(keep + fresh))
-        processed.append(c)
-    return tuple(hnf_rows(lineality)), tuple(sorted(set(rays)))
+        need = dim - len(lineality) - 2
+        plus = [(r, m, v) for r, m, v in vals if v > 0]
+        minus = [(r, m, v) for r, m, v in vals if v < 0]
+        nxt = {r: (m | bit if v == 0 else m) for r, m, v in vals if v >= 0}
+        # distinct extreme rays have distinct zero sets, so a mask equal to
+        # mp or mm is that ray itself
+        for rp, mp, vp in plus:
+            for rm, mm, vm in minus:
+                common = mp & mm
+                if common.bit_count() < need or any(
+                        mk & common == common and mk != mp and mk != mm
+                        for mk in rays.values()):
+                    continue
+                ray = primitive(tuple(-vm * a + vp * b for a, b in zip(rp, rm)))
+                nxt[ray] = common | bit
+        rays = nxt
+        bit <<= 1
+    return tuple(hnf_rows(lineality)), tuple(sorted(rays))
 
 
 def _generators(lineality, rays):

@@ -8,7 +8,6 @@ of the Demazure subset then vanish beyond position l(w).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .cartan import CartanDatum, Weight, WeylWord, check_longest_word
@@ -84,7 +83,21 @@ def string_weight(datum: CartanDatum, lam, sv: StringVector) -> Weight:
 
 def dominant_weights(rank: int, level_bound: int):
     """Dominant integral weights with every coordinate at most the bound."""
-    return tuple(itertools.product(range(level_bound + 1), repeat=rank))
+    return tuple(_weight_grid(rank, level_bound))
+
+
+def _weight_grid(rank: int, level_bound: int):
+    """``dominant_weights`` one at a time, in lexicographic order.
+
+    Nothing is stored up front (``itertools.product`` would store its
+    ranges), so a huge bound reaches the first crystal over the node cap.
+    """
+    if rank == 0:
+        yield ()
+        return
+    for head in range(level_bound + 1):
+        for tail in _weight_grid(rank - 1, level_bound):
+            yield (head,) + tail
 
 
 def weighted_points(datum: CartanDatum, word, level_bound: int, *,
@@ -95,7 +108,7 @@ def weighted_points(datum: CartanDatum, word, level_bound: int, *,
         raise WordError("level bound must be nonnegative")
     crystals = CrystalCache.for_datum(datum, crystals)
     points = []
-    for lam in dominant_weights(datum.rank, level_bound):
+    for lam in _weight_grid(datum.rank, level_bound):
         for sv in string_image(datum, lam, word, crystals=crystals):
             points.append(WeightedPoint(lam=lam, psi=sv.entries))
     return tuple(sorted(points))

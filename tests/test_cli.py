@@ -111,6 +111,24 @@ def test_crystal_cap_names_the_requested_weight(capsys):
     assert "lambda=(2, 2)" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["cone"], ["degenerate"], ["polytope", "--lambda", "1,1"],
+])
+def test_huge_level_bound_stops_at_the_cap(command, capsys):
+    # the weights are walked one at a time, so a bound far too large for the
+    # whole weight grid ends at the first crystal over the cap, with the
+    # message a grid-sized bound gives
+    errs = []
+    for bound in ("20", "99999999999"):
+        rc = main(command + ["--type", "A", "--rank", "2",
+                             "--level-bound", bound, "--cap", "50"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs == ["error[crystal]: crystal for lambda=(0, 9) exceeded node cap 50\n"] * 2
+
+
 def test_polytope_undercount_is_a_polyhedral_error(capsys):
     # the level-1 cone of B2 gives 240 points at (3, 3); dim V(3, 3) = 256
     rc = main(["polytope", "--type", "B", "--rank", "2",

@@ -201,6 +201,14 @@ def test_hilbert_path_needs_no_rational_elimination(a2, monkeypatch):
     assert len(report.hilbert_basis) == 6
 
 
+@pytest.mark.slow
+def test_rank3_certificates_pass():
+    for type_label in ("B", "C"):
+        datum = build_cartan(type_label, 3)
+        report = degeneration_certificate(datum, longest_word(datum), level_bound=1)
+        assert all(ok for _, ok in report.checks), type_label
+
+
 def test_certificate_with_demazure_word(a2):
     report = degeneration_certificate(a2, (1, 2, 1), (1,),
                                       level_bound=1, check_level=2)

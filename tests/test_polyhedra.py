@@ -4,8 +4,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import stringcone.polyhedra
+from stringcone.cartan import build_cartan
 from stringcone.errors import PolyhedralError, UnboundedSectionError
-from stringcone.linalg import vec_dot
+from stringcone.linalg import kernel_basis_int, primitive, rank_int, vec_dot
 from stringcone.polyhedra import (
     conic_hull,
     contains,
@@ -17,7 +19,7 @@ from stringcone.polyhedra import (
     saturation_check,
     section_lattice_points,
 )
-from stringcone.strings import WeightedPoint
+from stringcone.strings import WeightedPoint, weighted_points
 
 
 def test_planar_hull():
@@ -170,6 +172,106 @@ def test_dualize_round_trip(points):
     cone = conic_hull(points)
     back = dualize(dualize(cone))
     assert back == cone
+
+
+@st.composite
+def hull_cases(draw):
+    """Generators in Z^2..Z^4: pointed, with lineality, or unconstrained.
+
+    The generators span a subspace of dimension ``span``: drawn in Z^span,
+    then extended by ``dim - span`` integer linear functionals of them.
+    Pointed draws flip every generator to the positive side of a grading;
+    lineality draws add the negatives of one or two generators.
+    """
+    dim = draw(st.integers(min_value=2, max_value=4))
+    span = draw(st.integers(min_value=1, max_value=dim))
+    entry = st.integers(min_value=-2, max_value=2)
+    gens = draw(st.lists(st.tuples(*[entry] * span), min_size=1, max_size=span + 3))
+    extra = draw(st.lists(st.tuples(*[st.integers(min_value=-1, max_value=1)] * span),
+                          min_size=dim - span, max_size=dim - span))
+    points = [g + tuple(vec_dot(a, g) for a in extra) for g in gens]
+    kind = draw(st.sampled_from(["pointed", "lineality", "any"]))
+    if kind == "pointed":
+        grading = draw(st.tuples(*[st.integers(min_value=-1, max_value=3)] * dim))
+        points = [p if vec_dot(grading, p) > 0 else tuple(-c for c in p)
+                  for p in points if vec_dot(grading, p)]
+    elif kind == "lineality":
+        k = draw(st.integers(min_value=1, max_value=min(2, len(points))))
+        points += [tuple(-c for c in p) for p in points[:k]]
+    assume(any(any(p) for p in points))
+    return points
+
+
+def _facet_values(gens):
+    """Facets of cone(gens), each named by its primitive values on gens.
+
+    Brute force, with no double description.  A facet is cut out by
+    rank - 1 independent generators; a normal vanishing on them is fixed up
+    to the orthogonal complement of the span, where every generator
+    vanishes, so its values on the generators name the facet whatever
+    normal represents it.  The candidates nonnegative on every generator
+    are the facets.
+    """
+    d = rank_int(gens)
+    found = set()
+    for sub in itertools.combinations(gens, d - 1) if d else ():
+        if rank_int(sub) != d - 1:
+            continue
+        kernel = kernel_basis_int(sub, len(gens[0]))
+        values = (tuple(vec_dot(k, g) for g in gens) for k in kernel)
+        s = primitive(next(v for v in values if any(v)))
+        if min(s) < 0:
+            s = tuple(-c for c in s)
+        if min(s) >= 0:
+            found.add(s)
+    return sorted(found)
+
+
+def _split(vectors, against):
+    """Values of each vector on ``against``: the nonzero ones, and the rest."""
+    values = [primitive(tuple(vec_dot(v, a) for a in against)) for v in vectors]
+    rest = [v for v, x in zip(vectors, values) if not any(x)]
+    return sorted(x for x in values if any(x)), rest
+
+
+def _is_subspace_basis_pairs(vectors, rank):
+    """Opposite pairs spanning a subspace of the given rank."""
+    return (set(vectors) == {tuple(-c for c in v) for v in vectors}
+            and rank_int(vectors) == rank)
+
+
+@settings(max_examples=120, deadline=None)
+@given(hull_cases())
+@example([(1, 0), (-1, 0), (0, 1)])
+@example([(1, 2, 3), (2, 4, 6)])
+@example([(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 1, 1)])
+@example([(0, 1, 1, 0), (0, -1, 1, 0), (1, 0, 1, 0), (-1, 0, 1, 0), (1, 1, 1, 0)])
+def test_hull_matches_brute_force(gens):
+    cone = conic_hull(gens)
+    dim = cone.ambient_dim
+    # facets: one per facet of cone(gens), plus opposite pairs spanning
+    # the orthogonal complement of its span
+    facet_values, complement = _split(cone.facets, gens)
+    assert facet_values == _facet_values(gens)
+    assert _is_subspace_basis_pairs(complement, dim - rank_int(gens))
+    # rays: facets of the dual cone, plus opposite pairs spanning the
+    # lineality space; the facets were just checked to generate the dual
+    ray_values, lineality = _split(cone.rays, cone.facets)
+    assert ray_values == _facet_values(cone.facets)
+    assert _is_subspace_basis_pairs(lineality, dim - rank_int(cone.facets))
+    assert cone.pointed == (not lineality)
+
+
+def test_hull_and_sections_need_no_rank_test(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank test called")
+
+    monkeypatch.setattr(stringcone.polyhedra, "rank_int", refuse)
+    a2 = build_cartan("A", 2)
+    points = weighted_points(a2, (1, 2, 1), 1)
+    cone = conic_hull([p.lam + p.psi for p in points])
+    assert len(section_lattice_points(cone, (1, 1))) == 8
+    assert saturation_check(cone, points, 1).clean
 
 
 @st.composite
