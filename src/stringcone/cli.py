@@ -230,7 +230,8 @@ def _cmd_polytope(config: RunConfig) -> int:
         const = sum(a * b for a, b in zip(u[:n], config.lam))
         lines.append(" ".join([str(const)] + [str(c) for c in u[n:]]))
     lines.append(f"points {len(section)}")
-    lines += [" ".join(str(c) for c in p) for p in section]
+    row = " ".join(["%d"] * (cone.ambient_dim - n))
+    lines += [row % p for p in section]
     _emit("\n".join(lines) + "\n", config.out)
     return 0
 

@@ -12,6 +12,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
+from operator import sub
 
 from .cartan import CartanDatum, apply_word, check_longest_word, check_reduced_word, rho
 from .characters import demazure_character, dimension_of, weyl_dim
@@ -21,7 +22,6 @@ from .pathcrystal import CrystalCache
 from .polyhedra import (
     RationalCone,
     conic_hull,
-    contains,
     hilbert_basis,
     is_face,
     saturation_check,
@@ -215,8 +215,14 @@ class DegenerationReport:
         return all(flag for _, flag in self.checks)
 
 
-def _decomposer(gens, facets):
-    """Memoized test for membership in the semigroup generated by gens."""
+def _decomposer(gen_slacks):
+    """Memoized test for membership in the semigroup of the generators.
+
+    Points and generators are given by their facet slacks (their values on
+    the facet normals of a pointed cone).  Those normals span the space, so
+    the slack map is injective: a zero slack is the zero point, and x - g
+    lies in the cone exactly when the slack difference is nonnegative.
+    """
     memo: dict = {}
 
     def rec(x):
@@ -226,9 +232,9 @@ def _decomposer(gens, facets):
         if cached is not None:
             return cached
         memo[x] = False
-        for g in gens:
-            y = tuple(a - b for a, b in zip(x, g))
-            if all(vec_dot(u, y) >= 0 for u in facets) and rec(y):
+        for g in gen_slacks:
+            y = tuple(map(sub, x, g))
+            if min(y) >= 0 and rec(y):
                 memo[x] = True
                 break
         return memo[x]
@@ -246,7 +252,10 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     (one level higher by default).  While a data point falls outside the
     hull, the build level grows and the hull is rebuilt; the sections are
     then scanned once, and a cone section point absent from the
-    enumeration is a genuine failure and raises.
+    enumeration is a genuine failure and raises.  Each data point's facet
+    slack is computed once, for the final hull; a hull that is rebuilt
+    stops at the first point with a negative slack.  The Hilbert checks
+    then run on these slacks alone.
     """
     w0_word = check_longest_word(datum, w0_word)
     if w_word is not None:
@@ -266,13 +275,20 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     timings["enumerate"] = (clock() - t) * 1000.0
 
     t = clock()
+    vectors = [p.lam + p.psi for p in data]
     build_level = level_bound
     while True:
-        hull_pts = [p.lam + p.psi for p in data
+        hull_pts = [v for p, v in zip(data, vectors)
                     if all(c <= build_level for c in p.lam)]
         cone = conic_hull(hull_pts)
-        if build_level == check_level or all(
-                contains(cone, p.lam + p.psi) for p in data):
+        final = build_level == check_level
+        slacks = []
+        for v in vectors:
+            slack = tuple([vec_dot(u, v) for u in cone.facets])
+            if not final and min(slack) < 0:
+                break
+            slacks.append(slack)
+        else:
             break
         build_level += 1
     report = saturation_check(cone, data, check_level)
@@ -316,15 +332,17 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     grading = (1,) * n + (0,) * ncoords
     basis_vecs = hilbert_basis(cone, grading)
     basis_points = tuple(WeightedPoint(lam=v[:n], psi=v[n:]) for v in basis_vecs)
-    decomposes = _decomposer(basis_vecs, cone.facets)
-    generates = all(decomposes(p.lam + p.psi) for p in data)
+    # the hull loop ends only after a full pass, so slacks covers all data
+    basis_slacks = [tuple([vec_dot(u, v) for u in cone.facets]) for v in basis_vecs]
+    decomposes = _decomposer(basis_slacks)
+    generates = all(decomposes(s) for s in slacks)
     minimal = True
-    for h in basis_vecs:
-        for g in basis_vecs:
-            if g == h:
+    for sh in basis_slacks:
+        for sg in basis_slacks:
+            if sg == sh:
                 continue
-            y = tuple(a - b for a, b in zip(h, g))
-            if all(vec_dot(u, y) >= 0 for u in cone.facets) and decomposes(y):
+            y = tuple(map(sub, sh, sg))
+            if min(y) >= 0 and decomposes(y):
                 minimal = False
                 break
         if not minimal:

@@ -2,16 +2,19 @@
 
 Double description over exact integers gives minimal V- and H-
 representations; sections, face tests, Hilbert bases, and saturation checks
-ride on top.  One routine, ``_dd_pair``, computes every hull, section box
-and triangulation cell; it decides adjacency from the zero sets of the
-rays, with no elimination.  Lineality is encoded as opposite ray pairs and
-equations as opposite facet pairs, which makes dualization a plain swap.
+ride on top.  One routine, ``_dd_pair``, computes every hull and section
+box; it decides adjacency from the zero sets of the rays, with no
+elimination.  The triangulation reads its faces off the same kind of zero
+sets, the rays each facet vanishes on.  Lineality is encoded as opposite
+ray pairs and equations as opposite facet pairs, which makes dualization a
+plain swap.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import PolyhedralError, UnboundedSectionError
 from .linalg import hnf_rows, primitive, rank_int, snf_with_uinv, vec_dot
@@ -195,9 +198,6 @@ def section_lattice_points(cone: RationalCone, lam):
     point = [0] * nfree
 
     def scan(k):
-        if k < 0:
-            found.append(tuple(point))
-            return
         lo_k, hi_k = lo[k], hi[k]
         for const, c, tail in buckets[k]:
             rest = const + sum(cj * point[j] for j, cj in tail)
@@ -205,6 +205,10 @@ def section_lattice_points(cone: RationalCone, lam):
                 lo_k = max(lo_k, _ceil_div(-rest, c))
             else:
                 hi_k = min(hi_k, rest // -c)
+        if k == 0:
+            after = tuple(point[1:])
+            found.extend((v,) + after for v in range(lo_k, hi_k + 1))
+            return
         for v in range(lo_k, hi_k + 1):
             point[k] = v
             scan(k - 1)
@@ -242,30 +246,53 @@ def is_face(cone: RationalCone, points):
     return True, normal
 
 
-def _triangulate(rays):
-    """Pulling triangulation of a cone into simplicial ray subsets."""
+def _triangulate(cone: RationalCone):
+    """Pulling triangulation of a pointed cone into simplicial ray subsets.
+
+    Works on the face lattice alone (Bruns-Koch, "Computing the integral
+    closure of an affine semigroup", 2001).  Each face is the bitmask of the
+    sorted rays it contains, and each facet normal gives the mask of the
+    rays it vanishes on.  The facets of a face F are the maximal proper
+    ``F & m``; equation pairs contain every ray and drop out.  A face is a
+    simplex when its ray count equals its dimension, which starts at the
+    rank of the rays and falls by one per level.  The apex of a face is its
+    lowest ray, and the cells are the apex joined to the triangulations of
+    the facets missing it.
+    """
+    rays = sorted(cone.rays)
+    facet_masks = set()
+    for u in cone.facets:
+        mask = 0
+        for i, r in enumerate(rays):
+            if not vec_dot(u, r):
+                mask |= 1 << i
+        facet_masks.add(mask)
     memo = {}
 
-    def rec(ray_set):
-        key = frozenset(ray_set)
-        if key in memo:
-            return memo[key]
-        rk = rank_int(ray_set)
-        if len(ray_set) == rk:
-            memo[key] = (tuple(sorted(ray_set)),)
-            return memo[key]
-        hull = conic_hull(ray_set)
-        apex = sorted(ray_set)[0]
-        cells = []
-        for u in hull.facets:
-            if vec_dot(u, apex) > 0:
-                sub = tuple(r for r in hull.rays if vec_dot(u, r) == 0)
-                for cell in rec(sub):
-                    cells.append(tuple(sorted(cell + (apex,))))
-        memo[key] = tuple(cells)
-        return memo[key]
+    def rec(face, dim):
+        cells = memo.get(face)
+        if cells is not None:
+            return cells
+        if face.bit_count() == dim:
+            cells = (face,)
+        else:
+            apex = face & -face
+            subs = {face & m for m in facet_masks} - {face}
+            cells = tuple(
+                cell | apex
+                for facet in subs
+                if not facet & apex
+                and not any(facet & other == facet != other for other in subs)
+                for cell in rec(facet, dim - 1)
+            )
+        memo[face] = cells
+        return cells
 
-    return rec(tuple(sorted(rays)))
+    full = (1 << len(rays)) - 1
+    return tuple(
+        tuple(r for i, r in enumerate(rays) if cell >> i & 1)
+        for cell in rec(full, rank_int(rays))
+    )
 
 
 def _parallelepiped_points(matrix):
@@ -297,7 +324,10 @@ def hilbert_basis(cone: RationalCone, grading):
     Candidates are the rays plus the lattice points of each simplicial
     parallelepiped of a pulling triangulation (Bruns-Koch, "Computing the
     integral closure of an affine semigroup", 2001); a candidate survives
-    when subtracting a lower-degree survivor leaves the cone.
+    when subtracting a lower-degree survivor leaves the cone.  Each
+    candidate's facet slack (its values on the facet normals) is computed
+    once, and h - g lies in the cone exactly when the slack of h minus
+    that of g is nonnegative.
     """
     if not cone.pointed:
         raise PolyhedralError("Hilbert basis requires a pointed cone")
@@ -310,22 +340,24 @@ def hilbert_basis(cone: RationalCone, grading):
         if vec_dot(grading, r) <= 0:
             raise PolyhedralError(f"grading is not positive on ray {r}")
     candidates = set(cone.rays)
-    for simplex in _triangulate(cone.rays):
+    for simplex in _triangulate(cone):
         candidates.update(_parallelepiped_points(list(zip(*simplex))))
     graded = sorted(candidates, key=lambda c: (vec_dot(grading, c), c))
-    basis = []
+    facets = cone.facets
+    basis = []  # (degree, facet slack, point) of each survivor
     for h in graded:
         gh = vec_dot(grading, h)
+        sh = tuple([vec_dot(u, h) for u in facets])
         reducible = False
-        for g in basis:
-            if vec_dot(grading, g) >= gh:
+        for gg, sg, _ in basis:
+            if gg >= gh:
                 break
-            if contains(cone, tuple(a - b for a, b in zip(h, g))):
+            if min(map(sub, sh, sg)) >= 0:
                 reducible = True
                 break
         if not reducible:
-            basis.append(h)
-    return tuple(sorted(basis))
+            basis.append((gh, sh, h))
+    return tuple(sorted(h for _, _, h in basis))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ of the Demazure subset then vanish beyond position l(w).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .cartan import CartanDatum, Weight, WeylWord, check_longest_word
 from .errors import InvariantViolation, WordError
@@ -32,6 +33,10 @@ class WeightedPoint:
 
     def vector(self) -> tuple[int, ...]:
         return self.lam + self.psi
+
+
+# One image shares one word, so its vectors sort by their entries alone.
+_entries = attrgetter("entries")
 
 
 def _peel(graph: CrystalGraph, node: int, word: WeylWord) -> StringVector:
@@ -63,8 +68,9 @@ def string_image(datum: CartanDatum, lam, word, *,
     """Sorted string vectors of the whole crystal; injectivity is enforced."""
     word = check_longest_word(datum, word)
     graph = CrystalCache.for_datum(datum, crystals)[tuple(lam)]
-    vectors = sorted(_peel(graph, node, word) for node in range(graph.size))
-    if len(set(vectors)) != graph.size:
+    vectors = sorted((_peel(graph, node, word) for node in range(graph.size)),
+                     key=_entries)
+    if len(set(map(_entries, vectors))) != graph.size:
         raise InvariantViolation(
             f"string parametrization along {word} is not injective"
         )
@@ -102,7 +108,11 @@ def _weight_grid(rank: int, level_bound: int):
 
 def weighted_points(datum: CartanDatum, word, level_bound: int, *,
                     crystals: CrystalCache | None = None) -> tuple[WeightedPoint, ...]:
-    """All (lambda, string) points for dominant lambda up to the bound."""
+    """All (lambda, string) points for dominant lambda up to the bound.
+
+    The points come out sorted without a sort: the weights run in
+    lexicographic order and each string image is sorted.
+    """
     word = check_longest_word(datum, word)
     if level_bound < 0:
         raise WordError("level bound must be nonnegative")
@@ -111,7 +121,7 @@ def weighted_points(datum: CartanDatum, word, level_bound: int, *,
     for lam in _weight_grid(datum.rank, level_bound):
         for sv in string_image(datum, lam, word, crystals=crystals):
             points.append(WeightedPoint(lam=lam, psi=sv.entries))
-    return tuple(sorted(points))
+    return tuple(points)
 
 
 def demazure_strings(datum: CartanDatum, lam, w_word, w0_word, *,
@@ -123,4 +133,4 @@ def demazure_strings(datum: CartanDatum, lam, w_word, w0_word, *,
     w0_word = check_longest_word(datum, w0_word)
     graph = CrystalCache.for_datum(datum, crystals)[tuple(lam)]
     nodes = demazure_crystal(graph, w_word)
-    return tuple(sorted(_peel(graph, node, w0_word) for node in nodes))
+    return tuple(sorted((_peel(graph, node, w0_word) for node in nodes), key=_entries))

@@ -1,15 +1,18 @@
+import hashlib
+import itertools
 import json
 import math
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stringcone.degeneration
 from stringcone.cartan import build_cartan, longest_word
 from stringcone.degeneration import (
+    _decomposer,
     build_pairs,
     degeneration_certificate,
     demazure_quotient,
@@ -18,6 +21,7 @@ from stringcone.degeneration import (
     separating_form,
 )
 from stringcone.errors import DegenerationError, WordError
+from stringcone.linalg import vec_dot
 from stringcone.polyhedra import conic_hull, hilbert_basis
 from stringcone.strings import WeightedPoint
 
@@ -201,12 +205,61 @@ def test_hilbert_path_needs_no_rational_elimination(a2, monkeypatch):
     assert len(report.hilbert_basis) == 6
 
 
+@st.composite
+def graded_generators(draw):
+    """Nonzero generators in Z^2 or Z^3 with a grading positive on each."""
+    dim = draw(st.integers(min_value=2, max_value=3))
+    grading = draw(st.tuples(*[st.integers(min_value=0, max_value=2)] * dim))
+    entry = st.integers(min_value=-2, max_value=2)
+    gens = draw(st.lists(st.tuples(*[entry] * dim), min_size=1, max_size=4))
+    gens = [g for g in gens if vec_dot(grading, g) > 0]
+    assume(gens)
+    return sorted(set(gens)), grading
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_generators())
+def test_decomposer_matches_semigroup_search(case):
+    gens, grading = case
+    top = 3
+    # every sum of generators of degree at most top, by breadth-first search
+    reachable = {(0,) * len(grading)}
+    frontier = set(reachable)
+    while frontier:
+        frontier = {
+            tuple(a + b for a, b in zip(x, g))
+            for x in frontier
+            for g in gens
+            if vec_dot(grading, x) + vec_dot(grading, g) <= top
+        } - reachable
+        reachable |= frontier
+    cone = conic_hull(gens)
+
+    def slack(x):
+        return tuple(vec_dot(u, x) for u in cone.facets)
+
+    decomposes = _decomposer([slack(g) for g in gens])
+    bound = 2 * top
+    for x in itertools.product(range(-bound, bound + 1), repeat=len(grading)):
+        if vec_dot(grading, x) <= top:
+            assert decomposes(slack(x)) == (x in reachable), x
+
+
+# SHA-256 of report_to_json for the default words at level bound 1
+RANK3_REPORT_SHA256 = {
+    "B": "fd08d1b2cc4232ad32f10636d2f87db90df5bf88d7ed877f62028288cf7702a7",
+    "C": "e2351580bc6739b4efa809b5e6ae26c721db42ed7a8c07d5a526aeaa8312fb2e",
+}
+
+
 @pytest.mark.slow
 def test_rank3_certificates_pass():
     for type_label in ("B", "C"):
         datum = build_cartan(type_label, 3)
         report = degeneration_certificate(datum, longest_word(datum), level_bound=1)
         assert all(ok for _, ok in report.checks), type_label
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        assert digest == RANK3_REPORT_SHA256[type_label], type_label
 
 
 def test_certificate_with_demazure_word(a2):

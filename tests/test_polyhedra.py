@@ -5,10 +5,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stringcone.polyhedra
-from stringcone.cartan import build_cartan
+from stringcone.cartan import build_cartan, longest_word
 from stringcone.errors import PolyhedralError, UnboundedSectionError
 from stringcone.linalg import kernel_basis_int, primitive, rank_int, vec_dot
 from stringcone.polyhedra import (
+    _triangulate,
     conic_hull,
     contains,
     dualize,
@@ -352,3 +353,100 @@ def test_hilbert_basis_matches_brute_force(case):
     points, grading = case
     cone = conic_hull(points)
     assert hilbert_basis(cone, grading) == _hilbert_by_brute_force(cone, grading)
+
+
+def _pulling_by_hulls(rays):
+    """Pulling triangulation that recomputes the hull of every face."""
+    memo = {}
+
+    def rec(ray_set):
+        key = frozenset(ray_set)
+        if key in memo:
+            return memo[key]
+        if len(ray_set) == rank_int(ray_set):
+            memo[key] = (tuple(sorted(ray_set)),)
+            return memo[key]
+        hull = conic_hull(ray_set)
+        apex = sorted(ray_set)[0]
+        cells = []
+        for u in hull.facets:
+            if vec_dot(u, apex) > 0:
+                sub = tuple(r for r in hull.rays if vec_dot(u, r) == 0)
+                for cell in rec(sub):
+                    cells.append(tuple(sorted(cell + (apex,))))
+        memo[key] = tuple(cells)
+        return memo[key]
+
+    return rec(tuple(sorted(rays)))
+
+
+# Cone over (pyramid over an octahedron) x segment, in Z^6.  Inside one of
+# its facets F, another facet cuts out a square that is not a facet of F;
+# only the maximality test keeps it out of the cells.  Below dimension 6 an
+# F & m that is not a facet of F has dimension at most 2, hence fewer rays
+# than the dimension it would be taken for, and adds no cell either way.
+_OCTAHEDRAL_PYRAMID_PRISM = [
+    v + (0, t, 1)
+    for v in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+    for t in (0, 1)
+] + [(0, 0, 0, 1, t, 1) for t in (0, 1)]
+
+
+@st.composite
+def pointed_cones(draw):
+    """Generators of a pointed cone in Z^2..Z^5, full- or lower-dimensional."""
+    dim = draw(st.integers(min_value=2, max_value=5))
+    span = draw(st.integers(min_value=1, max_value=dim))
+    entry = st.integers(min_value=-2, max_value=2)
+    gens = draw(st.lists(st.tuples(*[entry] * span), min_size=1, max_size=span + 4))
+    extra = draw(st.lists(st.tuples(*[st.integers(min_value=-1, max_value=1)] * span),
+                          min_size=dim - span, max_size=dim - span))
+    points = [g + tuple(vec_dot(a, g) for a in extra) for g in gens]
+    grading = draw(st.tuples(*[st.integers(min_value=-1, max_value=3)] * dim))
+    points = [p if vec_dot(grading, p) > 0 else tuple(-c for c in p)
+              for p in points if vec_dot(grading, p)]
+    assume(points)
+    return points
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointed_cones())
+@example([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+@example([(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)])
+@example(_OCTAHEDRAL_PYRAMID_PRISM)
+def test_triangulation_matches_hull_recursion(gens):
+    cone = conic_hull(gens)
+    assert cone.pointed
+    cells = _triangulate(cone)
+    assert len(set(cells)) == len(cells)
+    assert set(cells) == set(_pulling_by_hulls(cone.rays))
+
+
+def test_square_pyramid_triangulation(monkeypatch):
+    cone = conic_hull([(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("conic_hull called")
+
+    monkeypatch.setattr(stringcone.polyhedra, "conic_hull", refuse)
+    # the apex (-1, -1, 1) is joined to the two facets missing it, which
+    # cuts the square along the diagonal from the apex to (1, 1, 1)
+    assert set(_triangulate(cone)) == {
+        ((-1, -1, 1), (-1, 1, 1), (1, 1, 1)),
+        ((-1, -1, 1), (1, -1, 1), (1, 1, 1)),
+    }
+
+
+@pytest.mark.parametrize("type_label", ["A", "B"])
+def test_hilbert_basis_needs_no_hull(type_label, monkeypatch):
+    datum = build_cartan(type_label, 2)
+    points = weighted_points(datum, longest_word(datum), 1)
+    cone = conic_hull([p.lam + p.psi for p in points])
+    grading = (1, 1) + (0,) * (cone.ambient_dim - 2)
+    expected = _hilbert_by_brute_force(cone, grading)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("conic_hull called")
+
+    monkeypatch.setattr(stringcone.polyhedra, "conic_hull", refuse)
+    assert hilbert_basis(cone, grading) == expected

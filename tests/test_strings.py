@@ -87,6 +87,13 @@ def test_weighted_points_a2_level_one():
     assert len(set(pts)) == 15
 
 
+@pytest.mark.parametrize("type_label", ["A", "B", "G"])
+def test_weighted_points_come_out_sorted(type_label):
+    datum = build_cartan(type_label, 2)
+    pts = weighted_points(datum, longest_word(datum), 2)
+    assert pts == tuple(sorted(pts))
+
+
 def test_weighted_points_cache_reuse():
     datum = build_cartan("A", 2)
     crystals = CrystalCache(datum)
