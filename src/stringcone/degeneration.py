@@ -12,12 +12,12 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from operator import sub
+from operator import mul
 
 from .cartan import CartanDatum, apply_word, check_longest_word, check_reduced_word, rho
 from .characters import demazure_character, dimension_of, weyl_dim
 from .errors import DegenerationError
-from .linalg import kernel_basis_int, vec_dot
+from .linalg import kernel_basis_int, slack_lanes, vec_dot
 from .pathcrystal import CrystalCache
 from .polyhedra import (
     RationalCone,
@@ -215,26 +215,29 @@ class DegenerationReport:
         return all(flag for _, flag in self.checks)
 
 
-def _decomposer(gen_slacks):
+def _decomposer(gen_slacks, sign):
     """Memoized test for membership in the semigroup of the generators.
 
     Points and generators are given by their facet slacks (their values on
-    the facet normals of a pointed cone).  Those normals span the space, so
-    the slack map is injective: a zero slack is the zero point, and x - g
-    lies in the cone exactly when the slack difference is nonnegative.
+    the facet normals of a pointed cone), packed into ints by
+    ``slack_lanes`` with sign mask ``sign``.  Those normals span the space,
+    so the slack map is injective: a zero slack is the zero point, and
+    x - g lies in the cone exactly when the packed difference has no
+    negative lane.  The lane width must bound every lane of x, of each g
+    and of their differences.
     """
     memo: dict = {}
 
     def rec(x):
-        if not any(x):
+        if not x:
             return True
         cached = memo.get(x)
         if cached is not None:
             return cached
         memo[x] = False
         for g in gen_slacks:
-            y = tuple(map(sub, x, g))
-            if min(y) >= 0 and rec(y):
+            y = x - g
+            if (y + sign) & sign == sign and rec(y):
                 memo[x] = True
                 break
         return memo[x]
@@ -253,9 +256,14 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     hull, the build level grows and the hull is rebuilt; the sections are
     then scanned once, and a cone section point absent from the
     enumeration is a genuine failure and raises.  Each data point's facet
-    slack is computed once, for the final hull; a hull that is rebuilt
-    stops at the first point with a negative slack.  The Hilbert checks
-    then run on these slacks alone.
+    slack is computed once, for the final hull, packed into one int with a
+    lane per facet (``slack_lanes``); a hull that is rebuilt stops at the
+    first point with a negative lane.  The Hilbert checks then run on these
+    packed slacks alone.  A lane is at most max |u|_1 over the facets u
+    times the largest |v|_inf of a data point or a Hilbert basis element,
+    and a basis element has |h|_inf <= sum over the rays r of |r|_inf (it
+    is a ray or lies in a half-open parallelepiped of rays), which gives
+    the lane width.
     """
     w0_word = check_longest_word(datum, w0_word)
     if w_word is not None:
@@ -276,16 +284,19 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
 
     t = clock()
     vectors = [p.lam + p.psi for p in data]
+    data_reach = max(max(map(abs, v)) for v in vectors)
     build_level = level_bound
     while True:
         hull_pts = [v for p, v in zip(data, vectors)
-                    if all(c <= build_level for c in p.lam)]
+                    if max(p.lam) <= build_level]
         cone = conic_hull(hull_pts)
         final = build_level == check_level
+        reach = sum(max(map(abs, r)) for r in cone.rays)
+        columns, sign = slack_lanes(cone.facets, max(data_reach, reach))
         slacks = []
         for v in vectors:
-            slack = tuple([vec_dot(u, v) for u in cone.facets])
-            if not final and min(slack) < 0:
+            slack = sum(map(mul, v, columns))
+            if not final and (slack + sign) & sign != sign:
                 break
             slacks.append(slack)
         else:
@@ -332,17 +343,19 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     grading = (1,) * n + (0,) * ncoords
     basis_vecs = hilbert_basis(cone, grading)
     basis_points = tuple(WeightedPoint(lam=v[:n], psi=v[n:]) for v in basis_vecs)
+    if any(max(map(abs, v)) > reach for v in basis_vecs):
+        raise DegenerationError("Hilbert basis element beyond its parallelepiped bound")
     # the hull loop ends only after a full pass, so slacks covers all data
-    basis_slacks = [tuple([vec_dot(u, v) for u in cone.facets]) for v in basis_vecs]
-    decomposes = _decomposer(basis_slacks)
+    basis_slacks = [sum(map(mul, v, columns)) for v in basis_vecs]
+    decomposes = _decomposer(basis_slacks, sign)
     generates = all(decomposes(s) for s in slacks)
     minimal = True
     for sh in basis_slacks:
         for sg in basis_slacks:
             if sg == sh:
                 continue
-            y = tuple(map(sub, sh, sg))
-            if min(y) >= 0 and decomposes(y):
+            y = sh - sg
+            if (y + sign) & sign == sign and decomposes(y):
                 minimal = False
                 break
         if not minimal:

@@ -9,18 +9,38 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import lshift, mul
 
 
 def vec_dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
+def slack_lanes(normals, reach: int):
+    """Column ints and sign mask that pack the values on ``normals`` into one int.
+
+    Lane j of the packed value ``sum(map(mul, v, columns))`` holds
+    ``normals[j] . v``: column i is ``sum(normals[j][i] << j*w)``, so one
+    multiply-add per coordinate computes every lane.  The packing is linear
+    and exact while every lane value y obeys |y| < 2**(w-1): adding the
+    sign mask (bit w-1 of every lane) then turns each lane into one
+    base-2**w digit y + 2**(w-1), with no carries.  So all lanes of s are
+    >= 0 exactly when ``(s + sign) & sign == sign``, and s == 0 only when
+    every lane is 0.  The width w covers |y| <= max |u|_1 * reach over the
+    normals u, which bounds the lanes of every v with |v|_inf <= reach, and
+    of the difference of two such packed values whose lanes are all >= 0.
+    """
+    normals = list(normals)
+    bound = max((sum(map(abs, u)) for u in normals), default=0) * reach
+    width = bound.bit_length() + 1
+    shifts = range(0, len(normals) * width, width)
+    columns = tuple(sum(map(lshift, col, shifts)) for col in zip(*normals))
+    ones = ((1 << len(normals) * width) - 1) // ((1 << width) - 1)
+    return columns, ones << (width - 1)
+
+
 def vec_content(v) -> int:
-    g = 0
-    for c in v:
-        g = gcd(g, abs(c))
-    return g
+    return gcd(*v)
 
 
 def primitive(v):

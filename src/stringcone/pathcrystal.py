@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import CartanDatum, Weight, check_reduced_word, is_dominant
+from .characters import weyl_dim
 from .errors import EnumerationCapError, InvariantViolation, RootSystemError, WeightError
 
 DEFAULT_NODE_CAP = 20000
@@ -329,11 +330,15 @@ def enumerate_crystal(datum: CartanDatum, lam, node_cap: int = DEFAULT_NODE_CAP,
     is the component of the highest pair in ``crystals[lam - omega_j]`` (x)
     ``crystals[omega_j]`` (a fresh cache with ``node_cap`` when None), so a
     level sweep builds each crystal once.  The smaller crystals are built
-    smallest first, which keeps the recursion one level deep.  Each of them
-    is no larger than B(lam), so when one exceeds the cache's cap the error
-    names lam.
+    smallest first, which keeps the recursion one level deep.  B(lam) has
+    ``weyl_dim(lam)`` nodes and each smaller crystal no more, so lam is
+    checked against the cap (the cache's, when one is given) before any
+    of them is built.
     """
     lam = _dominant(datum, lam)
+    cap = node_cap if crystals is None else crystals.node_cap
+    if weyl_dim(datum, lam) > cap:
+        raise _cap_error(lam, cap)
     if sum(lam) <= 1:
         return _path_crystal(datum, lam, node_cap)
     if crystals is None:
@@ -345,12 +350,9 @@ def enumerate_crystal(datum: CartanDatum, lam, node_cap: int = DEFAULT_NODE_CAP,
     while sum(mu) > 1:
         mu, omega = _split(mu)
         chain.append((mu, omega))
-    try:
-        for mu, omega in reversed(chain):
-            crystals[omega]
-            crystals[mu]
-    except EnumerationCapError as exc:
-        raise _cap_error(lam, crystals.node_cap) from exc
+    for mu, omega in reversed(chain):
+        crystals[omega]
+        crystals[mu]
     left, omega = chain[0]
     return _tensor_crystal(datum, lam, crystals[left], crystals[omega], node_cap)
 

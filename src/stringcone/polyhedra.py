@@ -7,17 +7,21 @@ box; it decides adjacency from the zero sets of the rays, with no
 elimination.  The triangulation reads its faces off the same kind of zero
 sets, the rays each facet vanishes on.  Lineality is encoded as opposite
 ray pairs and equations as opposite facet pairs, which makes dualization a
-plain swap.
+plain swap.  The redundancy test of ``_dd_pair`` and the reduction test of
+``hilbert_basis`` pack a vector's values on a list of normals into one int,
+a lane per normal (``linalg.slack_lanes``): one multiply-add per coordinate
+computes all of them, and one addition and mask tests their signs.  Each
+caller sizes the lanes from a bound on every value it packs or subtracts.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import sub
+from operator import mul
 
 from .errors import PolyhedralError, UnboundedSectionError
-from .linalg import hnf_rows, primitive, rank_int, snf_with_uinv, vec_dot
+from .linalg import hnf_rows, primitive, rank_int, slack_lanes, snf_with_uinv, vec_dot
 from .strings import WeightedPoint, dominant_weights
 
 
@@ -49,12 +53,18 @@ def _dd_pair(constraints, dim):
     revisited", 1996): two rays are adjacent when their common zero set has
     at least dim - lineality - 2 members and no third ray is tight on all
     of it.  Constraints already satisfied by the current cone are redundant
-    for the final cone and are skipped.
+    for the final cone and are skipped.  The test packs the values of a
+    constraint c on the current rays into one int (``slack_lanes``),
+    rebuilt after each insertion that changes the rays; every lane c . r
+    obeys |c . r| <= |r|_1 * |c|_inf, which bounds the lane width.
     """
+    constraints = _canonical_constraints(constraints)
+    reach = max((max(map(abs, c)) for c in constraints), default=0)
     lineality = [tuple(1 if j == k else 0 for j in range(dim)) for k in range(dim)]
     rays: dict = {}  # ray -> bitmask of the inserted constraints tight on it
+    columns = None  # packing of the current rays, None once they change
     bit = 1
-    for c in _canonical_constraints(constraints):
+    for c in constraints:
         lvals = [vec_dot(c, l) for l in lineality]
         if any(lvals):
             k = next(i for i, v in enumerate(lvals) if v)
@@ -77,11 +87,14 @@ def _dd_pair(constraints, dim):
                     projected[cand] = m | bit
             projected[l0] = bit - 1
             rays = projected
+            columns = None
             bit <<= 1
             continue
-        vals = [(r, m, vec_dot(c, r)) for r, m in rays.items()]
-        if all(v >= 0 for _, _, v in vals):
+        if columns is None:
+            columns, sign = slack_lanes(rays, reach)
+        if (sum(map(mul, c, columns)) + sign) & sign == sign:
             continue
+        vals = [(r, m, vec_dot(c, r)) for r, m in rays.items()]
         need = dim - len(lineality) - 2
         plus = [(r, m, v) for r, m, v in vals if v > 0]
         minus = [(r, m, v) for r, m, v in vals if v < 0]
@@ -98,6 +111,7 @@ def _dd_pair(constraints, dim):
                 ray = primitive(tuple(-vm * a + vp * b for a, b in zip(rp, rm)))
                 nxt[ray] = common | bit
         rays = nxt
+        columns = None
         bit <<= 1
     return tuple(hnf_rows(lineality)), tuple(sorted(rays))
 
@@ -116,7 +130,7 @@ def conic_hull(points) -> RationalCone:
     The dual cone is computed first (the points act as constraints); its
     generators are the facets, and a second pass recovers the extreme rays.
     """
-    pts = [tuple(int(c) for c in p) for p in points]
+    pts = [tuple(map(int, p)) for p in points]
     if not pts:
         raise PolyhedralError("cannot take the conic hull of an empty set")
     dim = len(pts[0])
@@ -325,9 +339,12 @@ def hilbert_basis(cone: RationalCone, grading):
     parallelepiped of a pulling triangulation (Bruns-Koch, "Computing the
     integral closure of an affine semigroup", 2001); a candidate survives
     when subtracting a lower-degree survivor leaves the cone.  Each
-    candidate's facet slack (its values on the facet normals) is computed
-    once, and h - g lies in the cone exactly when the slack of h minus
-    that of g is nonnegative.
+    candidate's facet slack (its values on the facet normals) is packed
+    once into one int (``slack_lanes``), and h - g lies in the cone
+    exactly when the packed difference has no negative lane.  A candidate
+    is a ray or lies in a half-open parallelepiped of rays, so |h|_inf <=
+    sum over the rays r of |r|_inf, and every lane of a slack or of a
+    slack difference is at most max |u|_1 over the facets u times that.
     """
     if not cone.pointed:
         raise PolyhedralError("Hilbert basis requires a pointed cone")
@@ -343,16 +360,18 @@ def hilbert_basis(cone: RationalCone, grading):
     for simplex in _triangulate(cone):
         candidates.update(_parallelepiped_points(list(zip(*simplex))))
     graded = sorted(candidates, key=lambda c: (vec_dot(grading, c), c))
-    facets = cone.facets
-    basis = []  # (degree, facet slack, point) of each survivor
+    reach = sum(max(map(abs, r)) for r in cone.rays)
+    columns, sign = slack_lanes(cone.facets, reach)
+    basis = []  # (degree, packed facet slack, point) of each survivor
     for h in graded:
         gh = vec_dot(grading, h)
-        sh = tuple([vec_dot(u, h) for u in facets])
+        sh = sum(map(mul, h, columns))
+        biased = sh + sign  # (biased - sg) & sign is the sign test of sh - sg
         reducible = False
         for gg, sg, _ in basis:
             if gg >= gh:
                 break
-            if min(map(sub, sh, sg)) >= 0:
+            if (biased - sg) & sign == sign:
                 reducible = True
                 break
         if not reducible:

@@ -129,6 +129,16 @@ def test_huge_level_bound_stops_at_the_cap(command, capsys):
     assert errs == ["error[crystal]: crystal for lambda=(0, 9) exceeded node cap 50\n"] * 2
 
 
+def test_huge_weight_stops_at_the_cap(capsys):
+    rc = main(["crystal", "--type", "A", "--rank", "2",
+               "--lambda", "99999999999999,0"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error[crystal]: crystal for lambda=(99999999999999, 0)"
+                            " exceeded node cap 20000\n")
+
+
 def test_polytope_undercount_is_a_polyhedral_error(capsys):
     # the level-1 cone of B2 gives 240 points at (3, 3); dim V(3, 3) = 256
     rc = main(["polytope", "--type", "B", "--rank", "2",

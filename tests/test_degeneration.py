@@ -21,9 +21,9 @@ from stringcone.degeneration import (
     separating_form,
 )
 from stringcone.errors import DegenerationError, WordError
-from stringcone.linalg import vec_dot
+from stringcone.linalg import slack_lanes, vec_dot
 from stringcone.polyhedra import conic_hull, hilbert_basis
-from stringcone.strings import WeightedPoint
+from stringcone.strings import WeightedPoint, weighted_points
 
 
 @pytest.fixture(scope="module")
@@ -234,12 +234,14 @@ def test_decomposer_matches_semigroup_search(case):
         } - reachable
         reachable |= frontier
     cone = conic_hull(gens)
+    bound = 2 * top
+    # x may lie outside the cone, so the lanes must cover x - g as a vector
+    columns, sign = slack_lanes(cone.facets, bound + max(max(map(abs, g)) for g in gens))
 
     def slack(x):
-        return tuple(vec_dot(u, x) for u in cone.facets)
+        return vec_dot(x, columns)
 
-    decomposes = _decomposer([slack(g) for g in gens])
-    bound = 2 * top
+    decomposes = _decomposer([slack(g) for g in gens], sign)
     for x in itertools.product(range(-bound, bound + 1), repeat=len(grading)):
         if vec_dot(grading, x) <= top:
             assert decomposes(slack(x)) == (x in reachable), x
@@ -321,3 +323,42 @@ def test_certificate_scans_sections_once(monkeypatch):
     assert calls == [2]
     assert report.certified_level == 2
     assert report.passing
+
+
+@pytest.mark.parametrize("type_label", ["B", "G"])
+def test_hilbert_checks_reject_a_wrong_basis(type_label, monkeypatch):
+    # the packed slack checks must see a missing generator and a redundant one
+    datum = build_cartan(type_label, 2)
+    word = longest_word(datum)
+    basis = list(degeneration_certificate(datum, word, level_bound=1, check_level=2)
+                 .hilbert_basis)
+    vecs = [p.lam + p.psi for p in basis]
+    top = max(vecs, key=lambda v: (sum(v[:2]), v))
+    doubled = tuple(2 * c for c in top)
+    for wrong, failing in [
+        ([v for v in vecs if v != top], "hilbert_basis_generates"),
+        (vecs + [doubled], "hilbert_basis_minimal"),
+    ]:
+        monkeypatch.setattr(stringcone.degeneration, "hilbert_basis",
+                            lambda cone, grading, wrong=wrong: tuple(sorted(wrong)))
+        report = degeneration_certificate(datum, word, level_bound=1, check_level=2)
+        assert dict(report.checks)[failing] is False
+
+
+def test_certificate_lanes_cover_every_packed_point(monkeypatch):
+    # every data point and basis element is packed, so the reach handed to
+    # slack_lanes must bound their coordinates, on each hull of the loop
+    reaches = []
+
+    def recording(normals, reach):
+        reaches.append(reach)
+        return slack_lanes(normals, reach)
+
+    monkeypatch.setattr(stringcone.degeneration, "slack_lanes", recording)
+    datum = build_cartan("B", 2)
+    word = longest_word(datum)
+    report = degeneration_certificate(datum, word, level_bound=1)
+    packed = [p.lam + p.psi for p in weighted_points(datum, word, 2)]
+    packed += [h.lam + h.psi for h in report.hilbert_basis]
+    assert len(reaches) == 2  # the level-1 hull escalates once
+    assert all(max(map(abs, v)) <= reach for v in packed for reach in reaches)

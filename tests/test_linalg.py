@@ -13,14 +13,17 @@ from stringcone.linalg import (
     lattice_span_basis,
     primitive,
     rank_int,
+    slack_lanes,
     snf_with_uinv,
     vec_content,
+    vec_dot,
 )
 
 
 def test_content_and_primitive():
     assert vec_content((4, -6, 10)) == 2
     assert vec_content((0, 0)) == 0
+    assert vec_content((0, -9, 6)) == 3
     assert primitive((4, -6, 10)) == (2, -3, 5)
     assert primitive((0, 0, 7)) == (0, 0, 1)
 
@@ -140,3 +143,58 @@ entries = st.integers(min_value=-3, max_value=3)
     lambda ncols: st.lists(st.tuples(*[entries] * ncols), min_size=1, max_size=4)))
 def test_rank_matches_minor_oracle(rows):
     assert rank_int(rows) == _rank_by_minors(rows)
+
+
+def _unpack(packed, sign, lanes):
+    """Lane values of a packed int: base-2**w digits of packed + sign, re-centred."""
+    width = (sign & -sign).bit_length() if sign else 1
+    digits = packed + sign
+    assert digits >= 0
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out = tuple(((digits >> (j * width)) & mask) - half for j in range(lanes))
+    assert digits >> (lanes * width) == 0
+    return out
+
+
+def _nonneg(packed, sign):
+    return (packed + sign) & sign == sign
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda dim: st.tuples(
+    st.lists(st.tuples(*[st.integers(-9, 9)] * dim), max_size=6),
+    st.tuples(*[st.integers(-50, 50)] * dim),
+    st.tuples(*[st.integers(-50, 50)] * dim),
+)))
+@example(([(1, 0), (0, 1)], (0, 0), (0, 0)))
+@example(([(1, -1), (2, 3)], (1, 1), (1, 1)))
+def test_packed_slacks_match_tuples(case):
+    normals, x, g = case
+    sx = tuple(vec_dot(u, x) for u in normals)
+    sg = tuple(vec_dot(u, g) for u in normals)
+    diff = tuple(a - b for a, b in zip(sx, sg))
+    # x - g as a vector has |x - g|_inf <= |x|_inf + |g|_inf
+    columns, sign = slack_lanes(normals, max(map(abs, x)) + max(map(abs, g)))
+    px, pg = vec_dot(x, columns), vec_dot(g, columns)
+    assert _unpack(px, sign, len(normals)) == sx
+    assert _unpack(px - pg, sign, len(normals)) == diff
+    assert _nonneg(px, sign) == all(y >= 0 for y in sx)
+    assert _nonneg(px - pg, sign) == all(y >= 0 for y in diff)
+    assert (px == pg) == (sx == sg)
+
+
+@pytest.mark.parametrize("width", [2, 8, 64])
+def test_packed_lanes_at_the_bound(width):
+    # unit normals: |u|_1 = 1, so lanes reach exactly +-top = +-(2**(w-1) - 1)
+    top = (1 << (width - 1)) - 1
+    normals = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    columns, sign = slack_lanes(normals, top)
+    assert sign == sum(1 << (j * width + width - 1) for j in range(len(normals)))
+    for x in [(top, 0), (-top, 0), (top, -top), (0, top), (-top, -top)]:
+        lanes = (x[0], x[1], -x[0], -x[1])
+        packed = vec_dot(x, columns)
+        assert _unpack(packed, sign, len(normals)) == lanes
+        assert _nonneg(packed, sign) == (min(lanes) >= 0)
+    # no lanes: every vector packs to 0, which passes the sign test
+    assert slack_lanes([], 5) == ((), 0)

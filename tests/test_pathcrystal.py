@@ -117,12 +117,25 @@ def test_statistics_consistency():
 
 def test_node_cap():
     datum = build_cartan("A", 2)
-    # (0, 2) is the first smaller crystal over the cap; the error names (2, 2)
+    # B(2, 2) has 27 nodes, so both caps stop it before any crystal is built
     with pytest.raises(EnumerationCapError, match=r"lambda=\(2, 2\) exceeded node cap 5"):
         enumerate_crystal(datum, (2, 2), node_cap=5)
     with pytest.raises(EnumerationCapError, match=r"lambda=\(2, 2\) exceeded node cap 26"):
         enumerate_crystal(datum, (2, 2), node_cap=26)
     assert enumerate_crystal(datum, (2, 2), node_cap=27).size == 27
+
+
+def test_cap_is_checked_before_any_crystal_is_built(monkeypatch):
+    # the chain below (10**4, 0) has 10**4 crystals; none may be started
+    def refuse(*args, **kwargs):
+        raise AssertionError("crystal built")
+
+    monkeypatch.setattr(pathcrystal, "_path_crystal", refuse)
+    monkeypatch.setattr(pathcrystal, "_tensor_crystal", refuse)
+    datum = build_cartan("A", 2)
+    with pytest.raises(EnumerationCapError,
+                       match=r"lambda=\(10000, 0\) exceeded node cap 50$"):
+        enumerate_crystal(datum, (10**4, 0), node_cap=50)
 
 
 def _weights_up_to(rank, bound):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,6 +10,7 @@ from stringcone.cartan import build_cartan, longest_word
 from stringcone.errors import PolyhedralError, UnboundedSectionError
 from stringcone.linalg import kernel_basis_int, primitive, rank_int, vec_dot
 from stringcone.polyhedra import (
+    _dd_pair,
     _triangulate,
     conic_hull,
     contains,
@@ -247,6 +249,7 @@ def _is_subspace_basis_pairs(vectors, rank):
 @example([(1, 2, 3), (2, 4, 6)])
 @example([(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 1, 1)])
 @example([(0, 1, 1, 0), (0, -1, 1, 0), (1, 0, 1, 0), (-1, 0, 1, 0), (1, 1, 1, 0)])
+@example([(2, -2, 2), (1, 0, 2), (1, 2, 0), (2, -2, 1), (0, 2, 2)])
 def test_hull_matches_brute_force(gens):
     cone = conic_hull(gens)
     dim = cone.ambient_dim
@@ -261,6 +264,33 @@ def test_hull_matches_brute_force(gens):
     assert ray_values == _facet_values(cone.facets)
     assert _is_subspace_basis_pairs(lineality, dim - rank_int(cone.facets))
     assert cone.pointed == (not lineality)
+
+
+def test_hull_at_large_coordinates():
+    # cone over a box in Z^3 at height 50021; the other points are sums of
+    # its rays with coordinates up to about 10**6, so the packed redundancy
+    # test in _dd_pair runs on wide lanes
+    corners = [(sx * 31337, sy * 40009, sz * 27183, 50021)
+               for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
+    rng = random.Random(11)
+
+    def combination(weights):
+        return tuple(sum(w * g[i] for g, w in zip(corners, weights)) for i in range(4))
+
+    inner = [combination([rng.randint(0, 2) for _ in corners]) for _ in range(400)]
+    inner = [p for p in inner if any(p)]
+    assert max(max(map(abs, p)) for p in inner) > 5 * 10**5
+    points = inner + corners
+    rng.shuffle(points)
+    assert _dd_pair(points, 4) == _dd_pair(corners, 4)
+    cone = conic_hull(points)
+    assert cone == conic_hull(corners)
+    assert sorted(cone.rays) == sorted(corners) and len(cone.facets) == 6
+    # every point of a parabola at height one is extreme: a constraint
+    # skipped by mistake would drop its ray
+    curve = [(k, k * k, 1) for k in rng.sample(range(-1000, 1001), 60)]
+    mids = [tuple(map(sum, zip(*pair))) for pair in zip(curve, curve[1:])]
+    assert sorted(conic_hull(curve + mids).rays) == sorted(curve)
 
 
 def test_hull_and_sections_need_no_rank_test(monkeypatch):
