@@ -193,8 +193,21 @@ def inversion_count(datum: CartanDatum, word) -> int:
 
 
 def is_reduced_word(datum: CartanDatum, word) -> bool:
+    """Whether each letter, applied right to left, lengthens the product.
+
+    l(s_i v) > l(v) exactly when <v rho, alpha_i^vee> > 0, which is the i-th
+    fundamental coordinate of v rho; so the letters act on rho and the word
+    is reduced when every letter meets a positive coordinate.
+    """
     word = validate_word(datum, word)
-    return inversion_count(datum, word) == len(word)
+    alphas = [datum.simple_root(i) for i in range(1, datum.rank + 1)]
+    mu = rho(datum)
+    for letter in reversed(word):
+        c = mu[letter - 1]
+        if c <= 0:
+            return False
+        mu = tuple(m - c * a for m, a in zip(mu, alphas[letter - 1]))
+    return True
 
 
 def check_reduced_word(datum: CartanDatum, word) -> WeylWord:

@@ -188,11 +188,10 @@ def _cmd_crystal(config: RunConfig) -> int:
         f"crystal {config.type_label}{config.rank} lambda {_fmt(config.lam)}",
         f"nodes {graph.size}",
     ]
-    for node in range(graph.size):
-        lines.append(
-            f"{node} weight {_fmt(graph.weights[node])}"
-            f" eps {_fmt(graph.eps[node])} phi {_fmt(graph.phi[node])}"
-        )
+    coords = ",".join(["%d"] * datum.rank)
+    row = f"%d weight {coords} eps {coords} phi {coords}"
+    lines += [row % (node, *w, *e, *p) for node, (w, e, p)
+              in enumerate(zip(graph.weights, graph.eps, graph.phi))]
     edges = edge_lines(graph)
     lines.append(f"edges {len(edges)}")
     lines.extend(edges)

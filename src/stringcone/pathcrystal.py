@@ -15,12 +15,20 @@ operators*, 1995: B(lambda) is the component of the concatenation).  Both
 constructions number nodes breadth-first from the highest node in operator
 order, and B(lambda) has no nontrivial automorphism, so they give identical
 tables.
+
+The tensor-product search runs a whole breadth-first level at a time, with
+one pass per operator over the columns of the factors' tables and pairs
+coded as single ints.  The path model needs its exact rational paths only
+for the lowering table; eps, phi and the weights then follow from that
+table in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
+from operator import add, itemgetter
 
 from .cartan import CartanDatum, Weight, check_reduced_word, is_dominant
 from .characters import weyl_dim
@@ -213,18 +221,33 @@ def _cap_error(lam, node_cap: int) -> EnumerationCapError:
     return EnumerationCapError(f"crystal for lambda={lam} exceeded node cap {node_cap}")
 
 
+def _columns(rows, width: int) -> list[list]:
+    """The columns of a table whose rows all have ``width`` entries.
+
+    ``zip(*rows)`` would make one iterator per row, each tracked by the
+    cyclic garbage collector, and so trigger collections over the whole
+    heap on every large table; this makes none.
+    """
+    return [list(map(itemgetter(i), rows)) for i in range(width)]
+
+
 def _graph(datum: CartanDatum, lam: Weight, f_rows, eps, phi, weights) -> CrystalGraph:
-    """Package breadth-first tables; ``e_edge`` inverts ``f_edge``."""
-    e_rows = [[-1] * datum.rank for _ in f_rows]
-    for src, row in enumerate(f_rows):
-        for pos, dst in enumerate(row):
-            if dst != -1:
-                e_rows[dst][pos] = src
+    """Package breadth-first tables; ``e_edge`` inverts ``f_edge`` a column at a time."""
+    size = len(f_rows)
+    nodes = list(range(size))  # one int object per node, shared by the columns
+    e_cols = []
+    for f_col in _columns(f_rows, datum.rank):
+        # one spare slot at the end absorbs the writes of the -1 targets
+        e_col = [-1] * (size + 1)
+        for src, dst in zip(nodes, f_col):
+            e_col[dst] = src
+        e_col.pop()
+        e_cols.append(e_col)
     return CrystalGraph(
         datum=datum,
         lam=lam,
         f_edge=tuple(f_rows),
-        e_edge=tuple(tuple(r) for r in e_rows),
+        e_edge=tuple(zip(*e_cols)),
         eps=tuple(eps),
         phi=tuple(phi),
         weights=tuple(weights),
@@ -235,7 +258,11 @@ def _path_crystal(datum: CartanDatum, lam: Weight, node_cap: int) -> CrystalGrap
     """Generate the full crystal below the straight dominant path.
 
     Breadth-first, expanding operator indices in increasing order, so node
-    numbering is deterministic.
+    numbering is deterministic.  The paths are only needed for the lowering
+    table; the other tables follow from it in integers.  phi_i(b) is
+    phi_i(f_i b) + 1, or 0 without an f_i edge, read in reverse node order
+    since f_i b is numbered after b; wt(f_i b) is wt(b) - alpha_i, read in
+    node order from wt(highest) = lam; and eps is phi - wt.
     """
     start = highest_path(datum, lam)
     index = {start: 0}
@@ -258,15 +285,19 @@ def _path_crystal(datum: CartanDatum, lam: Weight, node_cap: int) -> CrystalGrap
                 row.append(index[nxt])
         f_rows.append(tuple(row))
         k += 1
-    stats = [
-        tuple(epsilon_phi(p, i) for i in range(1, datum.rank + 1)) for p in paths
-    ]
-    return _graph(
-        datum, lam, f_rows,
-        eps=(tuple(s[0] for s in row) for row in stats),
-        phi=(tuple(s[1] for s in row) for row in stats),
-        weights=(path_weight(p) for p in paths),
-    )
+    size = len(paths)
+    phi = [None] * size
+    for node in reversed(range(size)):
+        phi[node] = tuple(0 if dst == -1 else phi[dst][pos] + 1
+                          for pos, dst in enumerate(f_rows[node]))
+    alphas = [datum.simple_root(i) for i in range(1, datum.rank + 1)]
+    weights = [lam] + [None] * (size - 1)
+    for node, row in enumerate(f_rows):
+        for alpha, dst in zip(alphas, row):
+            if dst != -1:
+                weights[dst] = tuple(w - a for w, a in zip(weights[node], alpha))
+    eps = [tuple(p - w for p, w in zip(prow, wrow)) for prow, wrow in zip(phi, weights)]
+    return _graph(datum, lam, f_rows, eps, phi, weights)
 
 
 def _split(lam: Weight) -> tuple[Weight, Weight]:
@@ -281,45 +312,58 @@ def _tensor_crystal(datum: CartanDatum, lam: Weight, left: CrystalGraph,
     """Component of the highest pair (0, 0) in ``left`` (x) ``right``.
 
     Kashiwara's rule: f_i(a (x) b) is f_i a (x) b when phi_i(a) > eps_i(b),
-    and a (x) f_i b otherwise.  Breadth-first in operator order, as in
-    ``_path_crystal``.
+    and a (x) f_i b otherwise; eps_i(a (x) b) is eps_i(a) plus the excess
+    of eps_i(b) over phi_i(a), and the weights add.  The pair (a, b) is
+    coded as ``a * right.size + b``.
+
+    Breadth-first a whole level at a time: each operator maps the frontier
+    in one pass over the factors' columns, and the targets are numbered
+    node-major, operator by operator, which is the order of a node-by-node
+    search (as in ``_path_crystal``).  The next frontier is the codes first
+    numbered in this level.  The weight, eps and phi tables are then built
+    a coordinate column at a time.
     """
-    rank = datum.rank
-    lf, le, lp, lw = left.f_edge, left.eps, left.phi, left.weights
-    rf, reps = right.f_edge, right.eps
-    index = {(0, 0): 0}
-    pairs = [(0, 0)]
+    rank, width = datum.rank, right.size
+    left_phi, right_eps = _columns(left.phi, rank), _columns(right.eps, rank)
+    ops = list(zip(_columns(left.f_edge, rank), left_phi,
+                   _columns(right.f_edge, rank), right_eps))
+    index = {0: 0}
+    setdefault = index.setdefault
+    heads, tails = [0], [0]
+    all_heads, all_tails = [], []
     f_rows = []
-    k = 0
-    while k < len(pairs):
-        a, b = pairs[k]
-        pa, eb = lp[a], reps[b]
-        row = []
-        for i in range(rank):
-            if pa[i] > eb[i]:
-                nxt = (lf[a][i], b)
-            else:
-                fb = rf[b][i]
-                if fb == -1:
-                    row.append(-1)
-                    continue
-                nxt = (a, fb)
-            dst = index.get(nxt)
-            if dst is None:
-                if len(pairs) >= node_cap:
-                    raise _cap_error(lam, node_cap)
-                dst = index[nxt] = len(pairs)
-                pairs.append(nxt)
-            row.append(dst)
-        f_rows.append(tuple(row))
-        k += 1
-    weights = [tuple(x + y for x, y in zip(lw[a], right.weights[b])) for a, b in pairs]
-    eps = [
-        tuple(max(ea, eb - wa) for ea, eb, wa in zip(le[a], reps[b], lw[a]))
-        for a, b in pairs
+    while heads:
+        all_heads += heads
+        all_tails += tails
+        targets = [
+            [fa[a] * width + b if pa[a] > eb[b]
+             else -1 if fb[b] == -1 else a * width + fb[b]
+             for a, b in zip(heads, tails)]
+            for fa, pa, fb, eb in ops
+        ]
+        start = len(index)
+        # node-major: each frontier node's targets in operator order
+        ids = [-1 if code == -1 else setdefault(code, len(index))
+               for code in chain.from_iterable(zip(*targets))]
+        del targets
+        if len(index) > node_cap:
+            raise _cap_error(lam, node_cap)
+        f_rows += zip(*[iter(ids)] * rank)
+        fresh = list(islice(index, start, None))
+        heads = [code // width for code in fresh]
+        tails = [code % width for code in fresh]
+    del index, setdefault, ids, fresh  # the search state, before the tables
+    weight_cols = [
+        [wa[a] + wb[b] for a, b in zip(all_heads, all_tails)]
+        for wa, wb in zip(_columns(left.weights, rank), _columns(right.weights, rank))
     ]
-    phi = [tuple(e + w for e, w in zip(row, wt)) for row, wt in zip(eps, weights)]
-    return _graph(datum, lam, f_rows, eps, phi, weights)
+    eps_cols = [
+        [ea[a] + (eb[b] - pa[a] if eb[b] > pa[a] else 0) for a, b in zip(all_heads, all_tails)]
+        for ea, pa, eb in zip(_columns(left.eps, rank), left_phi, right_eps)
+    ]
+    del all_heads, all_tails
+    phi_cols = [list(map(add, e, w)) for e, w in zip(eps_cols, weight_cols)]
+    return _graph(datum, lam, f_rows, zip(*eps_cols), zip(*phi_cols), zip(*weight_cols))
 
 
 def enumerate_crystal(datum: CartanDatum, lam, node_cap: int = DEFAULT_NODE_CAP, *,
@@ -403,10 +447,5 @@ def demazure_crystal(graph: CrystalGraph, w_word) -> frozenset:
 
 def edge_lines(graph: CrystalGraph) -> list[str]:
     """Adjacency dump, one line per lowering edge: ``src i dst``."""
-    lines = []
-    for src in range(graph.size):
-        for i in range(1, graph.datum.rank + 1):
-            dst = graph.f_edge[src][i - 1]
-            if dst != -1:
-                lines.append(f"{src} {i} {dst}")
-    return lines
+    return [f"{src} {i} {dst}" for src, row in enumerate(graph.f_edge)
+            for i, dst in enumerate(row, start=1) if dst != -1]

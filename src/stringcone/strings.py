@@ -4,16 +4,25 @@ Peeling walks maximal raising strings through the crystal graph: the first
 letter of the supplied word peels first.  A word is adapted to a Weyl
 element w when its length-l(w) prefix is a reduced word for w; the strings
 of the Demazure subset then vanish beyond position l(w).
+
+Whole images are peeled a letter at a time (``_peel_nodes``).  For each
+letter i a table ``top_i[b] = e_i^{eps_i(b)} b`` is filled in node order:
+e_i b is one step nearer the highest node, so breadth-first numbering puts
+it before b, and ``top_i[b] = top_i[e_i b]`` whenever eps_i(b) > 0.  Each
+letter of the word is then one column of eps_i over the current nodes,
+followed by one jump of every node to its ``top_i``.  ``_peel`` walks one
+node edge by edge and stays the per-node reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 
 from .cartan import CartanDatum, Weight, WeylWord, check_longest_word
 from .errors import InvariantViolation, WordError
-from .pathcrystal import CrystalCache, CrystalGraph, demazure_crystal
+from .pathcrystal import CrystalCache, CrystalGraph, _columns, demazure_crystal
 
 
 @dataclass(frozen=True, order=True)
@@ -35,7 +44,6 @@ class WeightedPoint:
         return self.lam + self.psi
 
 
-# One image shares one word, so its vectors sort by their entries alone.
 _entries = attrgetter("entries")
 
 
@@ -63,18 +71,50 @@ def string_param(graph: CrystalGraph, node: int, word) -> StringVector:
     return _peel(graph, node, word)
 
 
+def _peel_nodes(graph: CrystalGraph, nodes, word: WeylWord) -> list[tuple[int, ...]]:
+    """String entries of ``nodes`` along an already checked longest word.
+
+    One pass per letter of the word over all the nodes; the ``top_i``
+    tables are built once per simple root.
+    """
+    rank = graph.datum.rank
+    eps_cols = _columns(graph.eps, rank)
+    tops = []
+    for eps_col, e_col in zip(eps_cols, _columns(graph.e_edge, rank)):
+        top = []
+        append = top.append
+        for node, t, up in zip(range(graph.size), eps_col, e_col):
+            append(top[up] if t else node)
+        tops.append(top)
+    current = list(nodes)
+    columns = []
+    for letter in word:
+        eps_col, top = eps_cols[letter - 1], tops[letter - 1]
+        columns.append([eps_col[c] for c in current])
+        current = [top[c] for c in current]
+    if current.count(graph.highest) != len(current):
+        raise InvariantViolation(
+            f"peel along {word} did not end at the highest node"
+        )
+    return list(zip(*columns))
+
+
+def _vectors(entries, word: WeylWord) -> tuple[StringVector, ...]:
+    """One string vector per entry tuple, all along the same word."""
+    return tuple(map(StringVector, entries, repeat(word)))
+
+
 def string_image(datum: CartanDatum, lam, word, *,
                  crystals: CrystalCache | None = None) -> tuple[StringVector, ...]:
     """Sorted string vectors of the whole crystal; injectivity is enforced."""
     word = check_longest_word(datum, word)
     graph = CrystalCache.for_datum(datum, crystals)[tuple(lam)]
-    vectors = sorted((_peel(graph, node, word) for node in range(graph.size)),
-                     key=_entries)
-    if len(set(map(_entries, vectors))) != graph.size:
+    entries = sorted(_peel_nodes(graph, range(graph.size), word))
+    if len(set(entries)) != graph.size:
         raise InvariantViolation(
             f"string parametrization along {word} is not injective"
         )
-    return tuple(vectors)
+    return _vectors(entries, word)
 
 
 def string_weight(datum: CartanDatum, lam, sv: StringVector) -> Weight:
@@ -119,8 +159,8 @@ def weighted_points(datum: CartanDatum, word, level_bound: int, *,
     crystals = CrystalCache.for_datum(datum, crystals)
     points = []
     for lam in _weight_grid(datum.rank, level_bound):
-        for sv in string_image(datum, lam, word, crystals=crystals):
-            points.append(WeightedPoint(lam=lam, psi=sv.entries))
+        image = string_image(datum, lam, word, crystals=crystals)
+        points += map(WeightedPoint, repeat(lam), map(_entries, image))
     return tuple(points)
 
 
@@ -133,4 +173,4 @@ def demazure_strings(datum: CartanDatum, lam, w_word, w0_word, *,
     w0_word = check_longest_word(datum, w0_word)
     graph = CrystalCache.for_datum(datum, crystals)[tuple(lam)]
     nodes = demazure_crystal(graph, w_word)
-    return tuple(sorted((_peel(graph, node, w0_word) for node in nodes), key=_entries))
+    return _vectors(sorted(_peel_nodes(graph, nodes, w0_word)), w0_word)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,6 +123,18 @@ def test_inversions_and_reducedness():
     assert is_reduced_word(datum, (1, 2, 1))
     assert not is_reduced_word(datum, (1, 1))
     assert is_reduced_word(datum, ())
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3),
+                                        ("B", 3), ("C", 3), ("A", 4), ("D", 4)])
+def test_reduced_word_test_matches_inversion_count(label, rank):
+    # every word of length at most 6: the rho test against the root count
+    datum = build_cartan(label, rank)
+    letters = range(1, rank + 1)
+    for length in range(7):
+        for word in itertools.product(letters, repeat=length):
+            reduced = inversion_count(datum, word) == length
+            assert is_reduced_word(datum, word) == reduced, word
 
 
 def test_word_validation():

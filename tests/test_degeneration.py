@@ -22,6 +22,7 @@ from stringcone.degeneration import (
 )
 from stringcone.errors import DegenerationError, WordError
 from stringcone.linalg import slack_lanes, vec_dot
+from stringcone.pathcrystal import CrystalCache
 from stringcone.polyhedra import conic_hull, hilbert_basis
 from stringcone.strings import WeightedPoint, weighted_points
 
@@ -262,6 +263,20 @@ def test_rank3_certificates_pass():
         assert all(ok for _, ok in report.checks), type_label
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == RANK3_REPORT_SHA256[type_label], type_label
+
+
+A4_REPORT_SHA256 = "2ca2c9279b5d0f4bb8f2b7110a3101e8b95fd4743ca899714b2a6f1086fc9d21"
+
+
+@pytest.mark.slow
+def test_a4_certificate_passes():
+    # checks at level 2, whose crystals reach (2, 2, 2, 2) with 59 049 nodes
+    datum = build_cartan("A", 4)
+    report = degeneration_certificate(datum, longest_word(datum), level_bound=1,
+                                      crystals=CrystalCache(datum, 60000))
+    assert all(ok for _, ok in report.checks)
+    digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    assert digest == A4_REPORT_SHA256
 
 
 def test_certificate_with_demazure_word(a2):

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stringcone import pathcrystal
 from stringcone.cartan import build_cartan
@@ -9,7 +10,10 @@ from stringcone.characters import weyl_dim
 from stringcone.errors import EnumerationCapError, WeightError
 from stringcone.pathcrystal import (
     DEFAULT_NODE_CAP,
+    CrystalCache,
     _path_crystal,
+    _split,
+    _tensor_crystal,
     demazure_crystal,
     edge_lines,
     enumerate_crystal,
@@ -193,3 +197,100 @@ def test_demazure_crystal_growth():
     assert sizes[0] == 1
     assert sizes == sorted(sizes)
     assert sizes[-1] == graph.size
+
+
+FUNDAMENTAL_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+                     ("D", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("label,rank", FUNDAMENTAL_TYPES)
+def test_path_tables_match_the_path_statistics(label, rank):
+    # the tables read off the lowering table against the height profiles
+    datum = build_cartan(label, rank)
+    for j in range(rank):
+        lam = tuple(int(k == j) for k in range(rank))
+        graph = _path_crystal(datum, lam, DEFAULT_NODE_CAP)
+        paths = [highest_path(datum, lam)]
+        for node in range(graph.size):
+            for i, dst in enumerate(graph.f_edge[node], start=1):
+                if dst == len(paths):
+                    paths.append(lowering_operator(datum, paths[node], i))
+        assert len(paths) == graph.size == weyl_dim(datum, lam)
+        for node, path in enumerate(paths):
+            stats = [epsilon_phi(path, i) for i in range(1, rank + 1)]
+            assert graph.eps[node] == tuple(e for e, _ in stats), (lam, node)
+            assert graph.phi[node] == tuple(p for _, p in stats), (lam, node)
+            assert graph.weights[node] == path_weight(path), (lam, node)
+
+
+def _tensor_by_node(datum, lam, left, right):
+    """Node-by-node breadth-first construction of the component of (0, 0)."""
+    rank = datum.rank
+    index = {(0, 0): 0}
+    pairs = [(0, 0)]
+    f_rows = []
+    k = 0
+    while k < len(pairs):
+        a, b = pairs[k]
+        row = []
+        for i in range(rank):
+            if left.phi[a][i] > right.eps[b][i]:
+                nxt = (left.f_edge[a][i], b)
+            elif right.f_edge[b][i] == -1:
+                row.append(-1)
+                continue
+            else:
+                nxt = (a, right.f_edge[b][i])
+            if nxt not in index:
+                index[nxt] = len(pairs)
+                pairs.append(nxt)
+            row.append(index[nxt])
+        f_rows.append(tuple(row))
+        k += 1
+    weights = [tuple(x + y for x, y in zip(left.weights[a], right.weights[b]))
+               for a, b in pairs]
+    eps = [tuple(max(ea, eb - wa) for ea, eb, wa in
+                 zip(left.eps[a], right.eps[b], left.weights[a])) for a, b in pairs]
+    phi = [tuple(e + w for e, w in zip(row, wt)) for row, wt in zip(eps, weights)]
+    e_rows = [[-1] * rank for _ in f_rows]
+    for src, row in enumerate(f_rows):
+        for pos, dst in enumerate(row):
+            if dst != -1:
+                e_rows[dst][pos] = src
+    return {"f_edge": tuple(f_rows), "e_edge": tuple(map(tuple, e_rows)),
+            "eps": tuple(eps), "phi": tuple(phi), "weights": tuple(weights)}
+
+
+def _tensor_cases():
+    # every dominant weight above a fundamental one with at most 3000 nodes
+    cases = []
+    for case in [("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]:
+        datum = build_cartan(*case)
+        cases += [(case, lam) for lam in _weights_up_to(datum.rank, 6)
+                  if sum(lam) > 1 and weyl_dim(datum, lam) <= 3000]
+    return cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_tensor_cases()))
+def test_level_tensor_matches_node_by_node_tensor(case):
+    (label, rank), lam = case
+    datum = build_cartan(label, rank)
+    crystals = CrystalCache(datum)
+    left, omega = _split(lam)
+    graph = _tensor_crystal(datum, lam, crystals[left], crystals[omega], DEFAULT_NODE_CAP)
+    oracle = _tensor_by_node(datum, lam, crystals[left], crystals[omega])
+    for table, rows in oracle.items():
+        assert getattr(graph, table) == rows, table
+    assert graph.size == weyl_dim(datum, lam)
+
+
+def test_tensor_cap_counts_the_component():
+    datum = build_cartan("B", 2)
+    crystals = CrystalCache(datum)
+    left, omega = _split((1, 2))
+    size = weyl_dim(datum, (1, 2))
+    args = (datum, (1, 2), crystals[left], crystals[omega])
+    assert _tensor_crystal(*args, size).size == size
+    with pytest.raises(EnumerationCapError, match=rf"exceeded node cap {size - 1}$"):
+        _tensor_crystal(*args, size - 1)

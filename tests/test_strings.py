@@ -1,10 +1,15 @@
 import pytest
 
 from stringcone import cartan
-from stringcone.cartan import build_cartan, longest_word
+from stringcone.cartan import all_reduced_words, build_cartan, longest_word, weyl_group_words
 from stringcone.characters import weyl_dim
-from stringcone.errors import RootSystemError, WordError
-from stringcone.pathcrystal import CrystalCache, enumerate_crystal
+from stringcone.errors import InvariantViolation, RootSystemError, WordError
+from stringcone.pathcrystal import (
+    CrystalCache,
+    CrystalGraph,
+    demazure_crystal,
+    enumerate_crystal,
+)
 from stringcone.strings import (
     StringVector,
     WeightedPoint,
@@ -141,3 +146,48 @@ def test_demazure_strings_zero_tail_for_adapted_prefix():
         for lam in dominant_weights(2, 1):
             for sv in demazure_strings(datum, lam, w, w0):
                 assert not any(sv.entries[cut:])
+
+
+@pytest.mark.parametrize("label,rank,lam", [
+    ("A", 3, (1, 0, 1)),
+    ("A", 3, (0, 2, 1)),
+    ("B", 2, (2, 1)),
+    ("C", 2, (1, 2)),
+    ("G", 2, (1, 1)),
+    ("B", 3, (1, 0, 1)),
+    ("C", 3, (0, 1, 1)),
+])
+def test_string_image_matches_node_by_node_peel(label, rank, lam):
+    datum = build_cartan(label, rank)
+    crystals = CrystalCache(datum)
+    graph = crystals[lam]
+    words = all_reduced_words(datum, longest_word(datum))
+    for word in words[::max(1, len(words) // 5)]:
+        expected = sorted(string_param(graph, node, word) for node in range(graph.size))
+        assert list(string_image(datum, lam, word, crystals=crystals)) == expected, word
+
+
+def test_demazure_strings_match_node_by_node_peel():
+    datum = build_cartan("B", 3)
+    crystals = CrystalCache(datum)
+    lam = (1, 1, 0)
+    graph = crystals[lam]
+    for w0 in all_reduced_words(datum, longest_word(datum))[::10]:
+        for w in weyl_group_words(datum)[::6]:
+            nodes = demazure_crystal(graph, w)
+            expected = sorted(string_param(graph, node, w0) for node in nodes)
+            assert list(demazure_strings(datum, lam, w, w0, crystals=crystals)) == expected
+
+
+def test_peel_that_misses_the_highest_node_raises():
+    # two copies of B(0): node 1 has no raising edge but is not the highest
+    datum = build_cartan("A", 1)
+    graph = CrystalGraph(datum=datum, lam=(0,), f_edge=((-1,), (-1,)),
+                         e_edge=((-1,), (-1,)), eps=((0,), (0,)), phi=((0,), (0,)),
+                         weights=((0,), (0,)))
+    crystals = CrystalCache(datum)
+    crystals[(0,)] = graph
+    with pytest.raises(InvariantViolation, match="did not end at the highest node"):
+        string_image(datum, (0,), (1,), crystals=crystals)
+    with pytest.raises(InvariantViolation, match="did not end at the highest node"):
+        string_param(graph, 1, (1,))
