@@ -273,7 +273,7 @@ def _criterion_8(run: AcceptanceRun):
     for key in CASES:
         datum = run.datum(key)
         for lam in dominant_weights(datum.rank, 2):
-            observed = Counter(run.crystals[key][lam].weights)
+            observed = Counter(zip(*run.crystals[key][lam].weights))
             expected = weyl_character(datum, lam).as_dict()
             if dict(observed) != expected:
                 return False, f"weight multiset mismatch at {key} {lam}"

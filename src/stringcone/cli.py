@@ -46,27 +46,6 @@ class RunConfig:
     node_cap: int = DEFAULT_NODE_CAP
     out: str | None = None
 
-    def canonical_args(self):
-        """Echo the config as a flag list; parsing it again round-trips."""
-        args = []
-        if self.type_label is not None:
-            args += ["--type", self.type_label]
-        if self.rank is not None:
-            args += ["--rank", str(self.rank)]
-        if self.w0_word is not None:
-            args += ["--word", ",".join(str(i) for i in self.w0_word)]
-        if self.lam is not None:
-            args += ["--lambda", ",".join(str(c) for c in self.lam)]
-        if self.demazure_word is not None:
-            args += ["--demazure", ",".join(str(i) for i in self.demazure_word)]
-        if self.level_bound != 2:
-            args += ["--level-bound", str(self.level_bound)]
-        if self.node_cap != DEFAULT_NODE_CAP:
-            args += ["--cap", str(self.node_cap)]
-        if self.out is not None:
-            args += ["--out", self.out]
-        return args
-
 
 def _int_tuple(text: str):
     if text == "":
@@ -85,23 +64,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="String parametrizations, weighted string cones, and "
         "toric-degeneration certificates",
     )
-    pipeline = argparse.ArgumentParser(add_help=False)
-    pipeline.add_argument("--type", dest="type_label")
-    pipeline.add_argument("--rank", type=int)
-    pipeline.add_argument("--word", type=_int_tuple)
-    pipeline.add_argument("--lambda", dest="lam", type=_int_tuple)
-    pipeline.add_argument("--demazure", type=_int_tuple)
-    pipeline.add_argument("--level-bound", type=int, default=2)
-    pipeline.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
-    pipeline.add_argument("--out")
+    # each subcommand takes only the flags it reads; dests are RunConfig fields
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--type", dest="type_label")
+    base.add_argument("--rank", type=int)
+    base.add_argument("--cap", dest="node_cap", type=int, default=DEFAULT_NODE_CAP)
+    base.add_argument("--out")
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lambda", dest="lam", type=_int_tuple)
+    cone = argparse.ArgumentParser(add_help=False)
+    cone.add_argument("--word", dest="w0_word", metavar="WORD", type=_int_tuple)
+    cone.add_argument("--level-bound", type=int, default=2)
+    demazure = argparse.ArgumentParser(add_help=False)
+    demazure.add_argument("--demazure", dest="demazure_word", metavar="WORD", type=_int_tuple)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("crystal", "dump one crystal graph"),
-        ("polytope", "integral section of the weighted cone at one weight"),
-        ("cone", "infer the weighted string cone"),
-        ("degenerate", "emit a degeneration certificate"),
+    for name, blurb, parents in (
+        ("crystal", "dump one crystal graph", [base, lam]),
+        ("polytope", "integral section of the weighted cone at one weight", [base, lam, cone]),
+        ("cone", "infer the weighted string cone", [base, cone]),
+        ("degenerate", "emit a degeneration certificate", [base, cone, demazure]),
     ):
-        sub.add_parser(name, help=blurb, parents=[pipeline])
+        sub.add_parser(name, help=blurb, parents=parents)
     sub.add_parser("verify", help="run the acceptance suite").add_argument("--out")
     return parser
 
@@ -113,26 +96,18 @@ def parse_args(argv=None):
     errors here, before any pipeline stage runs.
     """
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command == "verify":
-        return ns.command, RunConfig(out=ns.out)
-    config = RunConfig(
-        type_label=ns.type_label,
-        rank=ns.rank,
-        w0_word=ns.word,
-        lam=ns.lam,
-        demazure_word=ns.demazure,
-        level_bound=ns.level_bound,
-        node_cap=ns.cap,
-        out=ns.out,
-    )
-    least = 1 if ns.command == "degenerate" else 0
+    fields = vars(parser.parse_args(argv))
+    command = fields.pop("command")
+    config = RunConfig(**fields)
+    if command == "verify":
+        return command, config
+    least = 1 if command == "degenerate" else 0
     if config.level_bound < least:
-        parser.error(f"{ns.command} needs --level-bound of at least {least}")
+        parser.error(f"{command} needs --level-bound of at least {least}")
     if config.node_cap < 1:
         parser.error("--cap must be at least 1")
     if config.type_label is None or config.rank is None:
-        parser.error(f"{ns.command} requires --type and --rank")
+        parser.error(f"{command} requires --type and --rank")
     try:
         datum = build_cartan(config.type_label, config.rank)
     except RootSystemError as exc:
@@ -148,9 +123,9 @@ def parse_args(argv=None):
             parser.error(f"--lambda needs {config.rank} coordinates")
         if not is_dominant(config.lam):
             parser.error(f"lambda {config.lam} is not dominant")
-    if ns.command in ("crystal", "polytope") and config.lam is None:
-        parser.error(f"{ns.command} requires --lambda")
-    return ns.command, config
+    if command in ("crystal", "polytope") and config.lam is None:
+        parser.error(f"{command} requires --lambda")
+    return command, config
 
 
 def _write(path: str, text: str) -> None:
@@ -190,8 +165,8 @@ def _cmd_crystal(config: RunConfig) -> int:
     ]
     coords = ",".join(["%d"] * datum.rank)
     row = f"%d weight {coords} eps {coords} phi {coords}"
-    lines += [row % (node, *w, *e, *p) for node, (w, e, p)
-              in enumerate(zip(graph.weights, graph.eps, graph.phi))]
+    lines += [row % fields for fields
+              in zip(range(graph.size), *graph.weights, *graph.eps, *graph.phi)]
     edges = edge_lines(graph)
     lines.append(f"edges {len(edges)}")
     lines.extend(edges)

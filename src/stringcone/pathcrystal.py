@@ -16,11 +16,12 @@ constructions number nodes breadth-first from the highest node in operator
 order, and B(lambda) has no nontrivial automorphism, so they give identical
 tables.
 
-The tensor-product search runs a whole breadth-first level at a time, with
-one pass per operator over the columns of the factors' tables and pairs
-coded as single ints.  The path model needs its exact rational paths only
-for the lowering table; eps, phi and the weights then follow from that
-table in integers.
+Every table of a ``CrystalGraph`` is stored column-major, one list per
+simple root, because every consumer reads it one root at a time.  The
+tensor-product search runs a whole breadth-first level at a time, with one
+pass per operator over the factors' columns and pairs coded as single
+ints.  The path model needs its exact rational paths only for the lowering
+table; eps, phi and the weights then follow from that table in integers.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from operator import add, itemgetter
+from operator import add
 
 from .cartan import CartanDatum, Weight, check_reduced_word, is_dominant
 from .characters import weyl_dim
 from .errors import EnumerationCapError, InvariantViolation, RootSystemError, WeightError
 
-DEFAULT_NODE_CAP = 20000
+DEFAULT_NODE_CAP = 60000  # at least 59 049, the size of A4's B(2, 2, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -197,22 +198,24 @@ def raising_operator(datum: CartanDatum, path: PiecewisePath, i: int):
 class CrystalGraph:
     """Crystal of a dominant weight, nodes numbered in search order.
 
-    ``f_edge[node][i-1]`` and ``e_edge[node][i-1]`` give the target node of
-    the lowering/raising operator or -1; ``eps``/``phi`` cache the string
-    statistics and ``weights`` the node weights.  Node 0 is the highest node.
+    Each table holds one column per simple root: ``f_edge[i-1][node]`` and
+    ``e_edge[i-1][node]`` give the target node of the lowering/raising
+    operator or -1, ``eps[i-1][node]``/``phi[i-1][node]`` cache the string
+    statistics and ``weights[i-1][node]`` is the i-th coordinate of the
+    node weight.  Node 0 is the highest node.
     """
 
     datum: CartanDatum
     lam: Weight
-    f_edge: tuple[tuple[int, ...], ...]
-    e_edge: tuple[tuple[int, ...], ...]
-    eps: tuple[tuple[int, ...], ...]
-    phi: tuple[tuple[int, ...], ...]
-    weights: tuple[Weight, ...]
+    f_edge: tuple[list[int], ...]
+    e_edge: tuple[list[int], ...]
+    eps: tuple[list[int], ...]
+    phi: tuple[list[int], ...]
+    weights: tuple[list[int], ...]
 
     @property
     def size(self) -> int:
-        return len(self.weights)
+        return len(self.weights[0])
 
     highest = 0
 
@@ -221,33 +224,23 @@ def _cap_error(lam, node_cap: int) -> EnumerationCapError:
     return EnumerationCapError(f"crystal for lambda={lam} exceeded node cap {node_cap}")
 
 
-def _columns(rows, width: int) -> list[list]:
-    """The columns of a table whose rows all have ``width`` entries.
-
-    ``zip(*rows)`` would make one iterator per row, each tracked by the
-    cyclic garbage collector, and so trigger collections over the whole
-    heap on every large table; this makes none.
-    """
-    return [list(map(itemgetter(i), rows)) for i in range(width)]
-
-
-def _graph(datum: CartanDatum, lam: Weight, f_rows, eps, phi, weights) -> CrystalGraph:
-    """Package breadth-first tables; ``e_edge`` inverts ``f_edge`` a column at a time."""
-    size = len(f_rows)
+def _graph(datum: CartanDatum, lam: Weight, f_edge, eps, phi, weights) -> CrystalGraph:
+    """Package breadth-first columns; ``e_edge`` inverts ``f_edge`` a column at a time."""
+    size = len(weights[0])
     nodes = list(range(size))  # one int object per node, shared by the columns
-    e_cols = []
-    for f_col in _columns(f_rows, datum.rank):
+    e_edge = []
+    for f_col in f_edge:
         # one spare slot at the end absorbs the writes of the -1 targets
         e_col = [-1] * (size + 1)
         for src, dst in zip(nodes, f_col):
             e_col[dst] = src
         e_col.pop()
-        e_cols.append(e_col)
+        e_edge.append(e_col)
     return CrystalGraph(
         datum=datum,
         lam=lam,
-        f_edge=tuple(f_rows),
-        e_edge=tuple(zip(*e_cols)),
+        f_edge=tuple(f_edge),
+        e_edge=tuple(e_edge),
         eps=tuple(eps),
         phi=tuple(phi),
         weights=tuple(weights),
@@ -262,7 +255,8 @@ def _path_crystal(datum: CartanDatum, lam: Weight, node_cap: int) -> CrystalGrap
     table; the other tables follow from it in integers.  phi_i(b) is
     phi_i(f_i b) + 1, or 0 without an f_i edge, read in reverse node order
     since f_i b is numbered after b; wt(f_i b) is wt(b) - alpha_i, read in
-    node order from wt(highest) = lam; and eps is phi - wt.
+    node order from wt(highest) = lam; and eps is phi - wt.  These small
+    tables are built a node at a time and turned into columns at the end.
     """
     start = highest_path(datum, lam)
     index = {start: 0}
@@ -297,7 +291,8 @@ def _path_crystal(datum: CartanDatum, lam: Weight, node_cap: int) -> CrystalGrap
             if dst != -1:
                 weights[dst] = tuple(w - a for w, a in zip(weights[node], alpha))
     eps = [tuple(p - w for p, w in zip(prow, wrow)) for prow, wrow in zip(phi, weights)]
-    return _graph(datum, lam, f_rows, eps, phi, weights)
+    columns = [[list(col) for col in zip(*rows)] for rows in (f_rows, eps, phi, weights)]
+    return _graph(datum, lam, *columns)
 
 
 def _split(lam: Weight) -> tuple[Weight, Weight]:
@@ -319,19 +314,17 @@ def _tensor_crystal(datum: CartanDatum, lam: Weight, left: CrystalGraph,
     Breadth-first a whole level at a time: each operator maps the frontier
     in one pass over the factors' columns, and the targets are numbered
     node-major, operator by operator, which is the order of a node-by-node
-    search (as in ``_path_crystal``).  The next frontier is the codes first
-    numbered in this level.  The weight, eps and phi tables are then built
-    a coordinate column at a time.
+    search (as in ``_path_crystal``), then dealt back to the ``f_edge``
+    columns.  The next frontier is the codes first numbered in this level.
+    The weight, eps and phi columns are then built one at a time.
     """
     rank, width = datum.rank, right.size
-    left_phi, right_eps = _columns(left.phi, rank), _columns(right.eps, rank)
-    ops = list(zip(_columns(left.f_edge, rank), left_phi,
-                   _columns(right.f_edge, rank), right_eps))
+    ops = list(zip(left.f_edge, left.phi, right.f_edge, right.eps))
     index = {0: 0}
     setdefault = index.setdefault
     heads, tails = [0], [0]
     all_heads, all_tails = [], []
-    f_rows = []
+    f_edge = [[] for _ in range(rank)]
     while heads:
         all_heads += heads
         all_tails += tails
@@ -348,22 +341,23 @@ def _tensor_crystal(datum: CartanDatum, lam: Weight, left: CrystalGraph,
         del targets
         if len(index) > node_cap:
             raise _cap_error(lam, node_cap)
-        f_rows += zip(*[iter(ids)] * rank)
+        for i, f_col in enumerate(f_edge):
+            f_col += ids[i::rank]
         fresh = list(islice(index, start, None))
         heads = [code // width for code in fresh]
         tails = [code % width for code in fresh]
     del index, setdefault, ids, fresh  # the search state, before the tables
-    weight_cols = [
+    weights = [
         [wa[a] + wb[b] for a, b in zip(all_heads, all_tails)]
-        for wa, wb in zip(_columns(left.weights, rank), _columns(right.weights, rank))
+        for wa, wb in zip(left.weights, right.weights)
     ]
-    eps_cols = [
+    eps = [
         [ea[a] + (eb[b] - pa[a] if eb[b] > pa[a] else 0) for a, b in zip(all_heads, all_tails)]
-        for ea, pa, eb in zip(_columns(left.eps, rank), left_phi, right_eps)
+        for ea, pa, eb in zip(left.eps, left.phi, right.eps)
     ]
     del all_heads, all_tails
-    phi_cols = [list(map(add, e, w)) for e, w in zip(eps_cols, weight_cols)]
-    return _graph(datum, lam, f_rows, zip(*eps_cols), zip(*phi_cols), zip(*weight_cols))
+    phi = [list(map(add, e, w)) for e, w in zip(eps, weights)]
+    return _graph(datum, lam, f_edge, eps, phi, weights)
 
 
 def enumerate_crystal(datum: CartanDatum, lam, node_cap: int = DEFAULT_NODE_CAP, *,
@@ -435,10 +429,11 @@ def demazure_crystal(graph: CrystalGraph, w_word) -> frozenset:
     w_word = check_reduced_word(graph.datum, w_word)
     nodes = {graph.highest}
     for letter in reversed(w_word):
+        f_col = graph.f_edge[letter - 1]
         stack = list(nodes)
         while stack:
             node = stack.pop()
-            dst = graph.f_edge[node][letter - 1]
+            dst = f_col[node]
             if dst != -1 and dst not in nodes:
                 nodes.add(dst)
                 stack.append(dst)
@@ -447,5 +442,5 @@ def demazure_crystal(graph: CrystalGraph, w_word) -> frozenset:
 
 def edge_lines(graph: CrystalGraph) -> list[str]:
     """Adjacency dump, one line per lowering edge: ``src i dst``."""
-    return [f"{src} {i} {dst}" for src, row in enumerate(graph.f_edge)
+    return [f"{src} {i} {dst}" for src, row in enumerate(zip(*graph.f_edge))
             for i, dst in enumerate(row, start=1) if dst != -1]

@@ -5,24 +5,26 @@ letter of the supplied word peels first.  A word is adapted to a Weyl
 element w when its length-l(w) prefix is a reduced word for w; the strings
 of the Demazure subset then vanish beyond position l(w).
 
-Whole images are peeled a letter at a time (``_peel_nodes``).  For each
-letter i a table ``top_i[b] = e_i^{eps_i(b)} b`` is filled in node order:
-e_i b is one step nearer the highest node, so breadth-first numbering puts
-it before b, and ``top_i[b] = top_i[e_i b]`` whenever eps_i(b) > 0.  Each
-letter of the word is then one column of eps_i over the current nodes,
-followed by one jump of every node to its ``top_i``.  ``_peel`` walks one
-node edge by edge and stays the per-node reference.
+Whole images are peeled a letter at a time (``_peel_nodes``) on the
+crystal's per-root columns.  For each letter i a table
+``top_i[b] = e_i^{eps_i(b)} b`` is filled in node order from the columns
+``eps[i-1]`` and ``e_edge[i-1]``: e_i b is one step nearer the highest
+node, so breadth-first numbering puts it before b, and
+``top_i[b] = top_i[e_i b]`` whenever eps_i(b) > 0.  Each letter of the word
+is then one read of ``eps[i-1]`` at the current nodes, followed by one jump
+of every node to its ``top_i``.  ``_peel`` walks one node edge by edge and
+stays the per-node reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, mul
 
-from .cartan import CartanDatum, Weight, WeylWord, check_longest_word
+from .cartan import CartanDatum, Weight, WeylWord, check_longest_word, validate_word
 from .errors import InvariantViolation, WordError
-from .pathcrystal import CrystalCache, CrystalGraph, _columns, demazure_crystal
+from .pathcrystal import CrystalCache, CrystalGraph, demazure_crystal
 
 
 @dataclass(frozen=True, order=True)
@@ -40,9 +42,6 @@ class WeightedPoint:
     lam: Weight
     psi: tuple[int, ...]
 
-    def vector(self) -> tuple[int, ...]:
-        return self.lam + self.psi
-
 
 _entries = attrgetter("entries")
 
@@ -52,9 +51,9 @@ def _peel(graph: CrystalGraph, node: int, word: WeylWord) -> StringVector:
     entries = []
     current = node
     for letter in word:
-        t = graph.eps[current][letter - 1]
+        t = graph.eps[letter - 1][current]
         for _ in range(t):
-            current = graph.e_edge[current][letter - 1]
+            current = graph.e_edge[letter - 1][current]
         entries.append(t)
     if current != graph.highest:
         raise InvariantViolation(
@@ -77,10 +76,8 @@ def _peel_nodes(graph: CrystalGraph, nodes, word: WeylWord) -> list[tuple[int, .
     One pass per letter of the word over all the nodes; the ``top_i``
     tables are built once per simple root.
     """
-    rank = graph.datum.rank
-    eps_cols = _columns(graph.eps, rank)
     tops = []
-    for eps_col, e_col in zip(eps_cols, _columns(graph.e_edge, rank)):
+    for eps_col, e_col in zip(graph.eps, graph.e_edge):
         top = []
         append = top.append
         for node, t, up in zip(range(graph.size), eps_col, e_col):
@@ -89,7 +86,7 @@ def _peel_nodes(graph: CrystalGraph, nodes, word: WeylWord) -> list[tuple[int, .
     current = list(nodes)
     columns = []
     for letter in word:
-        eps_col, top = eps_cols[letter - 1], tops[letter - 1]
+        eps_col, top = graph.eps[letter - 1], tops[letter - 1]
         columns.append([eps_col[c] for c in current])
         current = [top[c] for c in current]
     if current.count(graph.highest) != len(current):
@@ -118,13 +115,16 @@ def string_image(datum: CartanDatum, lam, word, *,
 
 
 def string_weight(datum: CartanDatum, lam, sv: StringVector) -> Weight:
-    """Weight of the node a string vector encodes."""
-    mu = list(lam)
-    for letter, t in zip(sv.word, sv.entries):
-        alpha = datum.simple_root(letter)
-        for j in range(datum.rank):
-            mu[j] -= t * alpha[j]
-    return tuple(mu)
+    """Weight of the node a string vector encodes.
+
+    lam minus the sum of t * alpha_i over the string; the j-th coordinate
+    of alpha_i is ``cartan_matrix[j][i-1]``, so the exponents are summed
+    per simple root and paired with each Cartan matrix row.
+    """
+    totals = [0] * datum.rank
+    for letter, t in zip(validate_word(datum, sv.word), sv.entries):
+        totals[letter - 1] += t
+    return tuple(c - sum(map(mul, row, totals)) for c, row in zip(lam, datum.cartan_matrix))
 
 
 def dominant_weights(rank: int, level_bound: int):

@@ -6,12 +6,17 @@ from stringcone.cli import RunConfig, _cmd_verify, main, parse_args
 from stringcone.polyhedra import parse_h_rep
 
 
-def test_parse_round_trip():
-    config = RunConfig(type_label="B", rank=2, w0_word=(2, 1, 2, 1),
-                       lam=(1, 1), level_bound=3)
-    command, parsed = parse_args(["degenerate"] + config.canonical_args())
-    assert command == "degenerate"
-    assert parsed == config
+def test_parse_maps_flags_to_fields():
+    argv = ["degenerate", "--type", "B", "--rank", "2", "--word", "2,1,2,1",
+            "--demazure", "2,1", "--level-bound", "3", "--cap", "500", "--out", "r.json"]
+    assert parse_args(argv) == ("degenerate", RunConfig(
+        type_label="B", rank=2, w0_word=(2, 1, 2, 1), demazure_word=(2, 1),
+        level_bound=3, node_cap=500, out="r.json"))
+    assert parse_args(["polytope", "--type", "A", "--rank", "2", "--lambda", "1,1",
+                       "--word", "2,1,2", "--level-bound", "1"]) == ("polytope", RunConfig(
+        type_label="A", rank=2, w0_word=(2, 1, 2), lam=(1, 1), level_bound=1))
+    assert parse_args(["crystal", "--type", "A", "--rank", "2", "--lambda", "1,0"]) == (
+        "crystal", RunConfig(type_label="A", rank=2, lam=(1, 0)))
 
 
 @pytest.mark.parametrize("argv", [
@@ -28,6 +33,14 @@ def test_parse_round_trip():
     ["crystal", "--type", "A", "--rank", "2", "--lambda", "1,0", "--cap", "0"],
     ["degenerate", "--type", "A", "--rank", "2", "--level-bound", "0"],
     ["verify", "--type", "A"],
+    # each subcommand takes only the flags it reads
+    ["crystal", "--type", "A", "--rank", "2", "--lambda", "1,0", "--word", "1,2,1"],
+    ["crystal", "--type", "A", "--rank", "2", "--lambda", "1,0", "--level-bound", "1"],
+    ["crystal", "--type", "A", "--rank", "2", "--lambda", "1,0", "--demazure", "1"],
+    ["polytope", "--type", "A", "--rank", "2", "--lambda", "1,0", "--demazure", "1"],
+    ["cone", "--type", "A", "--rank", "2", "--lambda", "1,0"],
+    ["cone", "--type", "A", "--rank", "2", "--demazure", "1"],
+    ["degenerate", "--type", "A", "--rank", "2", "--lambda", "1,0"],
 ])
 def test_usage_errors_exit_two(argv):
     with pytest.raises(SystemExit) as info:
@@ -136,7 +149,7 @@ def test_huge_weight_stops_at_the_cap(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error[crystal]: crystal for lambda=(99999999999999, 0)"
-                            " exceeded node cap 20000\n")
+                            " exceeded node cap 60000\n")
 
 
 def test_polytope_undercount_is_a_polyhedral_error(capsys):

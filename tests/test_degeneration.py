@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import stringcone.degeneration
 from stringcone.cartan import build_cartan, longest_word
+from stringcone.cli import main
 from stringcone.degeneration import (
     _decomposer,
     build_pairs,
@@ -276,6 +277,14 @@ def test_a4_certificate_passes():
                                       crystals=CrystalCache(datum, 60000))
     assert all(ok for _, ok in report.checks)
     digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    assert digest == A4_REPORT_SHA256
+
+
+@pytest.mark.slow
+def test_a4_cli_report_at_the_default_cap(capsys):
+    # B(2, 2, 2, 2) has 59 049 nodes, within the default cap
+    assert main(["degenerate", "--type", "A", "--rank", "4", "--level-bound", "1"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == A4_REPORT_SHA256
 
 

@@ -63,7 +63,7 @@ def test_a2_fundamental_graph():
     datum = build_cartan("A", 2)
     graph = enumerate_crystal(datum, (1, 0))
     assert graph.size == 3
-    assert graph.weights == ((1, 0), (-1, 1), (0, -1))
+    assert graph.weights == ([1, -1, 0], [0, 1, -1])
     assert graph.highest == 0
     assert edge_lines(graph) == ["0 1 1", "1 2 2"]
 
@@ -71,7 +71,19 @@ def test_a2_fundamental_graph():
 def test_graph_keeps_no_paths():
     graph = enumerate_crystal(build_cartan("A", 2), (1, 1))
     assert not hasattr(graph, "paths")
-    assert graph.size == len(graph.weights) == 8
+    assert graph.size == len(graph.weights[0]) == 8
+
+
+@pytest.mark.parametrize("lam", [(0, 1, 0), (1, 1, 0)])
+def test_tables_hold_one_column_per_simple_root(lam):
+    # a path crystal and a tensor crystal: rank columns of size entries each
+    datum = build_cartan("B", 3)
+    graph = enumerate_crystal(datum, lam)
+    assert graph.size == weyl_dim(datum, lam)
+    for table in ("f_edge", "e_edge", "eps", "phi", "weights"):
+        columns = getattr(graph, table)
+        assert len(columns) == datum.rank, table
+        assert all(type(col) is list and len(col) == graph.size for col in columns), table
 
 
 def test_zero_weight_crystal():
@@ -99,12 +111,12 @@ def test_edge_tables_are_mutually_inverse():
     graph = enumerate_crystal(datum, (1, 1))
     for node in range(graph.size):
         for pos in range(datum.rank):
-            down = graph.f_edge[node][pos]
+            down = graph.f_edge[pos][node]
             if down >= 0:
-                assert graph.e_edge[down][pos] == node
-            up = graph.e_edge[node][pos]
+                assert graph.e_edge[pos][down] == node
+            up = graph.e_edge[pos][node]
             if up >= 0:
-                assert graph.f_edge[up][pos] == node
+                assert graph.f_edge[pos][up] == node
 
 
 def test_statistics_consistency():
@@ -113,10 +125,10 @@ def test_statistics_consistency():
     for node in range(graph.size):
         for pos in range(datum.rank):
             # phi - eps equals the weight paired with the coroot
-            mu = graph.weights[node][pos]
-            assert graph.phi[node][pos] - graph.eps[node][pos] == mu
-            assert (graph.f_edge[node][pos] >= 0) == (graph.phi[node][pos] > 0)
-            assert (graph.e_edge[node][pos] >= 0) == (graph.eps[node][pos] > 0)
+            mu = graph.weights[pos][node]
+            assert graph.phi[pos][node] - graph.eps[pos][node] == mu
+            assert (graph.f_edge[pos][node] >= 0) == (graph.phi[pos][node] > 0)
+            assert (graph.e_edge[pos][node] >= 0) == (graph.eps[pos][node] > 0)
 
 
 def test_node_cap():
@@ -212,15 +224,15 @@ def test_path_tables_match_the_path_statistics(label, rank):
         graph = _path_crystal(datum, lam, DEFAULT_NODE_CAP)
         paths = [highest_path(datum, lam)]
         for node in range(graph.size):
-            for i, dst in enumerate(graph.f_edge[node], start=1):
+            for i, dst in enumerate((col[node] for col in graph.f_edge), start=1):
                 if dst == len(paths):
                     paths.append(lowering_operator(datum, paths[node], i))
         assert len(paths) == graph.size == weyl_dim(datum, lam)
         for node, path in enumerate(paths):
             stats = [epsilon_phi(path, i) for i in range(1, rank + 1)]
-            assert graph.eps[node] == tuple(e for e, _ in stats), (lam, node)
-            assert graph.phi[node] == tuple(p for _, p in stats), (lam, node)
-            assert graph.weights[node] == path_weight(path), (lam, node)
+            assert [col[node] for col in graph.eps] == [e for e, _ in stats], (lam, node)
+            assert [col[node] for col in graph.phi] == [p for _, p in stats], (lam, node)
+            assert tuple(col[node] for col in graph.weights) == path_weight(path), (lam, node)
 
 
 def _tensor_by_node(datum, lam, left, right):
@@ -234,31 +246,37 @@ def _tensor_by_node(datum, lam, left, right):
         a, b = pairs[k]
         row = []
         for i in range(rank):
-            if left.phi[a][i] > right.eps[b][i]:
-                nxt = (left.f_edge[a][i], b)
-            elif right.f_edge[b][i] == -1:
+            if left.phi[i][a] > right.eps[i][b]:
+                nxt = (left.f_edge[i][a], b)
+            elif right.f_edge[i][b] == -1:
                 row.append(-1)
                 continue
             else:
-                nxt = (a, right.f_edge[b][i])
+                nxt = (a, right.f_edge[i][b])
             if nxt not in index:
                 index[nxt] = len(pairs)
                 pairs.append(nxt)
             row.append(index[nxt])
         f_rows.append(tuple(row))
         k += 1
-    weights = [tuple(x + y for x, y in zip(left.weights[a], right.weights[b]))
+
+    def at(table, node):
+        return [col[node] for col in table]
+
+    weights = [tuple(x + y for x, y in zip(at(left.weights, a), at(right.weights, b)))
                for a, b in pairs]
     eps = [tuple(max(ea, eb - wa) for ea, eb, wa in
-                 zip(left.eps[a], right.eps[b], left.weights[a])) for a, b in pairs]
+                 zip(at(left.eps, a), at(right.eps, b), at(left.weights, a)))
+           for a, b in pairs]
     phi = [tuple(e + w for e, w in zip(row, wt)) for row, wt in zip(eps, weights)]
     e_rows = [[-1] * rank for _ in f_rows]
     for src, row in enumerate(f_rows):
         for pos, dst in enumerate(row):
             if dst != -1:
                 e_rows[dst][pos] = src
-    return {"f_edge": tuple(f_rows), "e_edge": tuple(map(tuple, e_rows)),
-            "eps": tuple(eps), "phi": tuple(phi), "weights": tuple(weights)}
+    # the rows are the reference; the graph stores one column per simple root
+    tables = {"f_edge": f_rows, "e_edge": e_rows, "eps": eps, "phi": phi, "weights": weights}
+    return {name: tuple(map(list, zip(*rows))) for name, rows in tables.items()}
 
 
 def _tensor_cases():

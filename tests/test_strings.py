@@ -59,6 +59,11 @@ def test_string_weight_oracle():
     assert string_weight(datum, (1, 0), sv) == (0, -1)
     zero = StringVector(entries=(0, 0, 0), word=(1, 2, 1))
     assert string_weight(datum, (1, 0), zero) == (1, 0)
+    # G2's Cartan matrix is not symmetric: alpha_1 = (2, -3), alpha_2 = (-1, 2)
+    g2 = build_cartan("G", 2)
+    assert string_weight(g2, (1, 1), StringVector((2, 1), (1, 2))) == (-2, 5)
+    with pytest.raises(WordError):
+        string_weight(datum, (1, 0), StringVector((0, 1), (1, 3)))
 
 
 def test_words_must_be_reduced_and_full_length():
@@ -182,9 +187,9 @@ def test_demazure_strings_match_node_by_node_peel():
 def test_peel_that_misses_the_highest_node_raises():
     # two copies of B(0): node 1 has no raising edge but is not the highest
     datum = build_cartan("A", 1)
-    graph = CrystalGraph(datum=datum, lam=(0,), f_edge=((-1,), (-1,)),
-                         e_edge=((-1,), (-1,)), eps=((0,), (0,)), phi=((0,), (0,)),
-                         weights=((0,), (0,)))
+    graph = CrystalGraph(datum=datum, lam=(0,), f_edge=([-1, -1],),
+                         e_edge=([-1, -1],), eps=([0, 0],), phi=([0, 0],),
+                         weights=([0, 0],))
     crystals = CrystalCache(datum)
     crystals[(0,)] = graph
     with pytest.raises(InvariantViolation, match="did not end at the highest node"):
