@@ -153,7 +153,7 @@ def _criterion_2(run: AcceptanceRun):
             for lam in dominant_weights(datum.rank, 2):
                 # string_image raises if a peel stops early; recheck injectivity
                 image = run.image(key, word, lam)
-                if len({sv.entries for sv in image}) != len(image):
+                if len(set(image)) != len(image):
                     return False, f"collision at {key} {word} {lam}"
                 images += 1
                 strings += len(image)
@@ -170,7 +170,7 @@ def _criterion_3(run: AcceptanceRun):
             for p, q in itertools.combinations_with_replacement(points, 2):
                 lam = tuple(a + b for a, b in zip(p.lam, q.lam))
                 psi = tuple(a + b for a, b in zip(p.psi, q.psi))
-                target = {sv.entries for sv in run.image(key, word, lam)}
+                target = set(run.image(key, word, lam))
                 if psi not in target:
                     return False, f"{psi} escapes the image at {key} {word} {lam}"
                 checked += 1
@@ -233,8 +233,9 @@ def _criterion_6(run: AcceptanceRun):
     total_pairs = 0
     for key in CASES:
         datum = run.datum(key)
+        word = longest_word(datum)
         pairs = build_pairs(
-            datum, longest_word(datum), 2, crystals=run.crystals[key]
+            datum, word, weighted_points(datum, word, 2, crystals=run.crystals[key])
         )
         start = time.perf_counter()
         form = separating_form(pairs, datum.num_positive_roots)
@@ -242,8 +243,8 @@ def _criterion_6(run: AcceptanceRun):
         if elapsed > _FORM_TIME_LIMIT:
             return False, f"{key} form construction exceeded 1s"
         for a, b, _ in pairs:
-            if form.value(a.entries) >= form.value(b.entries):
-                return False, f"form fails on {a.entries} vs {b.entries} ({key})"
+            if form.value(a) >= form.value(b):
+                return False, f"form fails on {a} vs {b} ({key})"
         total_pairs += len(pairs)
     return True, f"{len(CASES)} types, {total_pairs} pairs separated"
 

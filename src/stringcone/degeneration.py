@@ -12,7 +12,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from operator import mul
+from operator import attrgetter, mul
 
 from .cartan import CartanDatum, apply_word, check_longest_word, check_reduced_word, rho
 from .characters import demazure_character, dimension_of, weyl_dim
@@ -27,14 +27,14 @@ from .polyhedra import (
     saturation_check,
 )
 from .strings import (
-    StringVector,
     WeightedPoint,
     demazure_strings,
     dominant_weights,
-    string_image,
     string_weight,
     weighted_points,
 )
+
+_lam = attrgetter("lam")
 
 
 @dataclass(frozen=True)
@@ -47,31 +47,24 @@ class SeparatingForm:
         return vec_dot(self.coefficients, entries)
 
 
-def build_pairs(datum: CartanDatum, word, level_bound: int, *,
-                crystals: CrystalCache | None = None):
+def build_pairs(datum: CartanDatum, word, points):
     """Equal-weight pairs (phi, psi, lambda) with phi lexicographically first.
 
-    Within each string image the points are grouped by their weight; every
-    two-element combination of a group yields one oriented pair.
+    ``points`` are weighted points along the word, sorted as
+    ``weighted_points`` returns them.  Within each lambda the strings are
+    grouped by their weight; every two-element combination of a group
+    yields one oriented pair.
     """
     word = check_longest_word(datum, word)
-    crystals = CrystalCache.for_datum(datum, crystals)
     pairs = []
-    for lam in dominant_weights(datum.rank, level_bound):
+    for lam, image in itertools.groupby(points, _lam):
         groups: dict = {}
-        for sv in string_image(datum, lam, word, crystals=crystals):
-            groups.setdefault(string_weight(datum, lam, sv), []).append(sv)
+        for p in image:
+            groups.setdefault(string_weight(datum, lam, word, p.psi), []).append(p.psi)
         for mu in groups.values():
             for a, b in itertools.combinations(mu, 2):
                 pairs.append((a, b, lam))
     return tuple(pairs)
-
-
-def _pair_entries(pair):
-    a, b = pair[0], pair[1]
-    phi = a.entries if isinstance(a, StringVector) else tuple(a)
-    psi = b.entries if isinstance(b, StringVector) else tuple(b)
-    return phi, psi
 
 
 def separating_form(pairs, n_coords: int) -> SeparatingForm:
@@ -86,7 +79,7 @@ def separating_form(pairs, n_coords: int) -> SeparatingForm:
     """
     split = []
     for pair in pairs:
-        phi, psi = _pair_entries(pair)
+        phi, psi = pair[0], pair[1]
         if len(phi) != n_coords or len(psi) != n_coords:
             raise DegenerationError("pair length does not match coordinate count")
         s = next((k for k in range(n_coords) if phi[k] != psi[k]), None)
@@ -166,10 +159,10 @@ def demazure_quotient(datum: CartanDatum, w0_word, w_word, level_bound: int, *,
     for lam in dominant_weights(datum.rank, level_bound):
         dem = demazure_strings(datum, lam, w_word, w0_word, crystals=crystals)
         sections.append((lam, dem))
-        for sv in dem:
-            if any(sv.entries[cut:]):
+        for entries in dem:
+            if any(entries[cut:]):
                 zero_tail = False
-            weighted.append(lam + sv.entries)
+            weighted.append(lam + entries)
     face, normal = is_face(cone, weighted)
     return DemazureQuotient(
         w_word=w_word,
@@ -314,17 +307,15 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     t = clock()
     n = datum.rank
     ncoords = datum.num_positive_roots
-    by_lam: dict = {}
-    for p in data:
-        by_lam.setdefault(p.lam, []).append(p.psi)
     quotient = None
     if w_word is not None:
         quotient = demazure_quotient(datum, w0_word, w_word, check_level,
                                      cone=cone, crystals=crystals)
     dem_sections = dict(quotient.sections) if quotient is not None else {}
     sections = []
-    for lam in dominant_weights(n, check_level):
-        count = len(by_lam.get(lam, ()))
+    # the image is injective, so the scan's distinct count is the image size
+    for section in report.sections:
+        lam, count = section.lam, section.data_count
         dim = weyl_dim(datum, lam)
         if quotient is not None:
             dem = dem_sections[lam]
@@ -372,11 +363,12 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     timings["relations"] = (clock() - t) * 1000.0
 
     t = clock()
-    pairs = build_pairs(datum, w0_word, level_bound, crystals=crystals)
-    form = separating_form(pairs, ncoords)
-    strict = all(
-        form.value(a.entries) < form.value(b.entries) for a, b, _ in pairs
+    build_data = itertools.chain.from_iterable(
+        image for lam, image in itertools.groupby(data, _lam) if max(lam) <= level_bound
     )
+    pairs = build_pairs(datum, w0_word, build_data)
+    form = separating_form(pairs, ncoords)
+    strict = all(form.value(a) < form.value(b) for a, b, _ in pairs)
     timings["form"] = (clock() - t) * 1000.0
 
     checks = [

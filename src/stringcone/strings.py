@@ -20,19 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter, mul
+from operator import mul
 
 from .cartan import CartanDatum, Weight, WeylWord, check_longest_word, validate_word
+from .characters import weyl_dim
 from .errors import InvariantViolation, WordError
-from .pathcrystal import CrystalCache, CrystalGraph, demazure_crystal
-
-
-@dataclass(frozen=True, order=True)
-class StringVector:
-    """Peeling exponents of one crystal node along a fixed reduced word."""
-
-    entries: tuple[int, ...]
-    word: WeylWord
+from .pathcrystal import CrystalCache, CrystalGraph, _cap_error, demazure_crystal
 
 
 @dataclass(frozen=True, order=True)
@@ -43,10 +36,7 @@ class WeightedPoint:
     psi: tuple[int, ...]
 
 
-_entries = attrgetter("entries")
-
-
-def _peel(graph: CrystalGraph, node: int, word: WeylWord) -> StringVector:
+def _peel(graph: CrystalGraph, node: int, word: WeylWord) -> tuple[int, ...]:
     """Peel a node along an already checked longest word."""
     entries = []
     current = node
@@ -59,10 +49,10 @@ def _peel(graph: CrystalGraph, node: int, word: WeylWord) -> StringVector:
         raise InvariantViolation(
             f"peel along {word} did not end at the highest node"
         )
-    return StringVector(entries=tuple(entries), word=word)
+    return tuple(entries)
 
 
-def string_param(graph: CrystalGraph, node: int, word) -> StringVector:
+def string_param(graph: CrystalGraph, node: int, word) -> tuple[int, ...]:
     """Peel a node along the word, recording the maximal raising exponents."""
     word = check_longest_word(graph.datum, word)
     if not 0 <= node < graph.size:
@@ -96,33 +86,28 @@ def _peel_nodes(graph: CrystalGraph, nodes, word: WeylWord) -> list[tuple[int, .
     return list(zip(*columns))
 
 
-def _vectors(entries, word: WeylWord) -> tuple[StringVector, ...]:
-    """One string vector per entry tuple, all along the same word."""
-    return tuple(map(StringVector, entries, repeat(word)))
-
-
 def string_image(datum: CartanDatum, lam, word, *,
-                 crystals: CrystalCache | None = None) -> tuple[StringVector, ...]:
-    """Sorted string vectors of the whole crystal; injectivity is enforced."""
+                 crystals: CrystalCache | None = None) -> tuple[tuple[int, ...], ...]:
+    """Sorted entry tuples of the whole crystal; injectivity is enforced."""
     word = check_longest_word(datum, word)
     graph = CrystalCache.for_datum(datum, crystals)[tuple(lam)]
-    entries = sorted(_peel_nodes(graph, range(graph.size), word))
-    if len(set(entries)) != graph.size:
+    image = tuple(sorted(_peel_nodes(graph, range(graph.size), word)))
+    if len(set(image)) != graph.size:
         raise InvariantViolation(
             f"string parametrization along {word} is not injective"
         )
-    return _vectors(entries, word)
+    return image
 
 
-def string_weight(datum: CartanDatum, lam, sv: StringVector) -> Weight:
-    """Weight of the node a string vector encodes.
+def string_weight(datum: CartanDatum, lam, word, entries) -> Weight:
+    """Weight of the node whose string along the word is ``entries``.
 
     lam minus the sum of t * alpha_i over the string; the j-th coordinate
     of alpha_i is ``cartan_matrix[j][i-1]``, so the exponents are summed
     per simple root and paired with each Cartan matrix row.
     """
     totals = [0] * datum.rank
-    for letter, t in zip(validate_word(datum, sv.word), sv.entries):
+    for letter, t in zip(validate_word(datum, word), entries):
         totals[letter - 1] += t
     return tuple(c - sum(map(mul, row, totals)) for c, row in zip(lam, datum.cartan_matrix))
 
@@ -136,7 +121,7 @@ def _weight_grid(rank: int, level_bound: int):
     """``dominant_weights`` one at a time, in lexicographic order.
 
     Nothing is stored up front (``itertools.product`` would store its
-    ranges), so a huge bound reaches the first crystal over the node cap.
+    ranges), so a huge bound reaches the first weight over the node cap.
     """
     if rank == 0:
         yield ()
@@ -150,27 +135,35 @@ def weighted_points(datum: CartanDatum, word, level_bound: int, *,
                     crystals: CrystalCache | None = None) -> tuple[WeightedPoint, ...]:
     """All (lambda, string) points for dominant lambda up to the bound.
 
-    The points come out sorted without a sort: the weights run in
-    lexicographic order and each string image is sorted.
+    The weights are first walked with ``weyl_dim`` alone, so a bound too
+    large for the cache's node cap fails at the first weight over the cap
+    before any crystal is built.  The points come out sorted without a
+    sort: the weights run in lexicographic order and each string image is
+    sorted.
     """
     word = check_longest_word(datum, word)
     if level_bound < 0:
         raise WordError("level bound must be nonnegative")
     crystals = CrystalCache.for_datum(datum, crystals)
-    points = []
+    lams = []
     for lam in _weight_grid(datum.rank, level_bound):
-        image = string_image(datum, lam, word, crystals=crystals)
-        points += map(WeightedPoint, repeat(lam), map(_entries, image))
+        if weyl_dim(datum, lam) > crystals.node_cap:
+            raise _cap_error(lam, crystals.node_cap)
+        lams.append(lam)
+    points = []
+    for lam in lams:
+        points += map(WeightedPoint, repeat(lam),
+                      string_image(datum, lam, word, crystals=crystals))
     return tuple(points)
 
 
 def demazure_strings(datum: CartanDatum, lam, w_word, w0_word, *,
-                     crystals: CrystalCache | None = None) -> tuple[StringVector, ...]:
-    """Sorted string vectors of the Demazure subset for w along w0_word.
+                     crystals: CrystalCache | None = None) -> tuple[tuple[int, ...], ...]:
+    """Sorted entry tuples of the Demazure subset for w along w0_word.
 
     ``demazure_crystal`` checks that w_word is reduced.
     """
     w0_word = check_longest_word(datum, w0_word)
     graph = CrystalCache.for_datum(datum, crystals)[tuple(lam)]
     nodes = demazure_crystal(graph, w_word)
-    return _vectors(sorted(_peel_nodes(graph, nodes, w0_word)), w0_word)
+    return tuple(sorted(_peel_nodes(graph, nodes, w0_word)))

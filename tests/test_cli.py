@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from stringcone import cli
 from stringcone.cli import RunConfig, _cmd_verify, main, parse_args
+from stringcone.pathcrystal import CrystalCache
 from stringcone.polyhedra import parse_h_rep
 
 
@@ -140,6 +142,25 @@ def test_huge_level_bound_stops_at_the_cap(command, capsys):
         assert captured.out == ""
         errs.append(captured.err)
     assert errs == ["error[crystal]: crystal for lambda=(0, 9) exceeded node cap 50\n"] * 2
+
+
+def test_level_bound_over_the_default_cap_builds_no_crystal(monkeypatch, capsys):
+    # dim V(0, 345) = 60 031 is the first weight of the sweep over the cap
+    caches = []
+
+    class RecordingCache(CrystalCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            caches.append(self)
+
+    monkeypatch.setattr(cli, "CrystalCache", RecordingCache)
+    rc = main(["cone", "--type", "A", "--rank", "2", "--level-bound", "400"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error[crystal]: crystal for lambda=(0, 345)"
+                            " exceeded node cap 60000\n")
+    assert len(caches) == 1 and not caches[0]
 
 
 def test_huge_weight_stops_at_the_cap(capsys):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stringcone.degeneration
+import stringcone.strings
 from stringcone.cartan import build_cartan, longest_word
 from stringcone.cli import main
 from stringcone.degeneration import (
@@ -25,7 +26,7 @@ from stringcone.errors import DegenerationError, WordError
 from stringcone.linalg import slack_lanes, vec_dot
 from stringcone.pathcrystal import CrystalCache
 from stringcone.polyhedra import conic_hull, hilbert_basis
-from stringcone.strings import WeightedPoint, weighted_points
+from stringcone.strings import WeightedPoint, dominant_weights, weighted_points
 
 
 @pytest.fixture(scope="module")
@@ -35,15 +36,13 @@ def a2():
 
 def test_build_pairs_multiplicity_free(a2):
     datum = build_cartan("A", 1)
-    assert build_pairs(datum, (1,), 2) == ()
-    assert build_pairs(a2, (1, 2, 1), 0) == ()
+    assert build_pairs(datum, (1,), weighted_points(datum, (1,), 2)) == ()
+    assert build_pairs(a2, (1, 2, 1), weighted_points(a2, (1, 2, 1), 0)) == ()
 
 
 def test_build_pairs_a2_level_one(a2):
-    pairs = build_pairs(a2, (1, 2, 1), 1)
-    assert len(pairs) == 1
-    a, b, lam = pairs[0]
-    assert (a.entries, b.entries, lam) == ((0, 1, 1), (1, 1, 0), (1, 1))
+    pairs = build_pairs(a2, (1, 2, 1), weighted_points(a2, (1, 2, 1), 1))
+    assert pairs == (((0, 1, 1), (1, 1, 0), (1, 1)),)
 
 
 def test_separating_form_worked_example():
@@ -57,11 +56,11 @@ def test_separating_form_unconstrained():
 
 
 def test_separating_form_from_crystal_pairs(a2):
-    pairs = build_pairs(a2, (1, 2, 1), 1)
+    pairs = build_pairs(a2, (1, 2, 1), weighted_points(a2, (1, 2, 1), 1))
     form = separating_form(pairs, 3)
     assert form.coefficients == (4, 1, 1)
     for a, b, _ in pairs:
-        assert form.value(a.entries) < form.value(b.entries)
+        assert form.value(a) < form.value(b)
 
 
 def test_separating_form_rejections():
@@ -191,6 +190,32 @@ def test_certificate_a2(a2):
         "relations_balance": True,
         "separating_form_strict": True,
     }
+
+
+def test_certificate_peels_each_image_once(a2, monkeypatch):
+    peeled = []
+    original = stringcone.strings.string_image
+
+    def counting(datum, lam, word, **kwargs):
+        peeled.append(tuple(lam))
+        return original(datum, lam, word, **kwargs)
+
+    # every module that imported the function by name calls the counter
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("stringcone")
+                and getattr(module, "string_image", None) is original):
+            monkeypatch.setattr(module, "string_image", counting)
+    report = degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2)
+    assert report.passing
+    assert peeled == list(dominant_weights(2, 2))
+
+
+def test_certificate_pairs_come_from_the_build_level_points():
+    datum = build_cartan("B", 2)
+    word = longest_word(datum)
+    report = degeneration_certificate(datum, word, level_bound=1)
+    assert report.pairs
+    assert report.pairs == build_pairs(datum, word, weighted_points(datum, word, 1))
 
 
 def test_hilbert_path_needs_no_rational_elimination(a2, monkeypatch):

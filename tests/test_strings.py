@@ -11,7 +11,6 @@ from stringcone.pathcrystal import (
     enumerate_crystal,
 )
 from stringcone.strings import (
-    StringVector,
     WeightedPoint,
     demazure_strings,
     dominant_weights,
@@ -23,7 +22,7 @@ from stringcone.strings import (
 
 
 def entries(image):
-    return {sv.entries for sv in image}
+    return set(image)
 
 
 def test_a2_fundamental_images():
@@ -47,23 +46,19 @@ def test_image_is_sorted_and_injective():
 def test_string_param_of_highest_is_zero():
     datum = build_cartan("A", 2)
     graph = enumerate_crystal(datum, (2, 1))
-    sv = string_param(graph, graph.highest, (1, 2, 1))
-    assert sv.entries == (0, 0, 0)
-    assert sv.word == (1, 2, 1)
+    assert string_param(graph, graph.highest, (1, 2, 1)) == (0, 0, 0)
 
 
 def test_string_weight_oracle():
     datum = build_cartan("A", 2)
-    sv = StringVector(entries=(0, 1, 1), word=(1, 2, 1))
     # lambda - alpha_2 - alpha_1 for the lowest vector of V(pi_1)
-    assert string_weight(datum, (1, 0), sv) == (0, -1)
-    zero = StringVector(entries=(0, 0, 0), word=(1, 2, 1))
-    assert string_weight(datum, (1, 0), zero) == (1, 0)
+    assert string_weight(datum, (1, 0), (1, 2, 1), (0, 1, 1)) == (0, -1)
+    assert string_weight(datum, (1, 0), (1, 2, 1), (0, 0, 0)) == (1, 0)
     # G2's Cartan matrix is not symmetric: alpha_1 = (2, -3), alpha_2 = (-1, 2)
     g2 = build_cartan("G", 2)
-    assert string_weight(g2, (1, 1), StringVector((2, 1), (1, 2))) == (-2, 5)
+    assert string_weight(g2, (1, 1), (1, 2), (2, 1)) == (-2, 5)
     with pytest.raises(WordError):
-        string_weight(datum, (1, 0), StringVector((0, 1), (1, 3)))
+        string_weight(datum, (1, 0), (1, 3), (0, 1))
 
 
 def test_words_must_be_reduced_and_full_length():
@@ -138,7 +133,7 @@ def test_string_image_checks_the_word_once(monkeypatch):
 def test_demazure_strings_a2():
     datum = build_cartan("A", 2)
     dem = demazure_strings(datum, (1, 0), (1,), (1, 2, 1))
-    assert {sv.entries for sv in dem} == {(0, 0, 0), (1, 0, 0)}
+    assert set(dem) == {(0, 0, 0), (1, 0, 0)}
     full = demazure_strings(datum, (1, 0), (1, 2, 1), (1, 2, 1))
     assert len(full) == 3
 
@@ -149,8 +144,8 @@ def test_demazure_strings_zero_tail_for_adapted_prefix():
     for cut in range(5):
         w = w0[:cut]
         for lam in dominant_weights(2, 1):
-            for sv in demazure_strings(datum, lam, w, w0):
-                assert not any(sv.entries[cut:])
+            for entries in demazure_strings(datum, lam, w, w0):
+                assert not any(entries[cut:])
 
 
 @pytest.mark.parametrize("label,rank,lam", [
