@@ -3,7 +3,7 @@
 Subcommands: crystal (graph dump), polytope (one weight's section),
 cone (inferred weighted cone), degenerate (certificate JSON), verify
 (acceptance suite).  Outputs are byte-stable for identical configs;
-timings go to stderr only.
+timings go to stderr only, as one ``timing {json}`` line.
 """
 
 from __future__ import annotations
@@ -176,11 +176,11 @@ def _cmd_crystal(config: RunConfig) -> int:
 
 def _infer_cone(config: RunConfig, datum):
     word = config.w0_word if config.w0_word is not None else longest_word(datum)
-    points = weighted_points(
+    images = weighted_points(
         datum, word, config.level_bound,
         crystals=CrystalCache(datum, config.node_cap),
     )
-    return word, conic_hull([p.lam + p.psi for p in points])
+    return word, conic_hull([lam + psi for lam, image in images.items() for psi in image])
 
 
 def _cmd_polytope(config: RunConfig) -> int:
@@ -242,17 +242,20 @@ def _cmd_degenerate(config: RunConfig) -> int:
         crystals=CrystalCache(datum, config.node_cap),
     )
     _emit(report_to_json(report), config.out)
-    for stage, ms in report.timings.items():
-        print(f"timing {stage} {ms:.1f}ms", file=sys.stderr)
+    _print_timing(report.timings)
     return 0 if report.passing else 1
+
+
+def _print_timing(timings_ms) -> None:
+    doc = {stage: round(ms, 1) for stage, ms in timings_ms.items()}
+    print("timing " + json.dumps(doc, separators=(",", ":")), file=sys.stderr)
 
 
 def _cmd_verify(config: RunConfig, runner=run_full) -> int:
     start = time.perf_counter()
     text, results = runner()
     _emit(text, config.out)
-    elapsed = time.perf_counter() - start
-    print(f"timing verify {elapsed * 1000.0:.1f}ms", file=sys.stderr)
+    _print_timing({"verify": (time.perf_counter() - start) * 1000.0})
     return 0 if all(r.passed for r in results) else 1
 
 

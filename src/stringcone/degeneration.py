@@ -3,7 +3,9 @@
 The certificate packages the inferred cone, a Hilbert basis of its lattice
 points, the binomial relation lattice, a linear form separating equal-weight
 string pairs, and (optionally) the Demazure face data, together with the
-outcome of every verification check.
+outcome of every verification check.  The enumeration is read as
+``weighted_points`` returns it, one string image per weight lambda; a cone
+point is ``lam + psi``, and the Hilbert basis holds ``(lam, psi)`` pairs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from operator import attrgetter, mul
+from operator import mul
 
 from .cartan import CartanDatum, apply_word, check_longest_word, check_reduced_word, rho
 from .characters import demazure_character, dimension_of, weyl_dim
@@ -26,15 +28,7 @@ from .polyhedra import (
     is_face,
     saturation_check,
 )
-from .strings import (
-    WeightedPoint,
-    demazure_strings,
-    dominant_weights,
-    string_weight,
-    weighted_points,
-)
-
-_lam = attrgetter("lam")
+from .strings import demazure_strings, dominant_weights, weighted_points
 
 
 @dataclass(frozen=True)
@@ -47,23 +41,26 @@ class SeparatingForm:
         return vec_dot(self.coefficients, entries)
 
 
-def build_pairs(datum: CartanDatum, word, points):
-    """Equal-weight pairs (phi, psi, lambda) with phi lexicographically first.
+def build_pairs(datum: CartanDatum, word, images):
+    """Equal-weight pairs (phi, psi, lambda) of lexicographic neighbours.
 
-    ``points`` are weighted points along the word, sorted as
-    ``weighted_points`` returns them.  Within each lambda the strings are
-    grouped by their weight; every two-element combination of a group
-    yields one oriented pair.
+    ``images`` is ``weighted_points``' lambda-keyed sorted images.  Strings
+    are grouped by their exponent totals per simple root: the simple roots
+    are linearly independent, so equal totals mean equal weight.  Each two
+    consecutive strings of a group form one pair; a form strict on these
+    is strict on every equal-weight pair by transitivity.
     """
     word = check_longest_word(datum, word)
+    positions = [[k for k, letter in enumerate(word) if letter == i]
+                 for i in range(1, datum.rank + 1)]
     pairs = []
-    for lam, image in itertools.groupby(points, _lam):
+    for lam, image in images.items():
         groups: dict = {}
-        for p in image:
-            groups.setdefault(string_weight(datum, lam, word, p.psi), []).append(p.psi)
+        for psi in image:
+            key = tuple(sum(map(psi.__getitem__, ks)) for ks in positions)
+            groups.setdefault(key, []).append(psi)
         for mu in groups.values():
-            for a, b in itertools.combinations(mu, 2):
-                pairs.append((a, b, lam))
+            pairs.extend((a, b, lam) for a, b in itertools.pairwise(mu))
     return tuple(pairs)
 
 
@@ -147,8 +144,8 @@ def demazure_quotient(datum: CartanDatum, w0_word, w_word, level_bound: int, *,
     w_word = check_reduced_word(datum, w_word)
     crystals = CrystalCache.for_datum(datum, crystals)
     if cone is None:
-        pts = weighted_points(datum, w0_word, level_bound, crystals=crystals)
-        cone = conic_hull([p.lam + p.psi for p in pts])
+        images = weighted_points(datum, w0_word, level_bound, crystals=crystals)
+        cone = conic_hull([lam + psi for lam, image in images.items() for psi in image])
     image = rho(datum)
     prefix = w0_word[: len(w_word)]
     adapted = apply_word(datum, prefix, image) == apply_word(datum, w_word, image)
@@ -272,17 +269,16 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     clock = time.perf_counter
 
     t = clock()
-    data = weighted_points(datum, w0_word, check_level, crystals=crystals)
+    images = weighted_points(datum, w0_word, check_level, crystals=crystals)
     timings["enumerate"] = (clock() - t) * 1000.0
 
     t = clock()
-    vectors = [p.lam + p.psi for p in data]
+    vectors = [lam + psi for lam, image in images.items() for psi in image]
     data_reach = max(max(map(abs, v)) for v in vectors)
     build_level = level_bound
     while True:
-        hull_pts = [v for p, v in zip(data, vectors)
-                    if max(p.lam) <= build_level]
-        cone = conic_hull(hull_pts)
+        cone = conic_hull([lam + psi for lam, image in images.items()
+                           if max(lam) <= build_level for psi in image])
         final = build_level == check_level
         reach = sum(max(map(abs, r)) for r in cone.rays)
         columns, sign = slack_lanes(cone.facets, max(data_reach, reach))
@@ -295,14 +291,17 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
         else:
             break
         build_level += 1
-    report = saturation_check(cone, data, check_level)
+    timings["hull"] = (clock() - t) * 1000.0
+
+    t = clock()
+    report = saturation_check(cone, images, check_level)
     if report.cone_points_missing_from_data:
-        witness = report.cone_points_missing_from_data[0]
+        lam, psi = report.cone_points_missing_from_data[0]
         raise DegenerationError(
-            f"cone section point {witness} is absent from the enumeration"
+            f"cone section point lambda={lam} psi={psi} is absent from the enumeration"
         )
     certified_level = check_level
-    timings["cone"] = (clock() - t) * 1000.0
+    timings["saturation"] = (clock() - t) * 1000.0
 
     t = clock()
     n = datum.rank
@@ -333,7 +332,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     t = clock()
     grading = (1,) * n + (0,) * ncoords
     basis_vecs = hilbert_basis(cone, grading)
-    basis_points = tuple(WeightedPoint(lam=v[:n], psi=v[n:]) for v in basis_vecs)
+    basis_points = tuple((v[:n], v[n:]) for v in basis_vecs)
     if any(max(map(abs, v)) > reach for v in basis_vecs):
         raise DegenerationError("Hilbert basis element beyond its parallelepiped bound")
     # the hull loop ends only after a full pass, so slacks covers all data
@@ -363,10 +362,8 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     timings["relations"] = (clock() - t) * 1000.0
 
     t = clock()
-    build_data = itertools.chain.from_iterable(
-        image for lam, image in itertools.groupby(data, _lam) if max(lam) <= level_bound
-    )
-    pairs = build_pairs(datum, w0_word, build_data)
+    pairs = build_pairs(datum, w0_word, {lam: image for lam, image in images.items()
+                                         if max(lam) <= level_bound})
     form = separating_form(pairs, ncoords)
     strict = all(form.value(a) < form.value(b) for a, b, _ in pairs)
     timings["form"] = (clock() - t) * 1000.0
@@ -420,8 +417,8 @@ def report_to_json(report: DegenerationReport) -> str:
         "facets": [list(u) for u in report.cone.facets],
         "certified_level": report.certified_level,
         "hilbert_basis": [
-            {"lambda": list(p.lam), "psi": list(p.psi)}
-            for p in report.hilbert_basis
+            {"lambda": list(lam), "psi": list(psi)}
+            for lam, psi in report.hilbert_basis
         ],
         "relations": [list(v) for v in report.relations],
         "weight_form": list(report.form.coefficients),

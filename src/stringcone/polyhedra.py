@@ -12,6 +12,8 @@ plain swap.  The redundancy test of ``_dd_pair`` and the reduction test of
 a lane per normal (``linalg.slack_lanes``): one multiply-add per coordinate
 computes all of them, and one addition and mask tests their signs.  Each
 caller sizes the lanes from a bound on every value it packs or subtracts.
+``saturation_check`` compares each section with the string image of its
+weight, read from the lambda-keyed images of ``strings.weighted_points``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from operator import mul
 
 from .errors import PolyhedralError, UnboundedSectionError
 from .linalg import hnf_rows, primitive, rank_int, slack_lanes, snf_with_uinv, vec_dot
-from .strings import WeightedPoint, dominant_weights
+from .strings import dominant_weights
 
 
 @dataclass(frozen=True)
@@ -388,7 +390,10 @@ class SectionCount:
 
 @dataclass(frozen=True)
 class SaturationReport:
-    """Per-weight comparison of cone sections against enumerated strings."""
+    """Per-weight comparison of cone sections against enumerated strings.
+
+    The two point lists hold ``(lam, psi)`` pairs.
+    """
 
     level_bound: int
     sections: tuple
@@ -400,24 +405,20 @@ class SaturationReport:
         return not self.cone_points_missing_from_data and not self.data_points_outside_cone
 
 
-def saturation_check(cone: RationalCone, enumerated, level_bound: int) -> SaturationReport:
-    """Compare integral cone sections with enumerated weighted points."""
-    enumerated = tuple(enumerated)
-    if not enumerated:
+def saturation_check(cone: RationalCone, images, level_bound: int) -> SaturationReport:
+    """Compare integral cone sections with the lambda-keyed string images."""
+    if not images:
         raise PolyhedralError("no enumerated points supplied")
-    n = len(enumerated[0].lam)
-    by_lam: dict = {}
-    for p in enumerated:
-        by_lam.setdefault(p.lam, set()).add(p.psi)
+    n = len(next(iter(images)))
     sections = []
     missing = []
     outside = []
     for lam in dominant_weights(n, level_bound):
         sec = set(section_lattice_points(cone, lam))
-        data = by_lam.get(lam, set())
+        data = set(images.get(lam, ()))
         sections.append(SectionCount(lam=lam, cone_count=len(sec), data_count=len(data)))
-        missing.extend(WeightedPoint(lam=lam, psi=p) for p in sorted(sec - data))
-        outside.extend(WeightedPoint(lam=lam, psi=p) for p in sorted(data - sec))
+        missing.extend((lam, p) for p in sorted(sec - data))
+        outside.extend((lam, p) for p in sorted(data - sec))
     return SaturationReport(
         level_bound=level_bound,
         sections=tuple(sections),

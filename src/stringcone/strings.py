@@ -14,26 +14,19 @@ node, so breadth-first numbering puts it before b, and
 is then one read of ``eps[i-1]`` at the current nodes, followed by one jump
 of every node to its ``top_i``.  ``_peel`` walks one node edge by edge and
 stays the per-node reference.
+
+``weighted_points`` keys the images by lambda: the weighted cone's section
+at lambda is the image of B(lambda) (Littelmann 1998, Prop. 1.5).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import repeat
 from operator import mul
 
 from .cartan import CartanDatum, Weight, WeylWord, check_longest_word, validate_word
 from .characters import weyl_dim
 from .errors import InvariantViolation, WordError
 from .pathcrystal import CrystalCache, CrystalGraph, _cap_error, demazure_crystal
-
-
-@dataclass(frozen=True, order=True)
-class WeightedPoint:
-    """A dominant weight together with one of its string vectors."""
-
-    lam: Weight
-    psi: tuple[int, ...]
 
 
 def _peel(graph: CrystalGraph, node: int, word: WeylWord) -> tuple[int, ...]:
@@ -132,14 +125,13 @@ def _weight_grid(rank: int, level_bound: int):
 
 
 def weighted_points(datum: CartanDatum, word, level_bound: int, *,
-                    crystals: CrystalCache | None = None) -> tuple[WeightedPoint, ...]:
-    """All (lambda, string) points for dominant lambda up to the bound.
+                    crystals: CrystalCache | None = None) -> dict:
+    """String images ``{lam: string_image(lam)}`` for dominant lam up to the bound.
 
     The weights are first walked with ``weyl_dim`` alone, so a bound too
     large for the cache's node cap fails at the first weight over the cap
-    before any crystal is built.  The points come out sorted without a
-    sort: the weights run in lexicographic order and each string image is
-    sorted.
+    before any crystal is built.  The keys run in lexicographic order and
+    each image is sorted, so the points ``lam + psi`` come out sorted.
     """
     word = check_longest_word(datum, word)
     if level_bound < 0:
@@ -150,11 +142,7 @@ def weighted_points(datum: CartanDatum, word, level_bound: int, *,
         if weyl_dim(datum, lam) > crystals.node_cap:
             raise _cap_error(lam, crystals.node_cap)
         lams.append(lam)
-    points = []
-    for lam in lams:
-        points += map(WeightedPoint, repeat(lam),
-                      string_image(datum, lam, word, crystals=crystals))
-    return tuple(points)
+    return {lam: string_image(datum, lam, word, crystals=crystals) for lam in lams}
 
 
 def demazure_strings(datum: CartanDatum, lam, w_word, w0_word, *,

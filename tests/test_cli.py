@@ -8,6 +8,15 @@ from stringcone.pathcrystal import CrystalCache
 from stringcone.polyhedra import parse_h_rep
 
 
+def _timing(err):
+    """The stage timings of the one ``timing {json}`` line on stderr."""
+    lines = [line for line in err.splitlines() if line.startswith("timing ")]
+    assert len(lines) == 1, lines
+    timings = json.loads(lines[0].removeprefix("timing "))
+    assert all(isinstance(ms, float) and ms >= 0 for ms in timings.values())
+    return timings
+
+
 def test_parse_maps_flags_to_fields():
     argv = ["degenerate", "--type", "B", "--rank", "2", "--word", "2,1,2,1",
             "--demazure", "2,1", "--level-bound", "3", "--cap", "500", "--out", "r.json"]
@@ -100,7 +109,8 @@ def test_degenerate_report(tmp_path, capsys):
     assert all(data["checks"].values())
     assert data["timings_ms"] == {}
     err = capsys.readouterr().err
-    assert "timing enumerate" in err
+    assert list(_timing(err)) == ["enumerate", "hull", "saturation", "sections",
+                                  "hilbert", "relations", "form"]
 
 
 def test_degenerate_bad_word_stage_code(capsys):
@@ -229,6 +239,7 @@ def test_verify_delegates_to_runner(tmp_path, capsys):
 
     assert _cmd_verify(RunConfig(out=str(target)), runner=good) == 0
     assert target.read_text() == "overall: PASS\n"
+    assert list(_timing(capsys.readouterr().err)) == ["verify"]
 
     def bad():
         return "overall: FAIL\n", [FakeResult(True), FakeResult(False)]
@@ -236,4 +247,4 @@ def test_verify_delegates_to_runner(tmp_path, capsys):
     assert _cmd_verify(RunConfig(), runner=bad) == 1
     captured = capsys.readouterr()
     assert "overall: FAIL" in captured.out
-    assert "timing verify" in captured.err
+    assert list(_timing(captured.err)) == ["verify"]

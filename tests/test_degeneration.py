@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import stringcone.degeneration
 import stringcone.strings
-from stringcone.cartan import build_cartan, longest_word
+from stringcone.cartan import all_reduced_words, build_cartan, longest_word
 from stringcone.cli import main
 from stringcone.degeneration import (
     _decomposer,
@@ -26,7 +26,7 @@ from stringcone.errors import DegenerationError, WordError
 from stringcone.linalg import slack_lanes, vec_dot
 from stringcone.pathcrystal import CrystalCache
 from stringcone.polyhedra import conic_hull, hilbert_basis
-from stringcone.strings import WeightedPoint, dominant_weights, weighted_points
+from stringcone.strings import dominant_weights, string_weight, weighted_points
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,36 @@ def test_build_pairs_multiplicity_free(a2):
 def test_build_pairs_a2_level_one(a2):
     pairs = build_pairs(a2, (1, 2, 1), weighted_points(a2, (1, 2, 1), 1))
     assert pairs == (((0, 1, 1), (1, 1, 0), (1, 1)),)
+
+
+def _weight_groups(datum, word, images):
+    """Sorted strings of equal ``string_weight``, as (lambda, group) pairs."""
+    groups = []
+    for lam, image in images.items():
+        by_weight = {}
+        for psi in image:
+            by_weight.setdefault(string_weight(datum, lam, word, psi), []).append(psi)
+        groups += [(lam, mu) for mu in by_weight.values()]
+    return groups
+
+
+@pytest.mark.parametrize("type_label,rank,level", [
+    ("A", 2, 2), ("B", 2, 2), ("C", 2, 2), ("G", 2, 2), ("A", 3, 1)])
+def test_neighbour_pairs_give_the_all_pairs_form(type_label, rank, level):
+    # the reference pairs every two strings of a weight space, not neighbours
+    datum = build_cartan(type_label, rank)
+    crystals = CrystalCache(datum)
+    for word in all_reduced_words(datum, longest_word(datum)):
+        images = weighted_points(datum, word, level, crystals=crystals)
+        groups = _weight_groups(datum, word, images)
+        pairs = build_pairs(datum, word, images)
+        assert pairs == tuple((a, b, lam) for lam, mu in groups
+                              for a, b in itertools.pairwise(mu))
+        reference = [(a, b, lam) for lam, mu in groups
+                     for a, b in itertools.combinations(mu, 2)]
+        form = separating_form(pairs, datum.num_positive_roots)
+        assert form == separating_form(reference, datum.num_positive_roots), word
+        assert all(form.value(a) < form.value(b) for a, b, _ in reference)
 
 
 def test_separating_form_worked_example():
@@ -163,8 +193,7 @@ def test_certificate_a1():
     report = degeneration_certificate(datum, (1,))
     assert report.passing
     assert report.certified_level == 3
-    assert report.hilbert_basis == (
-        WeightedPoint(lam=(1,), psi=(0,)), WeightedPoint(lam=(1,), psi=(1,)))
+    assert report.hilbert_basis == (((1,), (0,)), ((1,), (1,)))
     assert report.relations == ()
     assert report.form.coefficients == (1,)
 
@@ -381,7 +410,7 @@ def test_hilbert_checks_reject_a_wrong_basis(type_label, monkeypatch):
     word = longest_word(datum)
     basis = list(degeneration_certificate(datum, word, level_bound=1, check_level=2)
                  .hilbert_basis)
-    vecs = [p.lam + p.psi for p in basis]
+    vecs = [lam + psi for lam, psi in basis]
     top = max(vecs, key=lambda v: (sum(v[:2]), v))
     doubled = tuple(2 * c for c in top)
     for wrong, failing in [
@@ -407,7 +436,8 @@ def test_certificate_lanes_cover_every_packed_point(monkeypatch):
     datum = build_cartan("B", 2)
     word = longest_word(datum)
     report = degeneration_certificate(datum, word, level_bound=1)
-    packed = [p.lam + p.psi for p in weighted_points(datum, word, 2)]
-    packed += [h.lam + h.psi for h in report.hilbert_basis]
+    packed = [lam + psi for lam, image in weighted_points(datum, word, 2).items()
+              for psi in image]
+    packed += [lam + psi for lam, psi in report.hilbert_basis]
     assert len(reaches) == 2  # the level-1 hull escalates once
     assert all(max(map(abs, v)) <= reach for v in packed for reach in reaches)

@@ -22,7 +22,7 @@ from stringcone.polyhedra import (
     saturation_check,
     section_lattice_points,
 )
-from stringcone.strings import WeightedPoint, weighted_points
+from stringcone.strings import weighted_points
 
 
 def test_planar_hull():
@@ -122,25 +122,21 @@ def test_hilbert_basis_rejects_bad_input():
 
 def test_saturation_report():
     cone = conic_hull([(1, 0), (1, 1)])
-    good = [WeightedPoint(lam=(0,), psi=(0,)),
-            WeightedPoint(lam=(1,), psi=(0,)),
-            WeightedPoint(lam=(1,), psi=(1,))]
+    good = {(0,): ((0,),), (1,): ((0,), (1,))}
     report = saturation_check(cone, good, 1)
     assert report.clean
     assert [s.cone_count for s in report.sections] == [1, 2]
 
-    report = saturation_check(cone, good[:-1], 1)
-    assert report.cone_points_missing_from_data == (
-        WeightedPoint(lam=(1,), psi=(1,)),)
+    report = saturation_check(cone, {(0,): ((0,),), (1,): ((0,),)}, 1)
+    assert report.cone_points_missing_from_data == (((1,), (1,)),)
     assert not report.clean
 
-    bogus = good + [WeightedPoint(lam=(1,), psi=(5,))]
+    bogus = {(0,): ((0,),), (1,): ((0,), (1,), (5,))}
     report = saturation_check(cone, bogus, 1)
-    assert report.data_points_outside_cone == (
-        WeightedPoint(lam=(1,), psi=(5,)),)
+    assert report.data_points_outside_cone == (((1,), (5,)),)
 
     with pytest.raises(PolyhedralError):
-        saturation_check(cone, [], 1)
+        saturation_check(cone, {}, 1)
 
 
 def test_h_rep_round_trip():
@@ -299,10 +295,10 @@ def test_hull_and_sections_need_no_rank_test(monkeypatch):
 
     monkeypatch.setattr(stringcone.polyhedra, "rank_int", refuse)
     a2 = build_cartan("A", 2)
-    points = weighted_points(a2, (1, 2, 1), 1)
-    cone = conic_hull([p.lam + p.psi for p in points])
+    images = weighted_points(a2, (1, 2, 1), 1)
+    cone = conic_hull([lam + psi for lam, image in images.items() for psi in image])
     assert len(section_lattice_points(cone, (1, 1))) == 8
-    assert saturation_check(cone, points, 1).clean
+    assert saturation_check(cone, images, 1).clean
 
 
 @st.composite
@@ -470,8 +466,8 @@ def test_square_pyramid_triangulation(monkeypatch):
 @pytest.mark.parametrize("type_label", ["A", "B"])
 def test_hilbert_basis_needs_no_hull(type_label, monkeypatch):
     datum = build_cartan(type_label, 2)
-    points = weighted_points(datum, longest_word(datum), 1)
-    cone = conic_hull([p.lam + p.psi for p in points])
+    images = weighted_points(datum, longest_word(datum), 1)
+    cone = conic_hull([lam + psi for lam, image in images.items() for psi in image])
     grading = (1, 1) + (0,) * (cone.ambient_dim - 2)
     expected = _hilbert_by_brute_force(cone, grading)
 

@@ -11,7 +11,6 @@ from stringcone.pathcrystal import (
     enumerate_crystal,
 )
 from stringcone.strings import (
-    WeightedPoint,
     demazure_strings,
     dominant_weights,
     string_image,
@@ -77,17 +76,14 @@ def test_dominant_weights_grid():
 
 def test_weighted_points_a1():
     datum = build_cartan("A", 1)
-    pts = weighted_points(datum, (1,), 1)
-    assert pts == (
-        WeightedPoint(lam=(0,), psi=(0,)),
-        WeightedPoint(lam=(1,), psi=(0,)),
-        WeightedPoint(lam=(1,), psi=(1,)),
-    )
+    images = weighted_points(datum, (1,), 1)
+    assert images == {(0,): ((0,),), (1,): ((0,), (1,))}
 
 
 def test_weighted_points_a2_level_one():
     datum = build_cartan("A", 2)
-    pts = weighted_points(datum, (1, 2, 1), 1)
+    images = weighted_points(datum, (1, 2, 1), 1)
+    pts = [lam + psi for lam, image in images.items() for psi in image]
     assert len(pts) == 15  # 1 + 3 + 3 + 8
     assert len(set(pts)) == 15
 
@@ -95,8 +91,10 @@ def test_weighted_points_a2_level_one():
 @pytest.mark.parametrize("type_label", ["A", "B", "G"])
 def test_weighted_points_come_out_sorted(type_label):
     datum = build_cartan(type_label, 2)
-    pts = weighted_points(datum, longest_word(datum), 2)
-    assert pts == tuple(sorted(pts))
+    images = weighted_points(datum, longest_word(datum), 2)
+    assert tuple(images) == dominant_weights(2, 2)
+    pts = [lam + psi for lam, image in images.items() for psi in image]
+    assert pts == sorted(pts)
 
 
 def test_weighted_points_cache_reuse():
