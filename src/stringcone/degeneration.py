@@ -235,25 +235,48 @@ def _decomposer(gen_slacks, sign):
     return rec
 
 
+def _packed_slacks(cone, images, data_reach):
+    """Facet slacks of every data point, packed by ``slack_lanes``.
+
+    Returns the rays' bound on a Hilbert basis element, the packing, the
+    packed slacks in enumeration order and the points with a negative
+    lane, which the cone misses.  The weight part of a slack is summed once
+    per image.
+    """
+    reach = sum(max(map(abs, r)) for r in cone.rays)
+    columns, sign = slack_lanes(cone.facets, max(data_reach, reach))
+    n = len(next(iter(images)))
+    head, tail = columns[:n], columns[n:]
+    slacks = []
+    missed = []
+    for lam, image in images.items():
+        base = sum(map(mul, lam, head))
+        for psi in image:
+            slack = base + sum(map(mul, psi, tail))
+            if (slack + sign) & sign != sign:
+                missed.append(lam + psi)
+            slacks.append(slack)
+    return reach, columns, sign, slacks, missed
+
+
 def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
                              level_bound: int = 2, check_level: int | None = None,
                              *, crystals: CrystalCache | None = None) -> DegenerationReport:
     """Run the full pipeline and record every check outcome.
 
-    The cone is inferred from points with weight coordinates up to
-    level_bound and audited against the enumeration at check_level
-    (one level higher by default).  While a data point falls outside the
-    hull, the build level grows and the hull is rebuilt; the sections are
-    then scanned once, and a cone section point absent from the
+    The cone is the conic hull of the enumeration at check_level (one
+    level higher than level_bound by default).  It is built as the hull of
+    the points with weight coordinates up to level_bound, joined once with
+    the data points outside it: the rays generate that hull, lineality as
+    opposite pairs, so the join is the hull of all the data.  The sections
+    are then scanned once, and a cone section point absent from the
     enumeration is a genuine failure and raises.  Each data point's facet
-    slack is computed once, for the final hull, packed into one int with a
-    lane per facet (``slack_lanes``); a hull that is rebuilt stops at the
-    first point with a negative lane.  The Hilbert checks then run on these
-    packed slacks alone.  A lane is at most max |u|_1 over the facets u
-    times the largest |v|_inf of a data point or a Hilbert basis element,
-    and a basis element has |h|_inf <= sum over the rays r of |r|_inf (it
-    is a ray or lies in a half-open parallelepiped of rays), which gives
-    the lane width.
+    slack is packed into one int with a lane per facet (``slack_lanes``),
+    and the Hilbert checks run on these packed slacks alone.  A lane is at
+    most max |u|_1 over the facets u times the largest |v|_inf of a data
+    point or a Hilbert basis element, and a basis element has
+    |h|_inf <= sum over the rays r of |r|_inf (it is a ray or lies in a
+    half-open parallelepiped of rays), which gives the lane width.
     """
     w0_word = check_longest_word(datum, w0_word)
     if w_word is not None:
@@ -273,24 +296,14 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     timings["enumerate"] = (clock() - t) * 1000.0
 
     t = clock()
-    vectors = [lam + psi for lam, image in images.items() for psi in image]
-    data_reach = max(max(map(abs, v)) for v in vectors)
-    build_level = level_bound
-    while True:
-        cone = conic_hull([lam + psi for lam, image in images.items()
-                           if max(lam) <= build_level for psi in image])
-        final = build_level == check_level
-        reach = sum(max(map(abs, r)) for r in cone.rays)
-        columns, sign = slack_lanes(cone.facets, max(data_reach, reach))
-        slacks = []
-        for v in vectors:
-            slack = sum(map(mul, v, columns))
-            if not final and (slack + sign) & sign != sign:
-                break
-            slacks.append(slack)
-        else:
-            break
-        build_level += 1
+    data_reach = max(max(map(abs, v)) for lam, image in images.items()
+                     for v in (lam, *image))
+    cone = conic_hull([lam + psi for lam, image in images.items()
+                       if max(lam) <= level_bound for psi in image])
+    reach, columns, sign, slacks, missed = _packed_slacks(cone, images, data_reach)
+    if missed:
+        cone = conic_hull(cone.rays + tuple(missed))
+        reach, columns, sign, slacks, _ = _packed_slacks(cone, images, data_reach)
     timings["hull"] = (clock() - t) * 1000.0
 
     t = clock()
@@ -335,7 +348,6 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     basis_points = tuple((v[:n], v[n:]) for v in basis_vecs)
     if any(max(map(abs, v)) > reach for v in basis_vecs):
         raise DegenerationError("Hilbert basis element beyond its parallelepiped bound")
-    # the hull loop ends only after a full pass, so slacks covers all data
     basis_slacks = [sum(map(mul, v, columns)) for v in basis_vecs]
     decomposes = _decomposer(basis_slacks, sign)
     generates = all(decomposes(s) for s in slacks)

@@ -2,7 +2,8 @@
 
 Everything here works over Python ints, with no floating point; only
 ``invert_fraction`` returns Fractions, and the pipeline no longer calls it.
-Vectors are tuples, matrices are sequences of row tuples.
+Rank and integer kernel are both read off one elimination, the Hermite form
+``hnf_rows``.  Vectors are tuples, matrices are sequences of row tuples.
 """
 
 from __future__ import annotations
@@ -141,43 +142,18 @@ def hnf_rows(rows):
 
 
 def kernel_basis_int(rows, ncols):
-    """Canonical basis of the integer kernel {x : row . x == 0 for all rows}."""
-    mat = [list(r) for r in rows]
-    trans = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    """Canonical basis of the integer kernel {x : row . x == 0 for all rows}.
 
-    def combine_cols(dst, src, q):
-        for r in mat:
-            r[dst] -= q * r[src]
-        for r in trans:
-            r[dst] -= q * r[src]
-
-    def swap_cols(a, b):
-        for r in mat:
-            r[a], r[b] = r[b], r[a]
-        for r in trans:
-            r[a], r[b] = r[b], r[a]
-
-    lead = 0
-    for r in range(len(mat)):
-        live = [j for j in range(lead, ncols) if mat[r][j] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda j: abs(mat[r][j]))
-            base = live[0]
-            for j in live[1:]:
-                combine_cols(j, base, mat[r][j] // mat[r][base])
-            live = [j for j in live if mat[r][j] != 0]
-        if live[0] != lead:
-            swap_cols(live[0], lead)
-        lead += 1
-        if lead == ncols:
-            break
-    kernel = []
-    for j in range(lead, ncols):
-        if all(row[j] == 0 for row in mat):
-            kernel.append(tuple(tr[j] for tr in trans))
-    return hnf_rows(kernel)
+    Every row of [A^T | I] reads (A x, x), and unimodular row operations
+    keep that form, so the rows of its Hermite form with A x = 0 are a
+    basis of the kernel lattice, and their x parts are already in Hermite
+    form.
+    """
+    rows = [tuple(r) for r in rows]
+    m = len(rows)
+    aug = [tuple(r[j] for r in rows) + tuple(int(i == j) for i in range(ncols))
+           for j in range(ncols)]
+    return tuple(r[m:] for r in hnf_rows(aug) if not any(r[:m]))
 
 
 def lattice_span_basis(vectors, dim):

@@ -406,7 +406,11 @@ class SaturationReport:
 
 
 def saturation_check(cone: RationalCone, images, level_bound: int) -> SaturationReport:
-    """Compare integral cone sections with the lambda-keyed string images."""
+    """Compare integral cone sections with the lambda-keyed string images.
+
+    A section and a string image are both sorted tuples of distinct points,
+    so equal tuples settle a weight; sets are built only where they differ.
+    """
     if not images:
         raise PolyhedralError("no enumerated points supplied")
     n = len(next(iter(images)))
@@ -414,11 +418,13 @@ def saturation_check(cone: RationalCone, images, level_bound: int) -> Saturation
     missing = []
     outside = []
     for lam in dominant_weights(n, level_bound):
-        sec = set(section_lattice_points(cone, lam))
-        data = set(images.get(lam, ()))
+        sec = section_lattice_points(cone, lam)
+        data = images.get(lam, ())
+        if sec != data:
+            sec, data = set(sec), set(data)
+            missing.extend((lam, p) for p in sorted(sec - data))
+            outside.extend((lam, p) for p in sorted(data - sec))
         sections.append(SectionCount(lam=lam, cone_count=len(sec), data_count=len(data)))
-        missing.extend((lam, p) for p in sorted(sec - data))
-        outside.extend((lam, p) for p in sorted(data - sec))
     return SaturationReport(
         level_bound=level_bound,
         sections=tuple(sections),

@@ -386,8 +386,44 @@ def test_report_json_deterministic(a2):
     assert first == second
 
 
+@pytest.mark.parametrize("type_label, rank, level, sizes", [
+    ("G", 2, 1, [86, 105]),
+    ("B", 2, 1, [26, 14]),
+    ("G", 2, 2, [1394, 195]),
+    ("A", 3, 1, [134]),
+])
+def test_certificate_hulls_the_build_level_then_the_missed_points(
+        type_label, rank, level, sizes, monkeypatch):
+    # the second hull takes the first hull's rays and the points it misses,
+    # never the whole enumeration
+    calls = []
+    original = stringcone.degeneration.conic_hull
+
+    def recording(points):
+        calls.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(stringcone.degeneration, "conic_hull", recording)
+    datum = build_cartan(type_label, rank)
+    assert degeneration_certificate(datum, longest_word(datum), level_bound=level).passing
+    assert calls == sizes
+
+
+@pytest.mark.parametrize("type_label, check_level", [
+    ("B", 2), ("C", 2), ("G", 2), ("G", 3),
+])
+def test_certificate_cone_is_the_hull_of_the_check_level(type_label, check_level):
+    datum = build_cartan(type_label, 2)
+    for word in all_reduced_words(datum, longest_word(datum)):
+        report = degeneration_certificate(datum, word, level_bound=1,
+                                          check_level=check_level)
+        points = [lam + psi for lam, image in
+                  weighted_points(datum, word, check_level).items() for psi in image]
+        assert report.cone == conic_hull(points)
+
+
 def test_certificate_scans_sections_once(monkeypatch):
-    # B2's level-1 hull misses data points, so the build level escalates
+    # B2's level-1 hull misses data points, so the hull is joined with them
     calls = []
     original = stringcone.degeneration.saturation_check
 
@@ -425,7 +461,8 @@ def test_hilbert_checks_reject_a_wrong_basis(type_label, monkeypatch):
 
 def test_certificate_lanes_cover_every_packed_point(monkeypatch):
     # every data point and basis element is packed, so the reach handed to
-    # slack_lanes must bound their coordinates, on each hull of the loop
+    # slack_lanes must bound their coordinates, on the build-level hull and
+    # on the hull joined with the points it misses
     reaches = []
 
     def recording(normals, reach):
@@ -439,5 +476,5 @@ def test_certificate_lanes_cover_every_packed_point(monkeypatch):
     packed = [lam + psi for lam, image in weighted_points(datum, word, 2).items()
               for psi in image]
     packed += [lam + psi for lam, psi in report.hilbert_basis]
-    assert len(reaches) == 2  # the level-1 hull escalates once
+    assert len(reaches) == 2  # the level-1 hull misses level-2 points
     assert all(max(map(abs, v)) <= reach for v in packed for reach in reaches)

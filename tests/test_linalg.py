@@ -124,6 +124,23 @@ def test_kernel_vectors_annihilate(rows):
             assert sum(r * v for r, v in zip(row, vec)) == 0
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda ncols: st.tuples(st.just(ncols), st.lists(
+        st.tuples(*[small_matrices] * ncols), max_size=4))))
+def test_kernel_basis_is_the_saturated_kernel_in_hermite_form(case):
+    ncols, rows = case
+    basis = kernel_basis_int(rows, ncols)
+    assert len(basis) == ncols - rank_int(rows)
+    for vec in basis:
+        assert all(vec_dot(row, vec) == 0 for row in rows)
+    if basis:
+        # unit Smith invariants: the basis spans every integer kernel vector
+        diag, _, _ = snf_with_uinv(basis)
+        assert diag == [1] * len(basis)
+    assert hnf_rows(basis) == basis
+
+
 def _rank_by_minors(rows):
     """Largest k with a nonzero k x k minor."""
     nrows, ncols = len(rows), len(rows[0])

@@ -138,6 +138,14 @@ def test_saturation_report():
     with pytest.raises(PolyhedralError):
         saturation_check(cone, {}, 1)
 
+    # data in any order and with repeats: counts are of distinct points
+    section = section_lattice_points(cone, (2,))
+    images = {(0,): ((0,),), (1,): ((0,), (1,)),
+              (2,): tuple(reversed(section)) + (section[0],)}
+    report = saturation_check(cone, images, 2)
+    assert report.clean
+    assert [(s.cone_count, s.data_count) for s in report.sections] == [(1, 1), (2, 2), (3, 3)]
+
 
 def test_h_rep_round_trip():
     cone = conic_hull([(1, 0), (1, 1), (1, 2)])
@@ -260,6 +268,15 @@ def test_hull_matches_brute_force(gens):
     assert ray_values == _facet_values(cone.facets)
     assert _is_subspace_basis_pairs(lineality, dim - rank_int(cone.facets))
     assert cone.pointed == (not lineality)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hull_cases(), st.data())
+def test_hull_of_rays_and_further_points_is_the_hull_of_all(gens, data):
+    # the certificate joins its build-level hull with the points it misses
+    # through the hull's rays, lineality included as opposite pairs
+    k = data.draw(st.integers(min_value=1, max_value=len(gens)))
+    assert conic_hull(conic_hull(gens[:k]).rays + tuple(gens[k:])) == conic_hull(gens)
 
 
 def test_hull_at_large_coordinates():
