@@ -158,7 +158,8 @@ def _fmt(vec) -> str:
 
 def _cmd_crystal(config: RunConfig) -> int:
     datum = build_cartan(config.type_label, config.rank)
-    graph = enumerate_crystal(datum, config.lam, node_cap=config.node_cap)
+    graph = enumerate_crystal(datum, config.lam,
+                              crystals=CrystalCache(datum, config.node_cap))
     lines = [
         f"crystal {config.type_label}{config.rank} lambda {_fmt(config.lam)}",
         f"nodes {graph.size}",

@@ -205,36 +205,6 @@ class DegenerationReport:
         return all(flag for _, flag in self.checks)
 
 
-def _decomposer(gen_slacks, sign):
-    """Memoized test for membership in the semigroup of the generators.
-
-    Points and generators are given by their facet slacks (their values on
-    the facet normals of a pointed cone), packed into ints by
-    ``slack_lanes`` with sign mask ``sign``.  Those normals span the space,
-    so the slack map is injective: a zero slack is the zero point, and
-    x - g lies in the cone exactly when the packed difference has no
-    negative lane.  The lane width must bound every lane of x, of each g
-    and of their differences.
-    """
-    memo: dict = {}
-
-    def rec(x):
-        if not x:
-            return True
-        cached = memo.get(x)
-        if cached is not None:
-            return cached
-        memo[x] = False
-        for g in gen_slacks:
-            y = x - g
-            if (y + sign) & sign == sign and rec(y):
-                memo[x] = True
-                break
-        return memo[x]
-
-    return rec
-
-
 def _packed_slacks(cone, images, data_reach):
     """Facet slacks of every data point, packed by ``slack_lanes``.
 
@@ -277,6 +247,21 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     point or a Hilbert basis element, and a basis element has
     |h|_inf <= sum over the rays r of |r|_inf (it is a ray or lies in a
     half-open parallelepiped of rays), which gives the lane width.
+
+    The cone lies in lambda >= 0 and is pointed, so its facet normals span
+    the space: a packed slack is zero only for the zero point, and x - g
+    lies in the cone exactly when the packed difference has no negative
+    lane.  ``generates`` asks that every nonzero data point x have a basis
+    element g with x - g in the cone.  Then x - g is a lattice point of
+    the cone whose lambda is at most x's, so it lies in the scanned box,
+    and the section scan has already raised on any such point missing from
+    the data: x - g is a data point.  The grading sum(lambda) is positive
+    on the nonzero basis elements, so x - g has lower degree, and by
+    induction on degree every data point is a sum of basis elements.
+    ``minimal`` asks that no difference of two basis elements lie in the
+    cone.  This is stronger than "no member is a sum of others", and the
+    same on a basis ``hilbert_basis`` returns, whose members generate
+    every lattice point of the cone.
     """
     w0_word = check_longest_word(datum, w0_word)
     if w_word is not None:
@@ -349,19 +334,17 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     if any(max(map(abs, v)) > reach for v in basis_vecs):
         raise DegenerationError("Hilbert basis element beyond its parallelepiped bound")
     basis_slacks = [sum(map(mul, v, columns)) for v in basis_vecs]
-    decomposes = _decomposer(basis_slacks, sign)
-    generates = all(decomposes(s) for s in slacks)
-    minimal = True
-    for sh in basis_slacks:
-        for sg in basis_slacks:
-            if sg == sh:
-                continue
-            y = sh - sg
-            if (y + sign) & sign == sign and decomposes(y):
-                minimal = False
+    generates = True
+    for x in filter(None, slacks):
+        biased = x + sign  # (biased - g) & sign is the sign test of x - g
+        for g in basis_slacks:
+            if (biased - g) & sign == sign:
                 break
-        if not minimal:
+        else:
+            generates = False
             break
+    minimal = not any((h + sign - g) & sign == sign
+                      for h, g in itertools.permutations(basis_slacks, 2))
     timings["hilbert"] = (clock() - t) * 1000.0
 
     t = clock()

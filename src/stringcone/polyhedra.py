@@ -237,10 +237,15 @@ def is_face(cone: RationalCone, points):
     """Decide whether the points span a face; return a supporting normal.
 
     The candidate face is the intersection of all facets vanishing on every
-    point; the points span it exactly when their hull has the same extreme
-    rays.  The sum of the vanishing facets is a valid inequality vanishing
-    precisely on the face (the zero vector for the whole cone).
+    point, the smallest face holding them.  A pointed face is the hull of
+    its extreme rays, and an extreme ray is a nonnegative sum of points of
+    the face only when those points lie on it, so the points span the face
+    exactly when every primitive extreme ray of the face is the primitive
+    of one of the points.  The sum of the vanishing facets is a valid inequality
+    vanishing precisely on the face (the zero vector for the whole cone).
     """
+    if not cone.pointed:
+        raise PolyhedralError("face test requires a pointed cone")
     pts = [tuple(p) for p in points]
     if not pts:
         raise PolyhedralError("empty point set")
@@ -251,9 +256,7 @@ def is_face(cone: RationalCone, points):
     face_rays = {
         r for r in cone.rays if all(vec_dot(u, r) == 0 for u in active)
     }
-    nonzero = [p for p in pts if any(p)]
-    span_rays = set(conic_hull(nonzero).rays) if nonzero else set()
-    if span_rays != face_rays:
+    if not face_rays <= {primitive(p) for p in pts}:
         return False, None
     if active:
         normal = primitive(tuple(sum(col) for col in zip(*active)))
@@ -320,7 +323,7 @@ def _parallelepiped_points(matrix):
     lam = frac(V * (y_i / d_i)) with y in prod [0, d_i).  Scaling by the
     last invariant factor d_k keeps every step in integers.
     """
-    diag, _, v = snf_with_uinv(matrix)
+    diag, v = snf_with_uinv(matrix)
     top = diag[-1]
     points = []
     for residue in itertools.product(*(range(d) for d in diag)):

@@ -2,19 +2,20 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stringcone.degeneration
+import stringcone.polyhedra
 import stringcone.strings
 from stringcone.cartan import all_reduced_words, build_cartan, longest_word
 from stringcone.cli import main
 from stringcone.degeneration import (
-    _decomposer,
     build_pairs,
     degeneration_certificate,
     demazure_quotient,
@@ -23,7 +24,7 @@ from stringcone.degeneration import (
     separating_form,
 )
 from stringcone.errors import DegenerationError, WordError
-from stringcone.linalg import slack_lanes, vec_dot
+from stringcone.linalg import slack_lanes
 from stringcone.pathcrystal import CrystalCache
 from stringcone.polyhedra import conic_hull, hilbert_basis
 from stringcone.strings import dominant_weights, string_weight, weighted_points
@@ -261,46 +262,64 @@ def test_hilbert_path_needs_no_rational_elimination(a2, monkeypatch):
     assert len(report.hilbert_basis) == 6
 
 
-@st.composite
-def graded_generators(draw):
-    """Nonzero generators in Z^2 or Z^3 with a grading positive on each."""
-    dim = draw(st.integers(min_value=2, max_value=3))
-    grading = draw(st.tuples(*[st.integers(min_value=0, max_value=2)] * dim))
-    entry = st.integers(min_value=-2, max_value=2)
-    gens = draw(st.lists(st.tuples(*[entry] * dim), min_size=1, max_size=4))
-    gens = [g for g in gens if vec_dot(grading, g) > 0]
-    assume(gens)
-    return sorted(set(gens)), grading
+@pytest.mark.parametrize("type_label", ["A", "B", "C", "G"])
+def test_basis_sums_are_the_enumerated_points(type_label):
+    # oracle: every sum of basis elements inside the weight box, by
+    # breadth-first search, is an enumerated point and reaches all of them
+    datum = build_cartan(type_label, 2)
+    for word in all_reduced_words(datum, longest_word(datum)):
+        report = degeneration_certificate(datum, word, level_bound=1, check_level=2)
+        assert report.passing
+        basis = [lam + psi for lam, psi in report.hilbert_basis]
+        reached = {(0,) * len(basis[0])}
+        frontier = set(reached)
+        while frontier:
+            frontier = {
+                s for s in (tuple(map(operator.add, x, g)) for x in frontier for g in basis)
+                if max(s[:2]) <= 2
+            } - reached
+            reached |= frontier
+        points = {lam + psi for lam, image in weighted_points(datum, word, 2).items()
+                  for psi in image}
+        assert reached == points, word
 
 
-@settings(max_examples=80, deadline=None)
-@given(graded_generators())
-def test_decomposer_matches_semigroup_search(case):
-    gens, grading = case
-    top = 3
-    # every sum of generators of degree at most top, by breadth-first search
-    reachable = {(0,) * len(grading)}
-    frontier = set(reachable)
-    while frontier:
-        frontier = {
-            tuple(a + b for a, b in zip(x, g))
-            for x in frontier
-            for g in gens
-            if vec_dot(grading, x) + vec_dot(grading, g) <= top
-        } - reachable
-        reachable |= frontier
-    cone = conic_hull(gens)
-    bound = 2 * top
-    # x may lie outside the cone, so the lanes must cover x - g as a vector
-    columns, sign = slack_lanes(cone.facets, bound + max(max(map(abs, g)) for g in gens))
+@pytest.mark.parametrize("order", [sorted, lambda vecs: sorted(vecs, reverse=True)])
+def test_minimal_check_tries_both_orders_of_each_pair(order, monkeypatch):
+    # a redundant member is caught whether it comes before or after the
+    # member it reduces by
+    datum = build_cartan("B", 2)
+    word = longest_word(datum)
+    vecs = [lam + psi for lam, psi in
+            degeneration_certificate(datum, word, level_bound=1).hilbert_basis]
+    wrong = tuple(order(vecs + [tuple(2 * c for c in vecs[0])]))
+    monkeypatch.setattr(stringcone.degeneration, "hilbert_basis",
+                        lambda cone, grading: wrong)
+    checks = dict(degeneration_certificate(datum, word, level_bound=1).checks)
+    assert checks["hilbert_basis_minimal"] is False
+    assert checks["hilbert_basis_generates"] is True
 
-    def slack(x):
-        return vec_dot(x, columns)
 
-    decomposes = _decomposer([slack(g) for g in gens], sign)
-    for x in itertools.product(range(-bound, bound + 1), repeat=len(grading)):
-        if vec_dot(grading, x) <= top:
-            assert decomposes(slack(x)) == (x in reachable), x
+def test_demazure_certificate_hulls_only_in_the_hull_stage(a2, monkeypatch):
+    # the face test reads the cone's rays; it takes no hull of its own
+    events = []
+    hull = stringcone.polyhedra.conic_hull
+    saturation = stringcone.degeneration.saturation_check
+
+    def recording_hull(points):
+        events.append("conic_hull")
+        return hull(points)
+
+    def recording_saturation(*args):
+        events.append("saturation_check")
+        return saturation(*args)
+
+    for module in (stringcone.polyhedra, stringcone.degeneration):
+        monkeypatch.setattr(module, "conic_hull", recording_hull)
+    monkeypatch.setattr(stringcone.degeneration, "saturation_check", recording_saturation)
+    report = degeneration_certificate(a2, (1, 2, 1), (1, 2), level_bound=1, check_level=2)
+    assert dict(report.checks)["demazure_face"] is True
+    assert events == ["conic_hull", "saturation_check"]
 
 
 # SHA-256 of report_to_json for the default words at level bound 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -77,15 +78,20 @@ def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def test_snf_uinv_roundtrip():
-    diag, uinv, v = snf_with_uinv([(2, 4), (6, 8)])
-    assert all(d > 0 for d in diag)
-    prod = 1
-    for d in diag:
-        prod *= d
-    assert prod == abs(det_int([(2, 4), (6, 8)]))
-    assert abs(det_int(uinv)) == 1
+def _minor_gcd(rows, k):
+    """Gcd of the k x k minors of an integer matrix."""
+    return math.gcd(*(
+        det_int([[rows[r][c] for c in cs] for r in rs])
+        for rs in itertools.combinations(range(len(rows)), k)
+        for cs in itertools.combinations(range(len(rows[0])), k)))
+
+
+def test_snf_worked_example():
+    diag, v = snf_with_uinv([(2, 4), (6, 8)])
+    assert diag == [2, 4]
     assert abs(det_int(v)) == 1
+    assert [[c % d for c, d in zip(row, diag)] for row in _matmul([(2, 4), (6, 8)], v)] \
+        == [[0, 0], [0, 0]]
 
 
 small_matrices = st.integers(min_value=-5, max_value=5)
@@ -97,22 +103,22 @@ shapes = st.sampled_from([(3, 3), (2, 3), (3, 2), (4, 2)])
     st.tuples(*[small_matrices] * shape[1]), min_size=shape[0], max_size=shape[0])))
 @example(rows=[(0, 0, 1), (0, 2, 0), (3, 0, 0)])
 def test_snf_divisibility_chain(rows):
-    n, m = len(rows), len(rows[0])
-    diag, uinv, v = snf_with_uinv(rows)
+    # A * V = U^-1 * D, so column j of A * V is d_j times a column of U^-1
+    # (zero past the rank), and d_1 ... d_k is the gcd of the k x k minors
+    diag, v = snf_with_uinv(rows)
     assert all(d > 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
-    smith = [[diag[i] if i == j and i < len(diag) else 0 for j in range(m)]
-             for i in range(n)]
-    assert _matmul(rows, v) == _matmul(uinv, smith)
     assert abs(det_int(v)) == 1
-    assert abs(det_int(uinv)) == 1
     assert len(diag) == rank_int(rows)
-    if n == m and len(diag) == n:
-        prod = 1
-        for d in diag:
-            prod *= d
-        assert prod == abs(det_int(rows))
+    av = _matmul(rows, v)
+    for row in av:
+        assert all(c % d == 0 for c, d in zip(row, diag))
+        assert not any(row[len(diag):])
+    prod = 1
+    for k, d in enumerate(diag, start=1):
+        prod *= d
+        assert prod == _minor_gcd(rows, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,7 +142,7 @@ def test_kernel_basis_is_the_saturated_kernel_in_hermite_form(case):
         assert all(vec_dot(row, vec) == 0 for row in rows)
     if basis:
         # unit Smith invariants: the basis spans every integer kernel vector
-        diag, _, _ = snf_with_uinv(basis)
+        diag, _ = snf_with_uinv(basis)
         assert diag == [1] * len(basis)
     assert hnf_rows(basis) == basis
 

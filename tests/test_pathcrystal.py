@@ -134,11 +134,24 @@ def test_statistics_consistency():
 def test_node_cap():
     datum = build_cartan("A", 2)
     # B(2, 2) has 27 nodes, so both caps stop it before any crystal is built
-    with pytest.raises(EnumerationCapError, match=r"lambda=\(2, 2\) exceeded node cap 5"):
-        enumerate_crystal(datum, (2, 2), node_cap=5)
-    with pytest.raises(EnumerationCapError, match=r"lambda=\(2, 2\) exceeded node cap 26"):
-        enumerate_crystal(datum, (2, 2), node_cap=26)
-    assert enumerate_crystal(datum, (2, 2), node_cap=27).size == 27
+    for cap in (5, 26):
+        crystals = CrystalCache(datum, cap)
+        with pytest.raises(EnumerationCapError,
+                           match=rf"lambda=\(2, 2\) exceeded node cap {cap}"):
+            enumerate_crystal(datum, (2, 2), crystals=crystals)
+        assert not crystals
+    assert enumerate_crystal(datum, (2, 2), crystals=CrystalCache(datum, 27)).size == 27
+
+
+def test_the_cache_holds_the_only_cap():
+    # a second cap beside the cache's could pass the Weyl-dimension check,
+    # fill the cache and then stop the build half way
+    datum = build_cartan("A", 2)
+    crystals = CrystalCache(datum)
+    with pytest.raises(TypeError):
+        enumerate_crystal(datum, (2, 2), node_cap=5, crystals=crystals)
+    assert not crystals
+    assert enumerate_crystal(datum, (2, 2), crystals=crystals).size == 27
 
 
 def test_cap_is_checked_before_any_crystal_is_built(monkeypatch):
@@ -151,7 +164,7 @@ def test_cap_is_checked_before_any_crystal_is_built(monkeypatch):
     datum = build_cartan("A", 2)
     with pytest.raises(EnumerationCapError,
                        match=r"lambda=\(10000, 0\) exceeded node cap 50$"):
-        enumerate_crystal(datum, (10**4, 0), node_cap=50)
+        enumerate_crystal(datum, (10**4, 0), crystals=CrystalCache(datum, 50))
 
 
 def _weights_up_to(rank, bound):

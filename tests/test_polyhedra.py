@@ -99,6 +99,44 @@ def test_is_face_cases():
         is_face(cone, [])
     with pytest.raises(PolyhedralError):
         is_face(cone, [(0, 1)])
+    with pytest.raises(PolyhedralError, match="pointed"):
+        is_face(conic_hull([(1, 0), (-1, 0), (0, 1)]), [(1, 0)])
+
+
+def _spans_face_by_hull(cone, points):
+    """The face test by a second hull: the points' hull has the face's rays."""
+    active = [u for u in cone.facets if all(vec_dot(u, p) == 0 for p in points)]
+    face_rays = {r for r in cone.rays if all(vec_dot(u, r) == 0 for u in active)}
+    nonzero = [p for p in points if any(p)]
+    return (set(conic_hull(nonzero).rays) if nonzero else set()) == face_rays
+
+
+@st.composite
+def pointed_cones_and_points(draw):
+    """A pointed cone in Z^2..Z^4 and a few nonnegative combinations of its rays."""
+    dim = draw(st.integers(min_value=2, max_value=4))
+    entry = st.integers(min_value=-2, max_value=3)
+    gens = draw(st.lists(st.tuples(st.integers(1, 3), *[entry] * (dim - 1)),
+                         min_size=2, max_size=6))
+    cone = conic_hull(gens)
+    coeff = st.integers(min_value=0, max_value=2)
+    combos = draw(st.lists(st.tuples(*[coeff] * len(cone.rays)), min_size=1, max_size=4))
+    points = [tuple(sum(c * r[k] for c, r in zip(cs, cone.rays)) for k in range(dim))
+              for cs in combos]
+    return cone, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointed_cones_and_points())
+@example(case=(conic_hull([(1, 0), (1, 2)]), [(1, 0), (2, 2)]))
+def test_is_face_matches_the_hull_definition(case):
+    cone, points = case
+    assert cone.pointed
+    ok, normal = is_face(cone, points)
+    assert ok == _spans_face_by_hull(cone, points)
+    if ok:
+        assert all(vec_dot(normal, r) >= 0 for r in cone.rays)
+        assert all(vec_dot(normal, p) == 0 for p in points)
 
 
 def test_hilbert_basis_planar():
