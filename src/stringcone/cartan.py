@@ -255,7 +255,7 @@ def _braid_orders(datum: CartanDatum):
     return orders
 
 
-def all_reduced_words(datum: CartanDatum, word, cap: int = DEFAULT_WORD_CAP):
+def all_reduced_words(datum: CartanDatum, word):
     """All reduced words of the word's element, by braid-move closure."""
     word = check_reduced_word(datum, word)
     orders = _braid_orders(datum)
@@ -274,9 +274,9 @@ def all_reduced_words(datum: CartanDatum, word, cap: int = DEFAULT_WORD_CAP):
                     swapped = tuple((j, i)[k % 2] for k in range(m))
                     cand = w[:pos] + swapped + w[pos + m :]
                     if cand not in seen:
-                        if len(seen) >= cap:
+                        if len(seen) >= DEFAULT_WORD_CAP:
                             raise EnumerationCapError(
-                                f"reduced-word closure exceeded cap {cap}"
+                                f"reduced-word closure exceeded cap {DEFAULT_WORD_CAP}"
                             )
                         seen.add(cand)
                         fresh.append(cand)
@@ -308,7 +308,7 @@ def adapted_word(datum: CartanDatum, w_word) -> WeylWord:
     return result
 
 
-def weyl_group_words(datum: CartanDatum, cap: int = DEFAULT_WORD_CAP):
+def weyl_group_words(datum: CartanDatum):
     """One canonical (shortest, lexicographically first) word per element.
 
     Elements are keyed by their action on rho, which is faithful.  Layered
@@ -329,8 +329,8 @@ def weyl_group_words(datum: CartanDatum, cap: int = DEFAULT_WORD_CAP):
                 cand = (i,) + word
                 if nxt not in candidates or cand < candidates[nxt]:
                     candidates[nxt] = cand
-        if len(seen) + len(candidates) > cap:
-            raise EnumerationCapError(f"Weyl group enumeration exceeded cap {cap}")
+        if len(seen) + len(candidates) > DEFAULT_WORD_CAP:
+            raise EnumerationCapError(f"Weyl group enumeration exceeded cap {DEFAULT_WORD_CAP}")
         seen.update(candidates)
         layer = candidates
     return tuple(sorted(seen.values(), key=lambda w: (len(w), w)))

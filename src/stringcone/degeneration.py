@@ -133,19 +133,16 @@ class DemazureQuotient:
 
 
 def demazure_quotient(datum: CartanDatum, w0_word, w_word, level_bound: int, *,
-                      cone: RationalCone | None = None,
+                      cone: RationalCone,
                       crystals: CrystalCache | None = None) -> DemazureQuotient:
-    """Demazure string sections, face test, and the tail-vanishing flag.
+    """Demazure string sections, their face test in ``cone``, and the tail-vanishing flag.
 
-    A word is adapted when its length-l(w) prefix is itself a reduced word
+    The sections run over the dominant weights up to ``level_bound``.  A word is adapted when its length-l(w) prefix is itself a reduced word
     of w; only then is the image guaranteed to be a coordinate face.
     """
     w0_word = check_longest_word(datum, w0_word)
     w_word = check_reduced_word(datum, w_word)
     crystals = CrystalCache.for_datum(datum, crystals)
-    if cone is None:
-        images = weighted_points(datum, w0_word, level_bound, crystals=crystals)
-        cone = conic_hull([lam + psi for lam, image in images.items() for psi in image])
     image = rho(datum)
     prefix = w0_word[: len(w_word)]
     adapted = apply_word(datum, prefix, image) == apply_word(datum, w_word, image)

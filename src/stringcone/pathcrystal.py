@@ -11,17 +11,19 @@ weights, and stays the oracle for the others.  Every other B(lambda) is the
 component of the highest pair in B(lambda - omega_j) (x) B(omega_j), whose
 root operators follow Kashiwara's tensor-product rule on the integer
 eps/phi/edge tables of the two factors (Littelmann, *Paths and root
-operators*, 1995: B(lambda) is the component of the concatenation).  Both
-constructions number nodes breadth-first from the highest node in operator
-order, and B(lambda) has no nontrivial automorphism, so they give identical
-tables.
+operators*, 1995: B(lambda) is the component of the concatenation).
+
+Both constructions produce only the lowering edges, through one
+breadth-first search (``_search``) that numbers nodes from the highest one
+in operator order and works a whole level at a time; they differ only in
+how a level's targets are found.  ``_graph`` then derives every other
+table from the edges, in integers.  The two constructions find
+isomorphic graphs, and B(lambda) has no nontrivial automorphism, so the
+shared search numbers them alike and the shared derivation gives
+identical tables.
 
 Every table of a ``CrystalGraph`` is stored column-major, one list per
-simple root, because every consumer reads it one root at a time.  The
-tensor-product search runs a whole breadth-first level at a time, with one
-pass per operator over the factors' columns and pairs coded as single
-ints.  The path model needs its exact rational paths only for the lowering
-table; eps, phi and the weights then follow from that table in integers.
+simple root, because every consumer reads it one root at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from operator import add
+from operator import sub
 
 from .cartan import CartanDatum, Weight, check_reduced_word, is_dominant
 from .characters import weyl_dim
@@ -202,7 +204,8 @@ class CrystalGraph:
     ``e_edge[i-1][node]`` give the target node of the lowering/raising
     operator or -1, ``eps[i-1][node]``/``phi[i-1][node]`` cache the string
     statistics and ``weights[i-1][node]`` is the i-th coordinate of the
-    node weight.  Node 0 is the highest node.
+    node weight.  Node 0 is the highest node.  ``f_edge`` is what the
+    search found; ``_graph`` derives every other table from it.
     """
 
     datum: CartanDatum
@@ -224,11 +227,46 @@ def _cap_error(lam, node_cap: int) -> EnumerationCapError:
     return EnumerationCapError(f"crystal for lambda={lam} exceeded node cap {node_cap}")
 
 
-def _graph(datum: CartanDatum, lam: Weight, f_edge, eps, phi, weights) -> CrystalGraph:
-    """Package breadth-first columns; ``e_edge`` inverts ``f_edge`` a column at a time."""
-    size = len(weights[0])
+def _search(datum: CartanDatum, lam: Weight, start, step, node_cap: int) -> list[list[int]]:
+    """Lowering columns of the crystal below ``start``, breadth-first.
+
+    A whole level at a time: ``step(frontier)`` returns, for each operator
+    f_1, ..., f_rank, the targets of the frontier's nodes, None where there
+    is no edge.  The targets are numbered node-major, operator by operator,
+    which is the order of a node-by-node search, then dealt back to the
+    columns.  The next frontier is the nodes first numbered in this level.
+    """
+    rank = datum.rank
+    index = {start: 0}
+    setdefault = index.setdefault
+    frontier = [start]
+    f_edge = [[] for _ in range(rank)]
+    while frontier:
+        begin = len(index)
+        ids = [-1 if node is None else setdefault(node, len(index))
+               for node in chain.from_iterable(zip(*step(frontier)))]
+        if len(index) > node_cap:
+            raise _cap_error(lam, node_cap)
+        for i, f_col in enumerate(f_edge):
+            f_col += ids[i::rank]
+        frontier = list(islice(index, begin, None))
+    return f_edge
+
+
+def _graph(datum: CartanDatum, lam: Weight, f_edge) -> CrystalGraph:
+    """The crystal whose lowering columns are ``f_edge``; every other table follows.
+
+    ``e_edge`` inverts ``f_edge``.  Every edge lowers the weight by one
+    simple root, so it joins consecutive breadth-first levels: e_i b is
+    numbered before b and f_i b after it.  Hence eps_i(b) is
+    eps_i(e_i b) + 1, read in node order, and phi_i(b) is phi_i(f_i b) + 1,
+    read in reverse node order, both 0 without the edge; the i-th weight
+    coordinate is phi_i - eps_i.  ``lam`` is read only to check node 0's
+    weight.
+    """
+    size = len(f_edge[0])
     nodes = list(range(size))  # one int object per node, shared by the columns
-    e_edge = []
+    e_edge, eps, phi = [], [], []
     for f_col in f_edge:
         # one spare slot at the end absorbs the writes of the -1 targets
         e_col = [-1] * (size + 1)
@@ -236,6 +274,21 @@ def _graph(datum: CartanDatum, lam: Weight, f_edge, eps, phi, weights) -> Crysta
             e_col[dst] = src
         e_col.pop()
         e_edge.append(e_col)
+        # here a -1 in the spare slot makes the reads of the -1 targets give 0
+        eps_col = [0] * size + [-1]
+        for node, up in zip(nodes, e_col):
+            eps_col[node] = eps_col[up] + 1
+        eps_col.pop()
+        eps.append(eps_col)
+        phi_col = [0] * size + [-1]
+        for node in reversed(nodes):
+            phi_col[node] = phi_col[f_col[node]] + 1
+        phi_col.pop()
+        phi.append(phi_col)
+    weights = [list(map(sub, p, e)) for p, e in zip(phi, eps)]
+    top = tuple(col[0] for col in weights)
+    if top != lam:
+        raise InvariantViolation(f"highest node of the crystal for lambda={lam} has weight {top}")
     return CrystalGraph(
         datum=datum,
         lam=lam,
@@ -248,51 +301,17 @@ def _graph(datum: CartanDatum, lam: Weight, f_edge, eps, phi, weights) -> Crysta
 
 
 def _path_crystal(datum: CartanDatum, lam: Weight, node_cap: int) -> CrystalGraph:
-    """Generate the full crystal below the straight dominant path.
+    """The crystal below the straight dominant path, by the root operators.
 
-    Breadth-first, expanding operator indices in increasing order, so node
-    numbering is deterministic.  The paths are only needed for the lowering
-    table; the other tables follow from it in integers.  phi_i(b) is
-    phi_i(f_i b) + 1, or 0 without an f_i edge, read in reverse node order
-    since f_i b is numbered after b; wt(f_i b) is wt(b) - alpha_i, read in
-    node order from wt(highest) = lam; and eps is phi - wt.  These small
-    tables are built a node at a time and turned into columns at the end.
+    The paths are the search's nodes and are needed only for the lowering
+    columns; ``_graph`` derives the other tables from those in integers.
     """
-    start = highest_path(datum, lam)
-    index = {start: 0}
-    paths = [start]
-    f_rows = []
-    k = 0
-    while k < len(paths):
-        path = paths[k]
-        row = []
-        for i in range(1, datum.rank + 1):
-            nxt = lowering_operator(datum, path, i)
-            if nxt is None:
-                row.append(-1)
-            else:
-                if nxt not in index:
-                    if len(paths) >= node_cap:
-                        raise _cap_error(lam, node_cap)
-                    index[nxt] = len(paths)
-                    paths.append(nxt)
-                row.append(index[nxt])
-        f_rows.append(tuple(row))
-        k += 1
-    size = len(paths)
-    phi = [None] * size
-    for node in reversed(range(size)):
-        phi[node] = tuple(0 if dst == -1 else phi[dst][pos] + 1
-                          for pos, dst in enumerate(f_rows[node]))
-    alphas = [datum.simple_root(i) for i in range(1, datum.rank + 1)]
-    weights = [lam] + [None] * (size - 1)
-    for node, row in enumerate(f_rows):
-        for alpha, dst in zip(alphas, row):
-            if dst != -1:
-                weights[dst] = tuple(w - a for w, a in zip(weights[node], alpha))
-    eps = [tuple(p - w for p, w in zip(prow, wrow)) for prow, wrow in zip(phi, weights)]
-    columns = [[list(col) for col in zip(*rows)] for rows in (f_rows, eps, phi, weights)]
-    return _graph(datum, lam, *columns)
+    ops = range(1, datum.rank + 1)
+
+    def step(paths):
+        return [[lowering_operator(datum, path, i) for path in paths] for i in ops]
+
+    return _graph(datum, lam, _search(datum, lam, highest_path(datum, lam), step, node_cap))
 
 
 def _split(lam: Weight) -> tuple[Weight, Weight]:
@@ -307,57 +326,23 @@ def _tensor_crystal(datum: CartanDatum, lam: Weight, left: CrystalGraph,
     """Component of the highest pair (0, 0) in ``left`` (x) ``right``.
 
     Kashiwara's rule: f_i(a (x) b) is f_i a (x) b when phi_i(a) > eps_i(b),
-    and a (x) f_i b otherwise; eps_i(a (x) b) is eps_i(a) plus the excess
-    of eps_i(b) over phi_i(a), and the weights add.  The pair (a, b) is
-    coded as ``a * right.size + b``.
-
-    Breadth-first a whole level at a time: each operator maps the frontier
-    in one pass over the factors' columns, and the targets are numbered
-    node-major, operator by operator, which is the order of a node-by-node
-    search (as in ``_path_crystal``), then dealt back to the ``f_edge``
-    columns.  The next frontier is the codes first numbered in this level.
-    The weight, eps and phi columns are then built one at a time.
+    and a (x) f_i b otherwise.  The pair (a, b) is coded as
+    ``a * right.size + b``, and each operator maps a whole frontier of codes
+    in one pass over the factors' columns.  Only the lowering columns come
+    from the rule; ``_graph`` derives the other tables from those.
     """
-    rank, width = datum.rank, right.size
+    width = right.size
     ops = list(zip(left.f_edge, left.phi, right.f_edge, right.eps))
-    index = {0: 0}
-    setdefault = index.setdefault
-    heads, tails = [0], [0]
-    all_heads, all_tails = [], []
-    f_edge = [[] for _ in range(rank)]
-    while heads:
-        all_heads += heads
-        all_tails += tails
-        targets = [
-            [fa[a] * width + b if pa[a] > eb[b]
-             else -1 if fb[b] == -1 else a * width + fb[b]
-             for a, b in zip(heads, tails)]
-            for fa, pa, fb, eb in ops
-        ]
-        start = len(index)
-        # node-major: each frontier node's targets in operator order
-        ids = [-1 if code == -1 else setdefault(code, len(index))
-               for code in chain.from_iterable(zip(*targets))]
-        del targets
-        if len(index) > node_cap:
-            raise _cap_error(lam, node_cap)
-        for i, f_col in enumerate(f_edge):
-            f_col += ids[i::rank]
-        fresh = list(islice(index, start, None))
-        heads = [code // width for code in fresh]
-        tails = [code % width for code in fresh]
-    del index, setdefault, ids, fresh  # the search state, before the tables
-    weights = [
-        [wa[a] + wb[b] for a, b in zip(all_heads, all_tails)]
-        for wa, wb in zip(left.weights, right.weights)
-    ]
-    eps = [
-        [ea[a] + (eb[b] - pa[a] if eb[b] > pa[a] else 0) for a, b in zip(all_heads, all_tails)]
-        for ea, pa, eb in zip(left.eps, left.phi, right.eps)
-    ]
-    del all_heads, all_tails
-    phi = [list(map(add, e, w)) for e, w in zip(eps, weights)]
-    return _graph(datum, lam, f_edge, eps, phi, weights)
+
+    def step(codes):
+        heads = [code // width for code in codes]
+        tails = [code % width for code in codes]
+        return [[fa[a] * width + b if pa[a] > eb[b]
+                 else None if fb[b] == -1 else a * width + fb[b]
+                 for a, b in zip(heads, tails)]
+                for fa, pa, fb, eb in ops]
+
+    return _graph(datum, lam, _search(datum, lam, 0, step, node_cap))
 
 
 def enumerate_crystal(datum: CartanDatum, lam, *,

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stringcone import cartan
 from stringcone.cartan import (
     adapted_word,
     all_reduced_words,
@@ -17,7 +18,7 @@ from stringcone.cartan import (
     validate_word,
     weyl_group_words,
 )
-from stringcone.errors import RootSystemError, WordError
+from stringcone.errors import EnumerationCapError, RootSystemError, WordError
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
              ("C", 2), ("C", 3), ("D", 4), ("G", 2)]
@@ -197,3 +198,23 @@ def test_weyl_group_words_sizes_and_minimality():
     assert len(weyl_group_words(b2)) == 8
     for w in weyl_group_words(b2):
         assert is_reduced_word(b2, w)
+
+
+def test_word_enumerations_stop_at_the_word_cap(monkeypatch):
+    # A3's longest element has 16 reduced words and its Weyl group 24 elements
+    a3 = build_cartan("A", 3)
+    w0 = longest_word(a3)
+    monkeypatch.setattr(cartan, "DEFAULT_WORD_CAP", 16)
+    assert len(all_reduced_words(a3, w0)) == 16
+    with pytest.raises(EnumerationCapError, match="exceeded cap 16$"):
+        weyl_group_words(a3)
+    monkeypatch.setattr(cartan, "DEFAULT_WORD_CAP", 15)
+    with pytest.raises(EnumerationCapError, match="exceeded cap 15$"):
+        all_reduced_words(a3, w0)
+    monkeypatch.setattr(cartan, "DEFAULT_WORD_CAP", 24)
+    assert len(weyl_group_words(a3)) == 24
+    # the cap is the module's alone
+    with pytest.raises(TypeError):
+        all_reduced_words(a3, w0, cap=100)
+    with pytest.raises(TypeError):
+        weyl_group_words(a3, cap=100)

@@ -161,32 +161,39 @@ def test_lattice_relations():
     assert lattice_relations([]) == ()
 
 
-def test_demazure_quotient_simple_reflection(a2):
-    q = demazure_quotient(a2, (1, 2, 1), (1,), 1)
+@pytest.fixture(scope="module")
+def a2_cone(a2):
+    """The weighted string cone of A2 along (1, 2, 1), hulled at level 1."""
+    images = weighted_points(a2, (1, 2, 1), 1)
+    return conic_hull([lam + psi for lam, image in images.items() for psi in image])
+
+
+def test_demazure_quotient_simple_reflection(a2, a2_cone):
+    q = demazure_quotient(a2, (1, 2, 1), (1,), 1, cone=a2_cone)
     assert q.adapted and q.zero_tail and q.face
     assert q.normal == (0, 0, 0, 1, 0)
     assert [(lam, len(dem)) for lam, dem in q.sections] == [
         ((0, 0), 1), ((0, 1), 1), ((1, 0), 2), ((1, 1), 2)]
 
 
-def test_demazure_quotient_identity(a2):
-    q = demazure_quotient(a2, (1, 2, 1), (), 1)
+def test_demazure_quotient_identity(a2, a2_cone):
+    q = demazure_quotient(a2, (1, 2, 1), (), 1, cone=a2_cone)
     assert q.adapted and q.zero_tail and q.face
     assert all(len(dem) == 1 for _, dem in q.sections)
 
 
-def test_demazure_quotient_unadapted_prefix(a2):
+def test_demazure_quotient_unadapted_prefix(a2, a2_cone):
     # s2 is not a prefix of (1, 2, 1); the quotient is reported, not raised
-    q = demazure_quotient(a2, (1, 2, 1), (2,), 1)
+    q = demazure_quotient(a2, (1, 2, 1), (2,), 1, cone=a2_cone)
     assert not q.adapted
     assert not q.zero_tail
 
 
-def test_demazure_quotient_word_validation(a2):
+def test_demazure_quotient_word_validation(a2, a2_cone):
     with pytest.raises(WordError):
-        demazure_quotient(a2, (1, 2, 1), (1, 1), 1)
+        demazure_quotient(a2, (1, 2, 1), (1, 1), 1, cone=a2_cone)
     with pytest.raises(WordError):
-        demazure_quotient(a2, (1, 2), (1,), 1)
+        demazure_quotient(a2, (1, 2), (1,), 1, cone=a2_cone)
 
 
 def test_certificate_a1():

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from stringcone import pathcrystal
 from stringcone.cartan import build_cartan
 from stringcone.characters import weyl_dim
-from stringcone.errors import EnumerationCapError, WeightError
+from stringcone.errors import EnumerationCapError, InvariantViolation, WeightError
 from stringcone.pathcrystal import (
     DEFAULT_NODE_CAP,
     CrystalCache,
+    _graph,
     _path_crystal,
     _split,
     _tensor_crystal,
@@ -314,6 +316,44 @@ def test_level_tensor_matches_node_by_node_tensor(case):
     for table, rows in oracle.items():
         assert getattr(graph, table) == rows, table
     assert graph.size == weyl_dim(datum, lam)
+
+
+@pytest.mark.parametrize("label,rank,lam", [
+    ("A", 2, (1, 0)), ("A", 2, (2, 1)), ("B", 2, (1, 1)), ("G", 2, (1, 2))])
+def test_graph_rejects_a_cut_string_at_the_highest_node(label, rank, lam):
+    datum = build_cartan(label, rank)
+    graph = enumerate_crystal(datum, lam)
+    for i, f_col in enumerate(graph.f_edge):
+        if not lam[i]:
+            continue
+        # drop the last edge of the i-string through the highest node
+        node = graph.highest
+        while f_col[f_col[node]] != -1:
+            node = f_col[node]
+        f_edge = [list(col) for col in graph.f_edge]
+        f_edge[i][node] = -1
+        with pytest.raises(InvariantViolation, match=re.escape(f"lambda={lam}") + " has weight"):
+            _graph(datum, lam, f_edge)
+
+
+def test_both_constructions_share_one_search(monkeypatch):
+    # every crystal of a sweep is searched once: fundamental ones from the
+    # straight path, the others from the highest pair, coded 0
+    starts = []
+    search = pathcrystal._search
+
+    def recording(datum, lam, start, step, node_cap):
+        starts.append((lam, start))
+        return search(datum, lam, start, step, node_cap)
+
+    monkeypatch.setattr(pathcrystal, "_search", recording)
+    datum = build_cartan("B", 2)
+    crystals = CrystalCache(datum)
+    for lam in _weights_up_to(2, 2):
+        crystals[lam]
+    assert sorted(lam for lam, _ in starts) == _weights_up_to(2, 2)
+    for lam, start in starts:
+        assert start == (highest_path(datum, lam) if sum(lam) <= 1 else 0), lam
 
 
 def test_tensor_cap_counts_the_component():

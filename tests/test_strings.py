@@ -189,3 +189,53 @@ def test_peel_that_misses_the_highest_node_raises():
         string_image(datum, (0,), (1,), crystals=crystals)
     with pytest.raises(InvariantViolation, match="did not end at the highest node"):
         string_param(graph, 1, (1,))
+
+
+def _braid_moves(datum, word, image):
+    """Each word one braid move from ``word``, with ``image`` carried along.
+
+    Simply laced types only.  A commutation move swaps the two entries, and
+    a move from i j i to j i j sends (a, b, c) to
+    (max(c, b - a), a + c, min(a, b - c)) (Berenstein–Zelevinsky 1996).
+    """
+    for pos in range(len(word) - 1):
+        i, j = word[pos], word[pos + 1]
+        head, tail = word[:pos], word[pos + 2:]
+        if datum.cartan_matrix[i - 1][j - 1] == 0:
+            yield head + (j, i) + tail, [s[:pos] + (s[pos + 1], s[pos]) + s[pos + 2:]
+                                         for s in image]
+        elif tail[:1] == (i,):
+            moved = []
+            for s in image:
+                a, b, c = s[pos:pos + 3]
+                moved.append(s[:pos] + (max(c, b - a), a + c, min(a, b - c)) + s[pos + 3:])
+            yield head + (j, i, j) + tail[1:], moved
+
+
+def test_braid_moves_predict_every_a3_image_from_one_peel():
+    # only longest_word is peeled; every other word's image is chained
+    # along braid moves, and each move met again must agree with the first
+    datum = build_cartan("A", 3)
+    w0 = longest_word(datum)
+    words = all_reduced_words(datum, w0)
+    crystals = CrystalCache(datum)
+    checked = 0
+    for lam in dominant_weights(3, 2):
+        predicted = {w0: string_image(datum, lam, w0, crystals=crystals)}
+        frontier = [w0]
+        while frontier:
+            fresh = []
+            for word in frontier:
+                for moved, image in _braid_moves(datum, word, predicted[word]):
+                    image = tuple(sorted(image))
+                    if moved in predicted:
+                        assert image == predicted[moved], (lam, word, moved)
+                    else:
+                        predicted[moved] = image
+                        fresh.append(moved)
+                    checked += 1
+            frontier = fresh
+        assert sorted(predicted) == list(words)
+        for word, image in predicted.items():
+            assert image == string_image(datum, lam, word, crystals=crystals), (lam, word)
+    assert checked == 27 * 2 * 18  # every move between A3's 16 words, both ways
