@@ -137,8 +137,9 @@ def demazure_quotient(datum: CartanDatum, w0_word, w_word, level_bound: int, *,
                       crystals: CrystalCache | None = None) -> DemazureQuotient:
     """Demazure string sections, their face test in ``cone``, and the tail-vanishing flag.
 
-    The sections run over the dominant weights up to ``level_bound``.  A word is adapted when its length-l(w) prefix is itself a reduced word
-    of w; only then is the image guaranteed to be a coordinate face.
+    The sections run over the dominant weights up to ``level_bound``.  A
+    word is adapted when its length-l(w) prefix is itself a reduced word of
+    w; only then is the image guaranteed to be a coordinate face.
     """
     w0_word = check_longest_word(datum, w0_word)
     w_word = check_reduced_word(datum, w_word)
