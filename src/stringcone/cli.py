@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -129,20 +130,38 @@ def parse_args(argv=None):
 
 
 def _write(path: str, text: str) -> None:
-    """Write through a temporary file next to ``path``, then rename it over.
+    """Write through a temporary file next to the target, then rename it over.
 
-    A reader never sees a half-written file, and a failed write leaves no
-    temporary file behind.
+    The target is ``path`` with its symlinks resolved, so a link keeps
+    pointing at the file that receives the bytes.  A reader never sees a
+    half-written file, and a failed write leaves no temporary file behind.
+    An existing target that is not a regular file, such as a device or a
+    pipe, is written in place: a rename would replace it with a file.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
+    target = os.path.realpath(path)
+    created = None  # the temporary file, once this call has made it
     try:
-        with open(tmp, "x") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        if _is_regular_or_missing(target):
+            tmp = f"{target}.{os.getpid()}.tmp"
+            with open(tmp, "x") as fh:
+                created = tmp
+                fh.write(text)
+            os.replace(tmp, target)
+        else:
+            with open(target, "w") as fh:
+                fh.write(text)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        if created is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(created)
         raise StringConeError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _is_regular_or_missing(path: str) -> bool:
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return True
 
 
 def _emit(text: str, out: str | None) -> None:

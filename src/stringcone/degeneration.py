@@ -18,15 +18,18 @@ from operator import mul
 
 from .cartan import CartanDatum, apply_word, check_longest_word, check_reduced_word, rho
 from .characters import demazure_character, dimension_of, weyl_dim
-from .errors import DegenerationError
+from .errors import DegenerationError, InvariantViolation
 from .linalg import kernel_basis_int, slack_lanes, vec_dot
 from .pathcrystal import CrystalCache
 from .polyhedra import (
     RationalCone,
+    SaturationReport,
+    SectionCount,
     conic_hull,
+    count_section_points,
     hilbert_basis,
     is_face,
-    saturation_check,
+    section_lattice_points,
 )
 from .strings import demazure_strings, dominant_weights, weighted_points
 
@@ -203,13 +206,75 @@ class DegenerationReport:
         return all(flag for _, flag in self.checks)
 
 
+def string_cone_rows(datum: CartanDatum, word):
+    """Littelmann's inequalities on the points (lam, x) of the string cone of ``word``.
+
+    Peeling a string x along the word passes through nodes b_1, ..., b_N
+    with eps_{i_k}(b_k) = x_k and wt(b_k) = lam - sum_{j>=k} x_j alpha_{i_j},
+    so phi_{i_k}(b_k) >= 0 and eps_{i_k}(b_k) >= 0 give, for each k, the rows
+    lam_{i_k} - x_k - sum_{j>k} <alpha_{i_j}, alpha_{i_k}^vee> x_j >= 0 and
+    x_k >= 0 (Littelmann, "Cones, crystals, and patterns", 1998, Prop. 1.5).
+    The pairing is ``cartan_matrix[i_k - 1][i_j - 1]``.  Every string
+    satisfies the rows, so the hull of any strings does.
+    """
+    n = datum.rank
+    rows = []
+    for k, i in enumerate(word):
+        phi = [0] * len(word)
+        phi[k] = -1
+        for j in range(k + 1, len(word)):
+            phi[j] = -datum.cartan_matrix[i - 1][word[j] - 1]
+        eps = [0] * len(word)
+        eps[k] = 1
+        rows.append(tuple(int(m == i - 1) for m in range(n)) + tuple(phi))
+        rows.append((0,) * n + tuple(eps))
+    return tuple(rows)
+
+
+def _counted_saturation(cone, rows, images, check_level, outside):
+    """Saturation by counting: each section's lattice points against its image.
+
+    The rows must hold on the cone's rays, so they hold on the cone and
+    bound every free coordinate of a section from below and above; with
+    the facets they let ``count_section_points`` count each section with
+    no box.  The caller has checked that every image point lies in the
+    cone (``outside`` lists those that do not), and an image is injective,
+    so a section whose count equals its image's size is that image.  Only
+    a section whose count differs is listed, to name a cone point missing
+    from the data.
+    """
+    for row in rows:
+        for ray in cone.rays:
+            if vec_dot(row, ray) < 0:
+                raise InvariantViolation(f"string cone row {row} fails on cone ray {ray}")
+    # many rows are facets (14 of A4's 20); each is scanned once
+    constraints = tuple(dict.fromkeys(cone.facets + rows))
+    sections = []
+    for lam, image in images.items():
+        count = count_section_points(constraints, lam)
+        if count != len(image):
+            missing = sorted(set(section_lattice_points(cone, lam)) - set(image))
+            if missing:
+                raise DegenerationError(
+                    f"cone section point lambda={lam} psi={missing[0]}"
+                    " is absent from the enumeration"
+                )
+        sections.append(SectionCount(lam=lam, cone_count=count, data_count=len(image)))
+    return SaturationReport(
+        level_bound=check_level,
+        sections=tuple(sections),
+        cone_points_missing_from_data=(),
+        data_points_outside_cone=tuple(outside),
+    )
+
+
 def _packed_slacks(cone, images, data_reach):
     """Facet slacks of every data point, packed by ``slack_lanes``.
 
     Returns the rays' bound on a Hilbert basis element, the packing, the
-    packed slacks in enumeration order and the points with a negative
-    lane, which the cone misses.  The weight part of a slack is summed once
-    per image.
+    packed slacks in enumeration order and the ``(lam, psi)`` points with
+    a negative lane, which the cone misses.  The weight part of a slack is
+    summed once per image.
     """
     reach = sum(max(map(abs, r)) for r in cone.rays)
     columns, sign = slack_lanes(cone.facets, max(data_reach, reach))
@@ -222,7 +287,7 @@ def _packed_slacks(cone, images, data_reach):
         for psi in image:
             slack = base + sum(map(mul, psi, tail))
             if (slack + sign) & sign != sign:
-                missed.append(lam + psi)
+                missed.append((lam, psi))
             slacks.append(slack)
     return reach, columns, sign, slacks, missed
 
@@ -236,11 +301,16 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     level higher than level_bound by default).  It is built as the hull of
     the points with weight coordinates up to level_bound, joined once with
     the data points outside it: the rays generate that hull, lineality as
-    opposite pairs, so the join is the hull of all the data.  The sections
-    are then scanned once, and a cone section point absent from the
-    enumeration is a genuine failure and raises.  Each data point's facet
-    slack is packed into one int with a lane per facet (``slack_lanes``),
-    and the Hilbert checks run on these packed slacks alone.  A lane is at
+    opposite pairs, so the join is the hull of all the data.  The data
+    points are then checked against the joined cone, and any outside it
+    fail ``saturation``.  Each section is counted once under the facets
+    and the string cone's rows (``_counted_saturation``); every data point
+    lies in the cone and an image is injective, so a section whose count
+    equals its image's size is that image.  A section whose count differs
+    is listed, and a cone section point absent from the enumeration is a
+    genuine failure and raises.  Each data point's facet slack is packed
+    into one int with a lane per facet (``slack_lanes``), and the Hilbert
+    checks run on these packed slacks alone.  A lane is at
     most max |u|_1 over the facets u times the largest |v|_inf of a data
     point or a Hilbert basis element, and a basis element has
     |h|_inf <= sum over the rays r of |r|_inf (it is a ray or lies in a
@@ -251,9 +321,11 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     lies in the cone exactly when the packed difference has no negative
     lane.  ``generates`` asks that every nonzero data point x have a basis
     element g with x - g in the cone.  Then x - g is a lattice point of
-    the cone whose lambda is at most x's, so it lies in the scanned box,
-    and the section scan has already raised on any such point missing from
-    the data: x - g is a data point.  The grading sum(lambda) is positive
+    the cone whose lambda is at most x's, so it lies in a counted section.
+    When ``saturation`` passes, that section's count equals its image's
+    size, so the section is the image and x - g is a data point; had a
+    count differed, the listing would have raised on the missing point
+    or ``saturation`` would fail.  The grading sum(lambda) is positive
     on the nonzero basis elements, so x - g has lower degree, and by
     induction on degree every data point is a sum of basis elements.
     ``minimal`` asks that no difference of two basis elements lie in the
@@ -285,17 +357,13 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
                        if max(lam) <= level_bound for psi in image])
     reach, columns, sign, slacks, missed = _packed_slacks(cone, images, data_reach)
     if missed:
-        cone = conic_hull(cone.rays + tuple(missed))
-        reach, columns, sign, slacks, _ = _packed_slacks(cone, images, data_reach)
+        cone = conic_hull(cone.rays + tuple(lam + psi for lam, psi in missed))
+        reach, columns, sign, slacks, missed = _packed_slacks(cone, images, data_reach)
     timings["hull"] = (clock() - t) * 1000.0
 
     t = clock()
-    report = saturation_check(cone, images, check_level)
-    if report.cone_points_missing_from_data:
-        lam, psi = report.cone_points_missing_from_data[0]
-        raise DegenerationError(
-            f"cone section point lambda={lam} psi={psi} is absent from the enumeration"
-        )
+    report = _counted_saturation(cone, string_cone_rows(datum, w0_word), images,
+                                 check_level, missed)
     certified_level = check_level
     timings["saturation"] = (clock() - t) * 1000.0
 
@@ -308,7 +376,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
                                      cone=cone, crystals=crystals)
     dem_sections = dict(quotient.sections) if quotient is not None else {}
     sections = []
-    # the image is injective, so the scan's distinct count is the image size
+    # a counted section equal in size to its injective image is that image
     for section in report.sections:
         lam, count = section.lam, section.data_count
         dim = weyl_dim(datum, lam)

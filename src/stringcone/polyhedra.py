@@ -12,8 +12,12 @@ plain swap.  The redundancy test of ``_dd_pair`` and the reduction test of
 a lane per normal (``linalg.slack_lanes``): one multiply-add per coordinate
 computes all of them, and one addition and mask tests their signs.  Each
 caller sizes the lanes from a bound on every value it packs or subtracts.
-``saturation_check`` compares each section with the string image of its
-weight, read from the lambda-keyed images of ``strings.weighted_points``.
+``saturation_check`` lists each section and compares it with the string
+image of its weight, read from the lambda-keyed images of
+``strings.weighted_points``.  ``count_section_points`` runs the same
+last-to-first scan with no box and counts the points instead: the
+certificate compares these counts with the image sizes, because its
+data lie in its cone and each image is injective.
 """
 
 from __future__ import annotations
@@ -167,6 +171,26 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _buckets(rows, nfree):
+    """Sort ``(constant, free coefficients)`` rows by their first nonzero coefficient.
+
+    ``buckets[k]`` holds ``(constant, c_k, ((j, c_j) for the nonzero c_j
+    with j > k))``: once the coordinates after k are fixed, the row bounds
+    x_k from below when c_k > 0 and from above when c_k < 0.  A row with no
+    free coefficient holds or fails outright; None means one fails.
+    """
+    buckets = [[] for _ in range(nfree)]
+    for const, coeffs in rows:
+        k = next((j for j, c in enumerate(coeffs) if c), None)
+        if k is None:
+            if const < 0:
+                return None
+            continue
+        tail = tuple((j, c) for j, c in enumerate(coeffs) if c and j > k)
+        buckets[k].append((const, coeffs[k], tail))
+    return buckets
+
+
 def section_lattice_points(cone: RationalCone, lam):
     """Integer points of the cone section with the leading block fixed to lam.
 
@@ -200,16 +224,9 @@ def section_lattice_points(cone: RationalCone, lam):
             )
     lo = [min(_ceil_div(v[k], v[0]) for v in rays) for k in range(1, nfree + 1)]
     hi = [max(v[k] // v[0] for v in rays) for k in range(1, nfree + 1)]
-    # buckets[k]: (constant, c_k, ((j, c_j) for the nonzero c_j with j > k))
-    buckets = [[] for _ in range(nfree)]
-    for const, coeffs in rows:
-        k = next((j for j, c in enumerate(coeffs) if c), None)
-        if k is None:
-            if const < 0:
-                return ()
-            continue
-        tail = tuple((j, c) for j, c in enumerate(coeffs) if c and j > k)
-        buckets[k].append((const, coeffs[k], tail))
+    buckets = _buckets(rows, nfree)
+    if buckets is None:
+        return ()
     found = []
     point = [0] * nfree
 
@@ -231,6 +248,55 @@ def section_lattice_points(cone: RationalCone, lam):
 
     scan(nfree - 1)
     return tuple(sorted(found))
+
+
+def count_section_points(constraints, lam) -> int:
+    """Number of integer x with u . (lam + x) >= 0 for every constraint u.
+
+    The scan of ``section_lattice_points`` with no box: the free
+    coordinates are fixed from the last to the first, each within the
+    bounds of its bucket's rows (``_buckets``), and the first one's range
+    is counted, not listed.  So every bucket needs a row bounding its
+    coordinate from below and one bounding it from above.  A string cone's
+    rows give both: x_k >= 0 and Littelmann's phi-bound on x_k by lambda
+    and the coordinates after k ("Cones, crystals, and patterns", Prop. 1.5).
+    """
+    lam = tuple(lam)
+    n = len(lam)
+    rows = [(vec_dot(u[:n], lam), u[n:]) for u in constraints]
+    nfree = len(rows[0][1])
+    buckets = _buckets(rows, nfree)
+    if buckets is None:
+        return 0
+    # (constant, |c_k|, dense tail) per row: a tail is zero up to k, so a
+    # dot product with the whole point reads only the coordinates after k
+    lower = [[] for _ in range(nfree)]
+    upper = [[] for _ in range(nfree)]
+    for k, bucket in enumerate(buckets):
+        for const, c, tail in bucket:
+            dense = [0] * nfree
+            for j, cj in tail:
+                dense[j] = cj
+            (lower if c > 0 else upper)[k].append((const, abs(c), dense))
+        if not lower[k] or not upper[k]:
+            raise PolyhedralError(f"the constraints leave free coordinate {k} unbounded")
+    point = [0] * nfree
+
+    def count(k):
+        # x_k >= ceil(-rest / c) on a lower row, x_k <= floor(rest / |c|) on an upper one
+        lo = max([-((const + sum(map(mul, tail, point))) // c)
+                  for const, c, tail in lower[k]])
+        hi = min([(const + sum(map(mul, tail, point))) // c
+                  for const, c, tail in upper[k]])
+        if k == 0:
+            return hi - lo + 1 if hi >= lo else 0
+        total = 0
+        for v in range(lo, hi + 1):
+            point[k] = v
+            total += count(k - 1)
+        return total
+
+    return count(nfree - 1)
 
 
 def is_face(cone: RationalCone, points):

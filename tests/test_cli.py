@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import re
+import stat
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
 
 from stringcone import cli
+from stringcone.cartan import build_cartan
+from stringcone.characters import weyl_dim
 from stringcone.cli import RunConfig, _cmd_verify, main, parse_args
 from stringcone.pathcrystal import CrystalCache
 from stringcone.polyhedra import parse_h_rep
@@ -213,8 +223,9 @@ def test_unwritable_out_is_a_general_error(tmp_path, capsys):
     rc = main(["cone", "--type", "A", "--rank", "1", "--out", str(target)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error[general]: cannot write")
-    # the companion's temporary file was written, failed to replace the
-    # directory, and was removed; the text was never written
+    # the companion names a directory, which is not a regular file, so it
+    # is opened in place and fails; no temporary file is left behind and
+    # the text was never written
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cone.txt.json"]
     assert list((tmp_path / "cone.txt.json").iterdir()) == []
     # an existing text keeps its bytes when the companion fails
@@ -224,6 +235,60 @@ def test_unwritable_out_is_a_general_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[general]: cannot write")
     assert target.read_text() == "old cone\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cone.txt", "cone.txt.json"]
+
+
+def test_out_writes_through_symlinks(tmp_path):
+    # the referents get the new bytes and the links stay links
+    real, real_json = tmp_path / "real.txt", tmp_path / "real.json"
+    real.write_text("old cone\n")
+    real_json.write_text("old doc\n")
+    link, link_json = tmp_path / "link.txt", tmp_path / "link.txt.json"
+    link.symlink_to(real)
+    link_json.symlink_to(real_json.name)  # relative to the link's directory
+    assert main(["cone", "--type", "A", "--rank", "2", "--out", str(link)]) == 0
+    assert link.is_symlink() and link_json.is_symlink()
+    assert parse_h_rep(real.read_text()).ambient_dim == 5
+    assert json.loads(real_json.read_text())["word"] == [1, 2, 1]
+    # a dangling link creates the file it names
+    dangling = tmp_path / "report-link"
+    dangling.symlink_to(tmp_path / "report.json")
+    assert main(["degenerate", "--type", "A", "--rank", "1",
+                 "--level-bound", "1", "--out", str(dangling)]) == 0
+    assert dangling.is_symlink()
+    assert all(json.loads((tmp_path / "report.json").read_text())["checks"].values())
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.txt", "link.txt.json", "real.json", "real.txt", "report-link", "report.json"]
+
+
+def test_out_keeps_a_temporary_name_it_did_not_create(tmp_path, capsys):
+    # the write fails on the taken name and leaves that file alone
+    target = tmp_path / "report.json"
+    taken = tmp_path / f"report.json.{os.getpid()}.tmp"
+    taken.write_text("someone else's\n")
+    rc = main(["degenerate", "--type", "A", "--rank", "1",
+               "--level-bound", "1", "--out", str(target)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error[general]: cannot write")
+    assert taken.read_text() == "someone else's\n"
+    assert not target.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_writes_a_pipe_in_place(tmp_path):
+    # a rename would put a regular file where the pipe was, and the reader,
+    # opened first without blocking, would see no bytes
+    pipe = tmp_path / "report.pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["degenerate", "--type", "A", "--rank", "1",
+                     "--level-bound", "1", "--out", str(pipe)]) == 0
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert all(json.loads(data)["checks"].values())
+    assert list(tmp_path.iterdir()) == [pipe]
 
 
 class FakeResult:
@@ -248,3 +313,129 @@ def test_verify_delegates_to_runner(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "overall: FAIL" in captured.out
     assert list(_timing(captured.err)) == ["verify"]
+
+
+def _mostly(valid, malformed):
+    """Draw from ``valid`` four times in five, else from ``malformed``."""
+    return st.sampled_from([valid] * 4 + [malformed]).flatmap(lambda strategy: strategy)
+
+
+def _ints(low, high, min_size, max_size):
+    return st.lists(st.integers(low, high), min_size=min_size, max_size=max_size).map(
+        lambda v: ",".join(map(str, v)))
+
+
+_MALFORMED = st.sampled_from(["", "x", "1,,2", "1;2", "2.5", "-", "1, 2", "0x1", "-1"])
+_WORDS = st.sampled_from(["1,2,1", "2,1,2", "1,2,1,2", "2,1,2,1", "1,2,1,2,1,2",
+                          "2,1,2,1,2,1", "1"])
+_VALUES = {
+    "--type": _mostly(st.sampled_from(["A", "B", "C", "G", "D"]),
+                      st.sampled_from(["E", "a", "AB", ""])),
+    "--rank": _mostly(st.integers(1, 4).map(str), st.integers(-1, 5).map(str) | _MALFORMED),
+    "--lambda": _mostly(_ints(0, 3, 1, 4), _ints(-1, 3, 0, 5) | _MALFORMED),
+    "--word": _mostly(_WORDS, _ints(-1, 5, 0, 12) | _MALFORMED),
+    "--demazure": _mostly(_ints(1, 2, 0, 3), _ints(-1, 4, 0, 6) | _MALFORMED),
+    "--level-bound": _mostly(st.integers(0, 2).map(str), _MALFORMED),
+    "--cap": _mostly(st.integers(1, 200).map(str), st.integers(-1, 0).map(str) | _MALFORMED),
+    # placeholders for a file, a file under a missing directory, a directory
+    "--out": st.sampled_from(["{tmp}/out", "{tmp}/missing/out", "{tmp}"]),
+}
+# README's flag table
+_TAKES = {
+    "crystal": ["--type", "--rank", "--lambda", "--out"],
+    "polytope": ["--type", "--rank", "--lambda", "--word", "--level-bound", "--out"],
+    "cone": ["--type", "--rank", "--word", "--level-bound", "--out"],
+    "degenerate": ["--type", "--rank", "--word", "--level-bound", "--demazure", "--out"],
+    "verify": ["--out"],
+    "bogus": [],
+}
+_SUPPORTED = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2), ("B", 3),
+              ("C", 3), ("D", 4)]
+_BARE = st.sampled_from(["-h", "--bogus", "--type", "--cap", "--lambda", "--out"])
+
+
+def _flag(name):
+    return _VALUES[name].map(lambda value: [name, value])
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, most of its flags, and now and then any other flag.
+
+    Values are small or malformed; a well-formed ``--lambda`` mostly has
+    ``--rank`` coordinates.  Every subcommand but ``verify`` takes a
+    ``--cap`` of at most 200 when its value is well formed, so each
+    crystal, and with it the work of every draw, stays small.
+    """
+    command = draw(st.sampled_from(sorted(_TAKES)))
+    flags = {name: draw(_VALUES[name]) for name in _TAKES[command]
+             if draw(st.integers(0, 9))}
+    if {"--type", "--rank"} <= flags.keys() and draw(st.integers(0, 3)):
+        flags["--type"], rank = draw(st.sampled_from(_SUPPORTED))
+        flags["--rank"] = str(rank)
+    if "--lambda" in flags and flags.get("--rank", "").isdigit() and draw(st.integers(0, 3)):
+        rank = int(flags["--rank"])
+        flags["--lambda"] = draw(_ints(0, 3, rank, rank))
+    flags = [[name, value] for name, value in flags.items()]
+    if not draw(st.integers(0, 3)):
+        flags += draw(st.lists(st.sampled_from(sorted(_VALUES)).flatmap(_flag)
+                               | _BARE.map(lambda flag: [flag]), min_size=1, max_size=2))
+    if command != "verify":
+        flags.insert(draw(st.integers(0, len(flags))), draw(_flag("--cap")))
+    return [command] + [token for flag in draw(st.permutations(flags)) for token in flag]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _polytope_dim(argv):
+    """weyl_dim of --lambda when argv is a valid polytope call, else None."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            command, config = parse_args(argv)
+        except SystemExit:
+            return None
+    if command != "polytope":
+        return None
+    return weyl_dim(build_cartan(config.type_label, config.rank), config.lam)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_every_argv_keeps_the_exit_contract(argv):
+    # README: 0 success, 1 general, 2 usage, 3-7 the pipeline stages; a
+    # failure prints no stdout and one usage or error[stage] message
+    dim = _polytope_dim(argv)
+    assume(dim is None or dim <= 2000)
+
+    def passing_suite():
+        return "overall: PASS\n", [FakeResult(True)]
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        # the acceptance suite itself is tested in test_acceptance.py
+        mp.setitem(cli._COMMANDS, "verify",
+                   lambda config: _cmd_verify(config, runner=passing_suite))
+        code, out, err = _run([token.format(tmp=tmp) for token in argv])
+    event(f"exit {code}")
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    if code == 2:
+        assert out == ""
+        assert lines[0].startswith("usage: ") and ": error: " in lines[-1]
+        assert all(line.startswith(" ") for line in lines[1:-1])
+    elif err.startswith("error["):
+        assert out == ""
+        assert len(lines) == 1
+        stage = re.match(r"error\[(\w+)\]: ", err).group(1)
+        assert code == cli._STAGE_CODES[stage]
+    else:
+        assert code == 0, (code, err)
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("timing "))

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 from fractions import Fraction
 
@@ -22,11 +23,17 @@ from stringcone.degeneration import (
     lattice_relations,
     report_to_json,
     separating_form,
+    string_cone_rows,
 )
-from stringcone.errors import DegenerationError, WordError
-from stringcone.linalg import slack_lanes
+from stringcone.errors import DegenerationError, InvariantViolation, WordError
+from stringcone.linalg import slack_lanes, vec_dot
 from stringcone.pathcrystal import CrystalCache
-from stringcone.polyhedra import conic_hull, hilbert_basis
+from stringcone.polyhedra import (
+    conic_hull,
+    count_section_points,
+    hilbert_basis,
+    section_lattice_points,
+)
 from stringcone.strings import dominant_weights, string_weight, weighted_points
 
 
@@ -308,25 +315,110 @@ def test_minimal_check_tries_both_orders_of_each_pair(order, monkeypatch):
 
 
 def test_demazure_certificate_hulls_only_in_the_hull_stage(a2, monkeypatch):
-    # the face test reads the cone's rays; it takes no hull of its own
+    # the face test reads the cone's rays and takes no hull of its own; the
+    # saturated sections are counted, never listed
     events = []
     hull = stringcone.polyhedra.conic_hull
-    saturation = stringcone.degeneration.saturation_check
+    count = stringcone.degeneration.count_section_points
 
     def recording_hull(points):
         events.append("conic_hull")
         return hull(points)
 
-    def recording_saturation(*args):
-        events.append("saturation_check")
-        return saturation(*args)
+    def recording_count(constraints, lam):
+        events.append(("count", lam))
+        return count(constraints, lam)
+
+    def refuse_listing(*args):
+        raise AssertionError("a saturated section was listed")
 
     for module in (stringcone.polyhedra, stringcone.degeneration):
         monkeypatch.setattr(module, "conic_hull", recording_hull)
-    monkeypatch.setattr(stringcone.degeneration, "saturation_check", recording_saturation)
+        monkeypatch.setattr(module, "section_lattice_points", refuse_listing)
+    monkeypatch.setattr(stringcone.degeneration, "count_section_points", recording_count)
     report = degeneration_certificate(a2, (1, 2, 1), (1, 2), level_bound=1, check_level=2)
     assert dict(report.checks)["demazure_face"] is True
-    assert events == ["conic_hull", "saturation_check"]
+    assert events == ["conic_hull"] + [("count", lam) for lam in dominant_weights(2, 2)]
+
+
+def test_string_cone_rows_a2():
+    # (lam1, lam2, x1, x2, x3) along 1, 2, 1: lam1 - x1 + x2 - 2 x3,
+    # lam2 - x2 + x3 and lam1 - x3 bound x1, x2 and x3 from above
+    assert string_cone_rows(build_cartan("A", 2), (1, 2, 1)) == (
+        (1, 0, -1, 1, -2), (0, 0, 1, 0, 0),
+        (0, 1, 0, -1, 1), (0, 0, 0, 1, 0),
+        (1, 0, 0, 0, -1), (0, 0, 0, 0, 1),
+    )
+
+
+@pytest.mark.parametrize("type_label, rank, step", [
+    ("A", 2, 1), ("B", 2, 1), ("C", 2, 1), ("G", 2, 1), ("A", 3, 4),
+])
+def test_counted_sections_match_the_listed_sections(type_label, rank, step):
+    # every word of the rank-2 types and four words of A3: the rows hold on
+    # the check-level cone's rays and on every string, and the count under
+    # the rows and facets equals the box scan's listing at each weight
+    datum = build_cartan(type_label, rank)
+    for word in all_reduced_words(datum, longest_word(datum))[::step]:
+        images = weighted_points(datum, word, 2)
+        cone = conic_hull([lam + psi for lam, image in images.items() for psi in image])
+        rows = string_cone_rows(datum, word)
+        assert all(vec_dot(row, v) >= 0 for row in rows for v in cone.rays)
+        assert all(vec_dot(row, lam + psi) >= 0 for row in rows
+                   for lam, image in images.items() for psi in image)
+        for lam in dominant_weights(rank, 2):
+            assert (count_section_points(cone.facets + rows, lam)
+                    == len(section_lattice_points(cone, lam))), (word, lam)
+
+
+def test_certificate_rejects_a_row_failing_on_a_ray(a2, monkeypatch):
+    # -x1 >= 0 fails on every ray with x1 > 0
+    monkeypatch.setattr(stringcone.degeneration, "string_cone_rows",
+                        lambda datum, word: ((0, 0, -1, 0, 0),))
+    with pytest.raises(InvariantViolation, match="fails on cone ray"):
+        degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2)
+
+
+def test_certificate_names_a_section_point_missing_from_the_data(a2, monkeypatch):
+    # a point dropped from the (2, 2) image leaves the hull unchanged, so
+    # the count falls short and the listed section names the point
+    original = stringcone.degeneration.weighted_points
+    dropped = original(a2, (1, 2, 1), 2)[(2, 2)][5]
+
+    def dropping(*args, **kwargs):
+        images = original(*args, **kwargs)
+        images[(2, 2)] = tuple(p for p in images[(2, 2)] if p != dropped)
+        return images
+
+    monkeypatch.setattr(stringcone.degeneration, "weighted_points", dropping)
+    with pytest.raises(DegenerationError,
+                       match=re.escape(f"lambda=(2, 2) psi={dropped} is absent")):
+        degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2)
+
+
+@pytest.mark.parametrize("type_label, missed", [("B", 6), ("G", 88)])
+def test_certificate_fails_on_data_outside_the_final_cone(type_label, missed, monkeypatch):
+    # a join that returns the build-level hull unchanged leaves the missed
+    # points outside the final cone: the counts cannot vouch for those
+    # sections, and the saturation check fails
+    hulls = []
+    original = stringcone.degeneration.conic_hull
+
+    def stale_join(points):
+        hulls.append(original(points) if not hulls else hulls[0])
+        return hulls[-1]
+
+    monkeypatch.setattr(stringcone.degeneration, "conic_hull", stale_join)
+    datum = build_cartan(type_label, 2)
+    word = longest_word(datum)
+    report = degeneration_certificate(datum, word, level_bound=1)
+    assert len(hulls) == 2
+    assert dict(report.checks)["saturation"] is False
+    assert not report.passing
+    images = weighted_points(datum, word, 2)
+    outside = [lam + psi for lam, image in images.items() for psi in image
+               if any(vec_dot(u, lam + psi) < 0 for u in report.cone.facets)]
+    assert len(outside) == missed
 
 
 # SHA-256 of report_to_json for the default words at level bound 1
@@ -450,17 +542,28 @@ def test_certificate_cone_is_the_hull_of_the_check_level(type_label, check_level
 
 def test_certificate_scans_sections_once(monkeypatch):
     # B2's level-1 hull misses data points, so the hull is joined with them
-    calls = []
-    original = stringcone.degeneration.saturation_check
+    # first; then each check-level section is counted once and none is listed
+    events = []
+    hull = stringcone.degeneration.conic_hull
+    count = stringcone.degeneration.count_section_points
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
+    def recording_hull(points):
+        events.append("conic_hull")
+        return hull(points)
 
-    monkeypatch.setattr(stringcone.degeneration, "saturation_check", counting)
+    def recording_count(constraints, lam):
+        events.append(("count", lam))
+        return count(constraints, lam)
+
+    def refuse_listing(*args):
+        raise AssertionError("a saturated section was listed")
+
+    monkeypatch.setattr(stringcone.degeneration, "conic_hull", recording_hull)
+    monkeypatch.setattr(stringcone.degeneration, "count_section_points", recording_count)
+    monkeypatch.setattr(stringcone.degeneration, "section_lattice_points", refuse_listing)
     datum = build_cartan("B", 2)
     report = degeneration_certificate(datum, longest_word(datum), level_bound=1)
-    assert calls == [2]
+    assert events == ["conic_hull"] * 2 + [("count", lam) for lam in dominant_weights(2, 2)]
     assert report.certified_level == 2
     assert report.passing
 

@@ -14,6 +14,7 @@ from stringcone.polyhedra import (
     _triangulate,
     conic_hull,
     contains,
+    count_section_points,
     dualize,
     format_h_rep,
     hilbert_basis,
@@ -83,6 +84,41 @@ def test_empty_section_is_not_unbounded():
     # The recession direction (1,) does not matter: no point has lambda = -1.
     cone = conic_hull([(1, 0), (0, 1), (0, -1)])
     assert section_lattice_points(cone, (-1,)) == ()
+
+
+def test_count_section_points_cases():
+    # 0 <= x <= lam, and x <= 1 once a row with no free coefficient holds
+    constraints = ((0, 1), (1, -1))
+    assert [count_section_points(constraints, (lam,)) for lam in (-1, 0, 2)] == [0, 1, 3]
+    assert count_section_points(constraints + ((1, 0),), (-1,)) == 0
+    # x2 bounds x1 from above only through the later coordinate
+    rows = ((0, 1, 0), (1, -1, -1), (0, 0, 1), (1, 0, -1))
+    assert count_section_points(rows, (2,)) == 6
+    with pytest.raises(PolyhedralError, match="coordinate 0 unbounded"):
+        count_section_points(((0, 1),), (1,))
+
+
+@st.composite
+def bounded_rows(draw):
+    """Rows on (1, t, x) with -3 <= x_k <= 3 among them, and a weight t."""
+    nfree = draw(st.integers(min_value=1, max_value=3))
+    entry = st.integers(min_value=-3, max_value=3)
+    rows = draw(st.lists(st.tuples(*[entry] * (2 + nfree)), max_size=5))
+    for k in range(nfree):
+        for sign in (1, -1):
+            rows.append((3, 0) + tuple(sign if j == k else 0 for j in range(nfree)))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], (1, draw(st.integers(min_value=-2, max_value=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_rows())
+def test_count_matches_brute_force(case):
+    rows, lam = case
+    nfree = len(rows[0]) - 2
+    box = itertools.product(range(-3, 4), repeat=nfree)
+    expected = sum(all(vec_dot(u, lam + x) >= 0 for u in rows) for x in box)
+    assert count_section_points(rows, lam) == expected
 
 
 def test_is_face_cases():
