@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import stat
@@ -22,7 +23,7 @@ from .characters import weyl_dim
 from .degeneration import degeneration_certificate, report_to_json
 from .errors import PolyhedralError, RootSystemError, StringConeError, WordError
 from .pathcrystal import DEFAULT_NODE_CAP, CrystalCache, edge_lines, enumerate_crystal
-from .polyhedra import conic_hull, format_h_rep, section_lattice_points
+from .polyhedra import conic_hull, format_h_rep, section_blocks
 from .strings import weighted_points
 from .acceptance import run_full
 
@@ -204,13 +205,18 @@ def _infer_cone(config: RunConfig, datum):
 
 
 def _cmd_polytope(config: RunConfig) -> int:
+    clock = time.perf_counter
+    t = clock()
     datum = build_cartan(config.type_label, config.rank)
     word, cone = _infer_cone(config, datum)
-    section = section_lattice_points(cone, config.lam)
+    timings = {"cone": (clock() - t) * 1000.0}
+    t = clock()
+    blocks = section_blocks(cone, config.lam)
+    found = sum(len(tails) for _, tails in blocks)
     expected = weyl_dim(datum, config.lam)
-    if len(section) != expected:
+    if found != expected:
         raise PolyhedralError(
-            f"section at lambda={config.lam} has {len(section)} points but"
+            f"section at lambda={config.lam} has {found} points but"
             f" V(lambda) has dimension {expected}: the cone inferred up to level"
             f" bound {config.level_bound} misses points there; try a higher --level-bound"
         )
@@ -223,10 +229,20 @@ def _cmd_polytope(config: RunConfig) -> int:
     for u in cone.facets:
         const = sum(a * b for a, b in zip(u[:n], config.lam))
         lines.append(" ".join([str(const)] + [str(c) for c in u[n:]]))
-    lines.append(f"points {len(section)}")
-    row = " ".join(["%d"] * (cone.ambient_dim - n))
-    lines += [row % p for p in section]
-    _emit("\n".join(lines) + "\n", config.out)
+    lines.append(f"points {found}")
+    # each tail is formatted once, with its leading space ("" for A1), and
+    # a block's lines are its x_0 joined with the texts of its tails
+    row = " %d" * (cone.ambient_dim - n - 1)
+    texts = dict.fromkeys(itertools.chain.from_iterable(tails for _, tails in blocks))
+    for tail in texts:
+        texts[tail] = row % tail
+    for x0, tails in blocks:
+        head = str(x0)
+        lines.append(head + ("\n" + head).join(map(texts.__getitem__, tails)))
+    text = "\n".join(lines) + "\n"
+    timings["section"] = (clock() - t) * 1000.0
+    _emit(text, config.out)
+    _print_timing(timings)
     return 0
 
 

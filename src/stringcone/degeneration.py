@@ -351,8 +351,10 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     timings["enumerate"] = (clock() - t) * 1000.0
 
     t = clock()
-    data_reach = max(max(map(abs, v)) for lam, image in images.items()
-                     for v in (lam, *image))
+    # weights are dominant and string entries are eps-values, all >= 0, so
+    # the largest |entry| of the data is the largest entry, read per image
+    data_reach = max(max(max(lam), max(map(max, image)))
+                     for lam, image in images.items())
     cone = conic_hull([lam + psi for lam, image in images.items()
                        if max(lam) <= level_bound for psi in image])
     reach, columns, sign, slacks, missed = _packed_slacks(cone, images, data_reach)

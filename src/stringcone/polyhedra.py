@@ -12,19 +12,25 @@ plain swap.  The redundancy test of ``_dd_pair`` and the reduction test of
 a lane per normal (``linalg.slack_lanes``): one multiply-add per coordinate
 computes all of them, and one addition and mask tests their signs.  Each
 caller sizes the lanes from a bound on every value it packs or subtracts.
-``saturation_check`` lists each section and compares it with the string
-image of its weight, read from the lambda-keyed images of
-``strings.weighted_points``.  ``count_section_points`` runs the same
-last-to-first scan with no box and counts the points instead: the
-certificate compares these counts with the image sizes, because its
-data lie in its cone and each image is injective.
+One kernel, ``_section_runs``, scans every section: it fixes the free
+coordinates from the last to the first and, once all but x_0 are fixed,
+records one run ``(tail, lo, hi)`` of x_0 instead of a point per x_0.  It
+has three readers.  ``count_section_points`` sums the run lengths, with
+no box; the certificate compares these counts with the image sizes,
+because its data lie in its cone and each image is injective.
+``section_blocks`` adds the exact box, sorts the tails and files them
+under each x_0 of their runs, which lists a section in lexicographic
+order with no point sort; ``polytope`` prints these blocks directly.
+``section_lattice_points`` flattens the blocks into points, and
+``saturation_check`` compares each section with the string image of its
+weight, read from the lambda-keyed images of ``strings.weighted_points``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import PolyhedralError, UnboundedSectionError
 from .linalg import hnf_rows, primitive, rank_int, slack_lanes, snf_with_uinv, vec_dot
@@ -191,27 +197,86 @@ def _buckets(rows, nfree):
     return buckets
 
 
-def section_lattice_points(cone: RationalCone, lam):
-    """Integer points of the cone section with the leading block fixed to lam.
+def _section_runs(rows, nfree):
+    """Runs ``(tail, lo, hi)`` of the integer x with const + coeffs . x >= 0 on every row.
+
+    The one scan behind ``section_blocks`` and ``count_section_points``.  It
+    fixes the free coordinates from the last to the first, each within the
+    bounds of its bucket's rows (``_buckets``), so each row is enforced
+    exactly once.  Once x_1 ... x_{m-1} are fixed as ``tail``, the points
+    are x_0 = lo ... hi, recorded as one run and never listed.  Runs come
+    in colexicographic order of their tails, and only nonempty runs are
+    recorded.  Every bucket needs a row bounding its coordinate from below
+    and one bounding it from above.
+    """
+    if nfree <= 0:
+        raise PolyhedralError("section leaves no free coordinates")
+    buckets = _buckets(rows, nfree)
+    if buckets is None:
+        return []
+    # (constant, |c_k|, dense tail) per row: a tail is zero up to k, so a
+    # dot product with the whole point reads only the coordinates after k.
+    # A row with no tail is a constant bound, and each side keeps its
+    # tightest: x_k >= ceil(-const / c) below, x_k <= floor(const / |c|) above.
+    lower = [[] for _ in range(nfree)]
+    upper = [[] for _ in range(nfree)]
+    floor = [[] for _ in range(nfree)]
+    ceiling = [[] for _ in range(nfree)]
+    for k, bucket in enumerate(buckets):
+        lows = [-(const // c) for const, c, tail in bucket if c > 0 and not tail]
+        highs = [const // -c for const, c, tail in bucket if c < 0 and not tail]
+        floor[k] = [max(lows)] if lows else []
+        ceiling[k] = [min(highs)] if highs else []
+        for const, c, tail in bucket:
+            if tail:
+                dense = [0] * nfree
+                for j, cj in tail:
+                    dense[j] = cj
+                (lower if c > 0 else upper)[k].append((const, abs(c), dense))
+        if not (lower[k] or floor[k]) or not (upper[k] or ceiling[k]):
+            raise PolyhedralError(f"the constraints leave free coordinate {k} unbounded")
+    runs = []
+    point = [0] * nfree
+
+    def scan(k):
+        lo = max([-((const + sum(map(mul, tail, point))) // c)
+                  for const, c, tail in lower[k]] + floor[k])
+        hi = min([(const + sum(map(mul, tail, point))) // c
+                  for const, c, tail in upper[k]] + ceiling[k])
+        if k == 0:
+            if lo <= hi:
+                runs.append((tuple(point[1:]), lo, hi))
+            return
+        for v in range(lo, hi + 1):
+            point[k] = v
+            scan(k - 1)
+
+    scan(nfree - 1)
+    return runs
+
+
+def section_blocks(cone: RationalCone, lam):
+    """Integer points of the cone section at lam, as ``((x_0, tails), ...)``.
 
     The section polytope is homogenized and its vertices bound an exact box;
-    an empty section yields no points, and unbounded sections are rejected
-    with a certifying recession ray.  The scan fixes the free coordinates
-    from the last to the first.  A facet whose first nonzero free
-    coefficient sits at k bounds x_k once the coordinates after k are fixed,
-    so each facet is enforced exactly once and every emitted point satisfies
-    all of them.  String cones suit this order: their lambda-inequalities
-    bound each coordinate by the ones after it in the word (Littelmann,
-    "Cones, crystals, and patterns", Prop. 1.5).
+    an empty section yields no blocks, and unbounded sections are rejected
+    with a certifying recession ray.  Under the facets and the box,
+    ``_section_runs`` scans the free coordinates from the last to the first
+    and records one run of x_0 per tail x_1 ... x_{m-1}.  Only the tails
+    are sorted; each is then filed under every x_0 of its run, so the
+    blocks run through x_0 in ascending order, each tail block is in
+    lexicographic order, and the points ``(x_0,) + tail`` come out in
+    lexicographic order with no point sort.  String cones suit the scan
+    order: their lambda-inequalities bound each coordinate by the ones
+    after it in the word (Littelmann, "Cones, crystals, and patterns",
+    Prop. 1.5).
     """
     lam = tuple(lam)
     n = len(lam)
     nfree = cone.ambient_dim - n
     if nfree <= 0:
         raise PolyhedralError("section leaves no free coordinates")
-    rows = []
-    for u in cone.facets:
-        rows.append((vec_dot(u[:n], lam), u[n:]))
+    rows = [(vec_dot(u[:n], lam), u[n:]) for u in cone.facets]
     homog = [(1,) + (0,) * nfree]
     homog += [(const,) + tuple(coeffs) for const, coeffs in rows]
     lin, rays = _dd_pair(homog, nfree + 1)
@@ -222,41 +287,38 @@ def section_lattice_points(cone: RationalCone, lam):
             raise UnboundedSectionError(
                 f"section at lambda={lam} is unbounded", ray=v[1:]
             )
-    lo = [min(_ceil_div(v[k], v[0]) for v in rays) for k in range(1, nfree + 1)]
-    hi = [max(v[k] // v[0] for v in rays) for k in range(1, nfree + 1)]
-    buckets = _buckets(rows, nfree)
-    if buckets is None:
+    for k in range(1, nfree + 1):
+        unit = tuple(int(j == k) for j in range(1, nfree + 1))
+        rows.append((-min(_ceil_div(v[k], v[0]) for v in rays), unit))
+        rows.append((max(v[k] // v[0] for v in rays), _neg(unit)))
+    runs = _section_runs(rows, nfree)
+    if not runs:
         return ()
-    found = []
-    point = [0] * nfree
+    runs.sort(key=itemgetter(0))  # tails are distinct
+    base = min(lo for _, lo, _ in runs)
+    blocks = [[] for _ in range(max(hi for _, _, hi in runs) - base + 1)]
+    for tail, lo, hi in runs:
+        for block in blocks[lo - base:hi - base + 1]:
+            block.append(tail)
+    return tuple((x0, tuple(block)) for x0, block in enumerate(blocks, base) if block)
 
-    def scan(k):
-        lo_k, hi_k = lo[k], hi[k]
-        for const, c, tail in buckets[k]:
-            rest = const + sum(cj * point[j] for j, cj in tail)
-            if c > 0:
-                lo_k = max(lo_k, _ceil_div(-rest, c))
-            else:
-                hi_k = min(hi_k, rest // -c)
-        if k == 0:
-            after = tuple(point[1:])
-            found.extend((v,) + after for v in range(lo_k, hi_k + 1))
-            return
-        for v in range(lo_k, hi_k + 1):
-            point[k] = v
-            scan(k - 1)
 
-    scan(nfree - 1)
-    return tuple(sorted(found))
+def section_lattice_points(cone: RationalCone, lam):
+    """Integer points of the cone section with the leading block fixed to lam.
+
+    The points of ``section_blocks``, flattened: a sorted tuple of the free
+    coordinates of each point.  An empty section yields no points, and an
+    unbounded one raises ``UnboundedSectionError``.
+    """
+    return tuple((x0,) + tail for x0, tails in section_blocks(cone, lam) for tail in tails)
 
 
 def count_section_points(constraints, lam) -> int:
     """Number of integer x with u . (lam + x) >= 0 for every constraint u.
 
-    The scan of ``section_lattice_points`` with no box: the free
-    coordinates are fixed from the last to the first, each within the
-    bounds of its bucket's rows (``_buckets``), and the first one's range
-    is counted, not listed.  So every bucket needs a row bounding its
+    The scan of ``section_blocks`` with no box: ``_section_runs`` fixes the
+    free coordinates from the last to the first, and the runs of the first
+    one are counted, not listed.  So every bucket needs a row bounding its
     coordinate from below and one bounding it from above.  A string cone's
     rows give both: x_k >= 0 and Littelmann's phi-bound on x_k by lambda
     and the coordinates after k ("Cones, crystals, and patterns", Prop. 1.5).
@@ -264,39 +326,8 @@ def count_section_points(constraints, lam) -> int:
     lam = tuple(lam)
     n = len(lam)
     rows = [(vec_dot(u[:n], lam), u[n:]) for u in constraints]
-    nfree = len(rows[0][1])
-    buckets = _buckets(rows, nfree)
-    if buckets is None:
-        return 0
-    # (constant, |c_k|, dense tail) per row: a tail is zero up to k, so a
-    # dot product with the whole point reads only the coordinates after k
-    lower = [[] for _ in range(nfree)]
-    upper = [[] for _ in range(nfree)]
-    for k, bucket in enumerate(buckets):
-        for const, c, tail in bucket:
-            dense = [0] * nfree
-            for j, cj in tail:
-                dense[j] = cj
-            (lower if c > 0 else upper)[k].append((const, abs(c), dense))
-        if not lower[k] or not upper[k]:
-            raise PolyhedralError(f"the constraints leave free coordinate {k} unbounded")
-    point = [0] * nfree
-
-    def count(k):
-        # x_k >= ceil(-rest / c) on a lower row, x_k <= floor(rest / |c|) on an upper one
-        lo = max([-((const + sum(map(mul, tail, point))) // c)
-                  for const, c, tail in lower[k]])
-        hi = min([(const + sum(map(mul, tail, point))) // c
-                  for const, c, tail in upper[k]])
-        if k == 0:
-            return hi - lo + 1 if hi >= lo else 0
-        total = 0
-        for v in range(lo, hi + 1):
-            point[k] = v
-            total += count(k - 1)
-        return total
-
-    return count(nfree - 1)
+    nfree = len(rows[0][1]) if rows else 0
+    return sum(hi - lo + 1 for _, lo, hi in _section_runs(rows, nfree))
 
 
 def is_face(cone: RationalCone, points):

@@ -86,11 +86,21 @@ def test_crystal_dump(capsys):
 
 
 def test_polytope_section(capsys):
+    # one free coordinate: each point line is x_0 alone, with no trailing space
     assert main(["polytope", "--type", "A", "--rank", "1",
                  "--lambda", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "polytope A1 word 1 lambda 2"
-    assert "points 3" in out
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "polytope A1 word 1 lambda 2\n"
+        "inequalities 2\n"
+        "0 1\n"
+        "2 -1\n"
+        "points 3\n"
+        "0\n"
+        "1\n"
+        "2\n"
+    )
+    assert list(_timing(captured.err)) == ["cone", "section"]
 
 
 def test_cone_writes_text_and_json(tmp_path):

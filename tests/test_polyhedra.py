@@ -6,7 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stringcone.polyhedra
-from stringcone.cartan import build_cartan, longest_word
+from stringcone.cartan import all_reduced_words, build_cartan, longest_word
+from stringcone.degeneration import string_cone_rows
 from stringcone.errors import PolyhedralError, UnboundedSectionError
 from stringcone.linalg import kernel_basis_int, primitive, rank_int, vec_dot
 from stringcone.polyhedra import (
@@ -21,6 +22,7 @@ from stringcone.polyhedra import (
     is_face,
     parse_h_rep,
     saturation_check,
+    section_blocks,
     section_lattice_points,
 )
 from stringcone.strings import weighted_points
@@ -96,6 +98,13 @@ def test_count_section_points_cases():
     assert count_section_points(rows, (2,)) == 6
     with pytest.raises(PolyhedralError, match="coordinate 0 unbounded"):
         count_section_points(((0, 1),), (1,))
+
+
+@pytest.mark.parametrize("constraints, lam", [((), (1,)), (((1,),), (1,))])
+def test_count_needs_a_free_coordinate(constraints, lam):
+    # no constraint, or constraints that fix every coordinate to lam
+    with pytest.raises(PolyhedralError, match="no free coordinates"):
+        count_section_points(constraints, lam)
 
 
 @st.composite
@@ -422,6 +431,58 @@ def test_section_matches_brute_force(case):
         assert contains(cone, lam + p)
     box = itertools.product(range(-25, 26), repeat=nfree)
     assert {p for p in box if contains(cone, lam + p)} <= set(points)
+
+
+@st.composite
+def wide_sections(draw):
+    """Generators with weight coordinate 1 or 2 and 3 or 4 free coordinates.
+
+    A point of the section at t is sum a_i g_i with sum a_i g_i[0] = t, so
+    sum a_i <= t and each free coordinate lies in [-2t, 2t]: that box
+    holds the whole section, and its tails have two or three coordinates.
+    """
+    f = draw(st.integers(min_value=3, max_value=4))
+    entry = st.integers(min_value=-2, max_value=2)
+    head = st.integers(min_value=1, max_value=2)
+    gens = draw(st.lists(st.tuples(head, *[entry] * f), min_size=1, max_size=6))
+    return gens, (draw(st.integers(min_value=-1, max_value=2)),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_sections())
+@example(([(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 0)], (2,)))
+def test_wide_section_matches_brute_force(case):
+    gens, lam = case
+    cone = conic_hull(gens)
+    nfree = cone.ambient_dim - 1
+    points = section_lattice_points(cone, lam)
+    assert list(points) == sorted(set(points))
+    box = itertools.product(range(-2 * lam[0], 2 * lam[0] + 1), repeat=nfree)
+    assert {p for p in box if contains(cone, lam + p)} == set(points)
+    # the rows 2t +- x_k >= 0 cut out the box, so the count with no box of
+    # its own is the section's size
+    box_rows = tuple((2,) + tuple(sign * int(j == k) for j in range(nfree))
+                     for k in range(nfree) for sign in (1, -1))
+    assert count_section_points(cone.facets + box_rows, lam) == len(points)
+    blocks = section_blocks(cone, lam)
+    assert [x0 for x0, _ in blocks] == sorted({p[0] for p in points})
+    assert all(tails for _, tails in blocks)
+
+
+def test_blocks_flatten_to_the_images_and_the_counts():
+    # every A3 word: the level-2 cone is saturated, so each section at
+    # lambda <= (2, 2, 2) is its sorted string image, and its size is the
+    # count under the facets and the string cone's rows
+    datum = build_cartan("A", 3)
+    for word in all_reduced_words(datum, longest_word(datum)):
+        images = weighted_points(datum, word, 2)
+        cone = conic_hull([lam + psi for lam, image in images.items() for psi in image])
+        constraints = cone.facets + string_cone_rows(datum, word)
+        for lam, image in images.items():
+            blocks = section_blocks(cone, lam)
+            flat = tuple((x0,) + tail for x0, tails in blocks for tail in tails)
+            assert flat == section_lattice_points(cone, lam) == image, (word, lam)
+            assert count_section_points(constraints, lam) == len(flat), (word, lam)
 
 
 @st.composite
