@@ -13,8 +13,7 @@ import os
 import random
 import sys
 import time
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .cartan import (
     adapted_word,
@@ -52,12 +51,10 @@ _FORM_TIME_LIMIT = 1.0
 _FUZZ_SAMPLES = 1000
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    index: int
-    slug: str
-    passed: bool
-    detail: str
+class CriterionResult(namedtuple("CriterionResult", "index slug passed detail")):
+    """Outcome of one criterion, with its one-line detail."""
+
+    __slots__ = ()
 
 
 class AcceptanceRun:

@@ -9,7 +9,7 @@ rightmost letter is applied first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EnumerationCapError, RootSystemError, WordError
 
@@ -23,20 +23,17 @@ _SUPPORTED_RANKS = {"A": (1, 4), "B": (2, 3), "C": (2, 3), "D": (4, 4), "G": (2,
 DEFAULT_WORD_CAP = 50000
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(namedtuple("CartanDatum", "type_label rank cartan_matrix symmetrizers"
+                                             " positive_roots")):
     """A finite root system in a fixed orientation.
 
     Entry ``cartan_matrix[i][j]`` pairs the j-th simple root against the
     i-th simple coroot; the symmetrizers then satisfy
-    ``d[i] * a[i][j] == d[j] * a[j][i]``.
+    ``d[i] * a[i][j] == d[j] * a[j][i]``.  The matrix is a tuple of int
+    rows, and ``positive_roots`` a tuple of root vectors.
     """
 
-    type_label: str
-    rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    symmetrizers: tuple[int, ...]
-    positive_roots: tuple[RootVector, ...]
+    __slots__ = ()
 
     @property
     def num_positive_roots(self) -> int:

@@ -6,21 +6,20 @@ crystal enumeration and the string-side counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .cartan import CartanDatum, Weight, check_reduced_word, is_dominant, longest_word
+from .cartan import CartanDatum, check_reduced_word, is_dominant, longest_word
 from .errors import WeightError
 
 
-@dataclass(frozen=True)
-class WeightPolynomial:
+class WeightPolynomial(namedtuple("WeightPolynomial", "terms")):
     """Finite integer combination of formal exponentials of weights.
 
-    Terms are stored sorted by weight with zero coefficients dropped, so
-    equality and hashing are canonical.
+    ``terms`` holds ``(weight, coefficient)`` pairs sorted by weight with
+    zero coefficients dropped, so equality and hashing are canonical.
     """
 
-    terms: tuple[tuple[Weight, int], ...]
+    __slots__ = ()
 
     @staticmethod
     def from_dict(coeffs: dict) -> "WeightPolynomial":

@@ -16,16 +16,15 @@ import os
 import stat
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .cartan import build_cartan, is_dominant, longest_word, validate_word
+from .cartan import build_cartan, check_longest_word, is_dominant, longest_word, validate_word
 from .characters import weyl_dim
 from .degeneration import degeneration_certificate, report_to_json
 from .errors import PolyhedralError, RootSystemError, StringConeError, WordError
 from .pathcrystal import DEFAULT_NODE_CAP, CrystalCache, edge_lines, enumerate_crystal
 from .polyhedra import conic_hull, format_h_rep, section_blocks
-from .strings import weighted_points
-from .acceptance import run_full
+from .strings import dominant_crystals, weighted_points
 
 _STAGE_CODES = {
     "general": 1,
@@ -37,16 +36,12 @@ _STAGE_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    type_label: str | None = None
-    rank: int | None = None
-    w0_word: tuple | None = None
-    lam: tuple | None = None
-    demazure_word: tuple | None = None
-    level_bound: int = 2
-    node_cap: int = DEFAULT_NODE_CAP
-    out: str | None = None
+class RunConfig(namedtuple("RunConfig", "type_label rank w0_word lam demazure_word"
+                           " level_bound node_cap out",
+                           defaults=(None, None, None, None, None, 2, DEFAULT_NODE_CAP, None))):
+    """One command's flags; a flag the command does not take keeps its default."""
+
+    __slots__ = ()
 
 
 def _int_tuple(text: str):
@@ -195,21 +190,35 @@ def _cmd_crystal(config: RunConfig) -> int:
     return 0
 
 
-def _infer_cone(config: RunConfig, datum):
-    word = config.w0_word if config.w0_word is not None else longest_word(datum)
-    images = weighted_points(
-        datum, word, config.level_bound,
-        crystals=CrystalCache(datum, config.node_cap),
-    )
-    return word, conic_hull([lam + psi for lam, image in images.items() for psi in image])
+def _infer_cone(config: RunConfig, datum, timings: dict):
+    """The word and the hull of its strings up to the level bound.
+
+    The milliseconds of the ``crystal``, ``strings`` and ``hull`` stages
+    go into ``timings``.
+    """
+    clock = time.perf_counter
+    if config.w0_word is None:
+        word = longest_word(datum)
+    else:
+        word = check_longest_word(datum, config.w0_word)
+    crystals = CrystalCache(datum, config.node_cap)
+    t = clock()
+    dominant_crystals(datum, config.level_bound, crystals=crystals)
+    timings["crystal"] = (clock() - t) * 1000.0
+    t = clock()
+    images = weighted_points(datum, word, config.level_bound, crystals=crystals)
+    timings["strings"] = (clock() - t) * 1000.0
+    t = clock()
+    cone = conic_hull([lam + psi for lam, image in images.items() for psi in image])
+    timings["hull"] = (clock() - t) * 1000.0
+    return word, cone
 
 
 def _cmd_polytope(config: RunConfig) -> int:
     clock = time.perf_counter
-    t = clock()
     datum = build_cartan(config.type_label, config.rank)
-    word, cone = _infer_cone(config, datum)
-    timings = {"cone": (clock() - t) * 1000.0}
+    timings = {}
+    word, cone = _infer_cone(config, datum, timings)
     t = clock()
     blocks = section_blocks(cone, config.lam)
     found = sum(len(tails) for _, tails in blocks)
@@ -248,22 +257,24 @@ def _cmd_polytope(config: RunConfig) -> int:
 
 def _cmd_cone(config: RunConfig) -> int:
     datum = build_cartan(config.type_label, config.rank)
-    word, cone = _infer_cone(config, datum)
+    timings = {}
+    word, cone = _infer_cone(config, datum, timings)
     text = format_h_rep(cone)
     if config.out is None:
         _emit(text, None)
-        return 0
-    doc = {
-        "type": config.type_label,
-        "rank": config.rank,
-        "word": list(word),
-        "level_bound": config.level_bound,
-        "rays": [list(r) for r in cone.rays],
-        "facets": [list(u) for u in cone.facets],
-    }
-    # the companion goes first, so a failed companion leaves --out untouched
-    _write(config.out + ".json", json.dumps(doc, separators=(",", ":")) + "\n")
-    _write(config.out, text)
+    else:
+        doc = {
+            "type": config.type_label,
+            "rank": config.rank,
+            "word": list(word),
+            "level_bound": config.level_bound,
+            "rays": [list(r) for r in cone.rays],
+            "facets": [list(u) for u in cone.facets],
+        }
+        # the companion goes first, so a failed companion leaves --out untouched
+        _write(config.out + ".json", json.dumps(doc, separators=(",", ":")) + "\n")
+        _write(config.out, text)
+    _print_timing(timings)
     return 0
 
 
@@ -287,7 +298,13 @@ def _print_timing(timings_ms) -> None:
     print("timing " + json.dumps(doc, separators=(",", ":")), file=sys.stderr)
 
 
-def _cmd_verify(config: RunConfig, runner=run_full) -> int:
+def _cmd_verify(config: RunConfig, runner=None) -> int:
+    """Run the acceptance suite, or ``runner`` in its place.
+
+    The suite is imported here, so no other command loads it.
+    """
+    if runner is None:
+        from .acceptance import run_full as runner
     start = time.perf_counter()
     text, results = runner()
     _emit(text, config.out)

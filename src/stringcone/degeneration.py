@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .cartan import CartanDatum, apply_word, check_longest_word, check_reduced_word, rho
@@ -31,14 +31,13 @@ from .polyhedra import (
     is_face,
     section_lattice_points,
 )
-from .strings import demazure_strings, dominant_weights, weighted_points
+from .strings import demazure_strings, dominant_crystals, dominant_weights, weighted_points
 
 
-@dataclass(frozen=True)
-class SeparatingForm:
+class SeparatingForm(namedtuple("SeparatingForm", "coefficients")):
     """Positive integer linear form on string coordinates."""
 
-    coefficients: tuple
+    __slots__ = ()
 
     def value(self, entries) -> int:
         return vec_dot(self.coefficients, entries)
@@ -123,16 +122,15 @@ def lattice_relations(generators):
     return kernel_basis_int(rows, len(gens))
 
 
-@dataclass(frozen=True)
-class DemazureQuotient:
-    """String-level image of one Demazure crystal against the full cone."""
+class DemazureQuotient(namedtuple("DemazureQuotient",
+                                  "w_word adapted zero_tail face normal sections")):
+    """String-level image of one Demazure crystal against the full cone.
 
-    w_word: tuple
-    adapted: bool
-    zero_tail: bool
-    face: bool
-    normal: tuple | None
-    sections: tuple
+    ``normal`` is None when the image spans no face; ``sections`` holds
+    ``(lam, strings)`` pairs.
+    """
+
+    __slots__ = ()
 
 
 def demazure_quotient(datum: CartanDatum, w0_word, w_word, level_bound: int, *,
@@ -172,34 +170,26 @@ def demazure_quotient(datum: CartanDatum, w0_word, w_word, level_bound: int, *,
     )
 
 
-@dataclass(frozen=True)
-class SectionRecord:
-    lam: tuple
-    count: int
-    dim: int
-    match: bool
-    demazure_count: int | None = None
-    demazure_dim: int | None = None
-    demazure_match: bool | None = None
+class SectionRecord(namedtuple("SectionRecord", "lam count dim match demazure_count"
+                               " demazure_dim demazure_match", defaults=(None, None, None))):
+    """One weight's string count against its Weyl dimension.
+
+    The ``demazure_*`` fields are None without a Demazure word.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DegenerationReport:
-    """Everything the degeneration construction needs, with check outcomes."""
+class DegenerationReport(namedtuple("DegenerationReport", "datum w0_word demazure_word cone"
+                                    " certified_level hilbert_basis relations form pairs"
+                                    " sections demazure checks timings")):
+    """Everything the degeneration construction needs, with check outcomes.
 
-    datum: CartanDatum
-    w0_word: tuple
-    demazure_word: tuple | None
-    cone: RationalCone
-    certified_level: int
-    hilbert_basis: tuple
-    relations: tuple
-    form: SeparatingForm
-    pairs: tuple
-    sections: tuple
-    demazure: DemazureQuotient | None
-    checks: tuple
-    timings: dict
+    ``demazure_word`` and ``demazure`` are None without a Demazure word;
+    ``timings`` is a dict of milliseconds per stage.
+    """
+
+    __slots__ = ()
 
     @property
     def passing(self) -> bool:
@@ -347,8 +337,12 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     clock = time.perf_counter
 
     t = clock()
+    dominant_crystals(datum, check_level, crystals=crystals)
+    timings["crystal"] = (clock() - t) * 1000.0
+
+    t = clock()
     images = weighted_points(datum, w0_word, check_level, crystals=crystals)
-    timings["enumerate"] = (clock() - t) * 1000.0
+    timings["strings"] = (clock() - t) * 1000.0
 
     t = clock()
     # weights are dominant and string entries are eps-values, all >= 0, so

@@ -28,7 +28,7 @@ simple root, because every consumer reads it one root at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, islice
 from operator import sub
@@ -40,11 +40,14 @@ from .errors import EnumerationCapError, InvariantViolation, RootSystemError, We
 DEFAULT_NODE_CAP = 60000  # at least 59 049, the size of A4's B(2, 2, 2, 2)
 
 
-@dataclass(frozen=True)
-class PiecewisePath:
-    """Canonical piecewise-linear path: merged segments, positive durations."""
+class PiecewisePath(namedtuple("PiecewisePath", "segments")):
+    """Canonical piecewise-linear path: merged segments, positive durations.
 
-    segments: tuple[tuple[Weight, Fraction], ...]
+    ``segments`` is a tuple of ``(direction, duration)`` pairs, each
+    direction a weight and each duration a ``Fraction``.
+    """
+
+    __slots__ = ()
 
 
 def make_path(segments) -> PiecewisePath:
@@ -196,25 +199,19 @@ def raising_operator(datum: CartanDatum, path: PiecewisePath, i: int):
     return _rebuild(datum, path, i, t0, t1)
 
 
-@dataclass(eq=False)
-class CrystalGraph:
+class CrystalGraph(namedtuple("CrystalGraph", "datum lam f_edge e_edge eps phi weights")):
     """Crystal of a dominant weight, nodes numbered in search order.
 
-    Each table holds one column per simple root: ``f_edge[i-1][node]`` and
-    ``e_edge[i-1][node]`` give the target node of the lowering/raising
+    Each table is a tuple of one list per simple root: ``f_edge[i-1][node]``
+    and ``e_edge[i-1][node]`` give the target node of the lowering/raising
     operator or -1, ``eps[i-1][node]``/``phi[i-1][node]`` cache the string
     statistics and ``weights[i-1][node]`` is the i-th coordinate of the
     node weight.  Node 0 is the highest node.  ``f_edge`` is what the
-    search found; ``_graph`` derives every other table from it.
+    search found; ``_graph`` derives every other table from it.  The lists
+    make a graph unhashable.
     """
 
-    datum: CartanDatum
-    lam: Weight
-    f_edge: tuple[list[int], ...]
-    e_edge: tuple[list[int], ...]
-    eps: tuple[list[int], ...]
-    phi: tuple[list[int], ...]
-    weights: tuple[list[int], ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:

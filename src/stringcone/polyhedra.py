@@ -29,7 +29,7 @@ weight, read from the lambda-keyed images of ``strings.weighted_points``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter, mul
 
 from .errors import PolyhedralError, UnboundedSectionError
@@ -37,14 +37,10 @@ from .linalg import hnf_rows, primitive, rank_int, slack_lanes, snf_with_uinv, v
 from .strings import dominant_weights
 
 
-@dataclass(frozen=True)
-class RationalCone:
+class RationalCone(namedtuple("RationalCone", "ambient_dim rays facets pointed")):
     """Cone with canonical sorted primitive integer rays and facet normals."""
 
-    ambient_dim: int
-    rays: tuple
-    facets: tuple
-    pointed: bool
+    __slots__ = ()
 
 
 def _neg(v):
@@ -481,24 +477,21 @@ def hilbert_basis(cone: RationalCone, grading):
     return tuple(sorted(h for _, _, h in basis))
 
 
-@dataclass(frozen=True)
-class SectionCount:
-    lam: tuple
-    cone_count: int
-    data_count: int
+class SectionCount(namedtuple("SectionCount", "lam cone_count data_count")):
+    """Lattice points of one cone section against the strings of its weight."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(namedtuple("SaturationReport", "level_bound sections"
+                                  " cone_points_missing_from_data data_points_outside_cone")):
     """Per-weight comparison of cone sections against enumerated strings.
 
-    The two point lists hold ``(lam, psi)`` pairs.
+    ``sections`` holds one ``SectionCount`` per weight; the two point lists
+    hold ``(lam, psi)`` pairs.
     """
 
-    level_bound: int
-    sections: tuple
-    cone_points_missing_from_data: tuple
-    data_points_outside_cone: tuple
+    __slots__ = ()
 
     @property
     def clean(self) -> bool:

@@ -16,7 +16,9 @@ of every node to its ``top_i``.  ``_peel`` walks one node edge by edge and
 stays the per-node reference.
 
 ``weighted_points`` keys the images by lambda: the weighted cone's section
-at lambda is the image of B(lambda) (Littelmann 1998, Prop. 1.5).
+at lambda is the image of B(lambda) (Littelmann 1998, Prop. 1.5).  It
+builds the crystals first, with ``dominant_crystals``, and then peels
+them, so a caller can time the two apart.
 """
 
 from __future__ import annotations
@@ -124,25 +126,39 @@ def _weight_grid(rank: int, level_bound: int):
             yield (head,) + tail
 
 
-def weighted_points(datum: CartanDatum, word, level_bound: int, *,
-                    crystals: CrystalCache | None = None) -> dict:
-    """String images ``{lam: string_image(lam)}`` for dominant lam up to the bound.
+def dominant_crystals(datum: CartanDatum, level_bound: int, *,
+                      crystals: CrystalCache | None = None) -> dict:
+    """Crystals ``{lam: B(lam)}`` for dominant lam up to the bound, from the cache.
 
     The weights are first walked with ``weyl_dim`` alone, so a bound too
     large for the cache's node cap fails at the first weight over the cap
-    before any crystal is built.  The keys run in lexicographic order and
-    each image is sorted, so the points ``lam + psi`` come out sorted.
+    before any crystal is built.  A cached crystal was built under that
+    cap, so its weight needs no ``weyl_dim``.  Then each crystal is
+    enumerated into ``crystals``, once; the keys run in lexicographic order.
     """
-    word = check_longest_word(datum, word)
     if level_bound < 0:
         raise WordError("level bound must be nonnegative")
     crystals = CrystalCache.for_datum(datum, crystals)
     lams = []
     for lam in _weight_grid(datum.rank, level_bound):
-        if weyl_dim(datum, lam) > crystals.node_cap:
+        if lam not in crystals and weyl_dim(datum, lam) > crystals.node_cap:
             raise _cap_error(lam, crystals.node_cap)
         lams.append(lam)
-    return {lam: string_image(datum, lam, word, crystals=crystals) for lam in lams}
+    return {lam: crystals[lam] for lam in lams}
+
+
+def weighted_points(datum: CartanDatum, word, level_bound: int, *,
+                    crystals: CrystalCache | None = None) -> dict:
+    """String images ``{lam: string_image(lam)}`` for dominant lam up to the bound.
+
+    The crystals come from ``dominant_crystals``, all of them before the
+    first peel.  The keys run in lexicographic order and each image is
+    sorted, so the points ``lam + psi`` come out sorted.
+    """
+    word = check_longest_word(datum, word)
+    crystals = CrystalCache.for_datum(datum, crystals)
+    return {lam: string_image(datum, lam, word, crystals=crystals)
+            for lam in dominant_crystals(datum, level_bound, crystals=crystals)}
 
 
 def demazure_strings(datum: CartanDatum, lam, w_word, w0_word, *,

@@ -4,7 +4,10 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
@@ -25,6 +28,18 @@ def _timing(err):
     timings = json.loads(lines[0].removeprefix("timing "))
     assert all(isinstance(ms, float) and ms >= 0 for ms in timings.values())
     return timings
+
+
+def test_import_loads_no_heavy_module():
+    # each certificate is one short process, so start-up matters: importing
+    # the command line must not pull in dataclasses and its inspect/ast
+    # chain, typing, or the acceptance suite and its random
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import stringcone.cli, sys; print(' '.join(m for m in ('dataclasses',"
+            " 'inspect', 'typing', 'random', 'stringcone.acceptance') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.split() == []
 
 
 def test_parse_maps_flags_to_fields():
@@ -100,13 +115,16 @@ def test_polytope_section(capsys):
         "1\n"
         "2\n"
     )
-    assert list(_timing(captured.err)) == ["cone", "section"]
+    assert list(_timing(captured.err)) == ["crystal", "strings", "hull", "section"]
 
 
-def test_cone_writes_text_and_json(tmp_path):
+def test_cone_writes_text_and_json(tmp_path, capsys):
     target = tmp_path / "cone.txt"
     argv = ["cone", "--type", "A", "--rank", "2", "--out", str(target)]
     assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert list(_timing(captured.err)) == ["crystal", "strings", "hull"]
     cone = parse_h_rep(target.read_text())
     assert cone.ambient_dim == 5
     doc = json.loads((tmp_path / "cone.txt.json").read_text())
@@ -129,7 +147,7 @@ def test_degenerate_report(tmp_path, capsys):
     assert all(data["checks"].values())
     assert data["timings_ms"] == {}
     err = capsys.readouterr().err
-    assert list(_timing(err)) == ["enumerate", "hull", "saturation", "sections",
+    assert list(_timing(err)) == ["crystal", "strings", "hull", "saturation", "sections",
                                   "hilbert", "relations", "form"]
 
 
@@ -138,6 +156,17 @@ def test_degenerate_bad_word_stage_code(capsys):
                "--word", "2,1,2,1"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error[cartan]:")
+
+
+@pytest.mark.parametrize("command", [
+    ["cone"], ["degenerate"], ["polytope", "--lambda", "1,1"],
+])
+def test_a_bad_word_fails_before_the_cap_walk(command, capsys):
+    # the word is checked before any weight is walked against the cap
+    rc = main(command + ["--type", "A", "--rank", "2", "--word", "1,2,1,2",
+                         "--level-bound", "99999999999", "--cap", "50"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error[cartan]: word (1, 2, 1, 2)")
 
 
 def test_crystal_cap_stage_code(capsys):

@@ -1,9 +1,9 @@
 import pytest
 
-from stringcone import cartan
+from stringcone import cartan, pathcrystal, strings
 from stringcone.cartan import all_reduced_words, build_cartan, longest_word, weyl_group_words
 from stringcone.characters import weyl_dim
-from stringcone.errors import InvariantViolation, RootSystemError, WordError
+from stringcone.errors import EnumerationCapError, InvariantViolation, RootSystemError, WordError
 from stringcone.pathcrystal import (
     CrystalCache,
     CrystalGraph,
@@ -12,6 +12,7 @@ from stringcone.pathcrystal import (
 )
 from stringcone.strings import (
     demazure_strings,
+    dominant_crystals,
     dominant_weights,
     string_image,
     string_param,
@@ -104,6 +105,45 @@ def test_weighted_points_cache_reuse():
     assert set(crystals) == set(dominant_weights(2, 1))
     again = weighted_points(datum, (1, 2, 1), 1, crystals=crystals)
     assert first == again
+
+
+def test_dominant_crystals_fill_the_cache_in_order():
+    datum = build_cartan("B", 2)
+    crystals = CrystalCache(datum)
+    graphs = dominant_crystals(datum, 2, crystals=crystals)
+    assert tuple(graphs) == dominant_weights(2, 2)
+    assert all(crystals[lam] is graph for lam, graph in graphs.items())
+    assert [g.size for g in graphs.values()] == [weyl_dim(datum, lam) for lam in graphs]
+
+
+def test_weighted_points_builds_every_crystal_before_it_peels(monkeypatch):
+    datum = build_cartan("A", 2)
+    crystals = CrystalCache(datum)
+    cached = []
+    peel = strings._peel_nodes
+
+    def recording(graph, nodes, word):
+        cached.append(len(crystals))
+        return peel(graph, nodes, word)
+
+    monkeypatch.setattr(strings, "_peel_nodes", recording)
+    weighted_points(datum, (1, 2, 1), 2, crystals=crystals)
+    assert cached == [9] * 9
+
+
+def test_dominant_crystals_stop_at_the_cap_before_any_crystal(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("crystal built")
+
+    monkeypatch.setattr(pathcrystal, "_path_crystal", refuse)
+    monkeypatch.setattr(pathcrystal, "_tensor_crystal", refuse)
+    datum = build_cartan("A", 2)
+    crystals = CrystalCache(datum, 50)
+    with pytest.raises(EnumerationCapError, match=r"lambda=\(0, 9\) exceeded node cap 50$"):
+        dominant_crystals(datum, 10**9, crystals=crystals)
+    assert not crystals
+    with pytest.raises(WordError):
+        dominant_crystals(datum, -1, crystals=crystals)
 
 
 def test_cache_for_another_datum_is_rejected():
