@@ -34,11 +34,11 @@ from .degeneration import (
     build_pairs,
     degeneration_certificate,
     demazure_quotient,
+    level_hull,
     report_to_json,
     separating_form,
 )
 from .pathcrystal import CrystalCache
-from .polyhedra import conic_hull
 from .strings import dominant_weights, string_image, string_weight, weighted_points
 
 CASES = ("A1", "A2", "A3", "B2", "G2")
@@ -109,8 +109,7 @@ class AcceptanceRun:
             images = weighted_points(
                 self.datum(key), w0_word, 2, crystals=self.crystals[key]
             )
-            self._dem_cones[slot] = conic_hull(
-                [lam + psi for lam, image in images.items() for psi in image])
+            self._dem_cones[slot] = level_hull(images, 2)
         return self._dem_cones[slot]
 
 

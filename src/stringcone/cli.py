@@ -20,10 +20,10 @@ from collections import namedtuple
 
 from .cartan import build_cartan, check_longest_word, is_dominant, longest_word, validate_word
 from .characters import weyl_dim
-from .degeneration import degeneration_certificate, report_to_json
+from .degeneration import degeneration_certificate, level_hull, report_to_json
 from .errors import PolyhedralError, RootSystemError, StringConeError, WordError
 from .pathcrystal import DEFAULT_NODE_CAP, CrystalCache, edge_lines, enumerate_crystal
-from .polyhedra import conic_hull, format_h_rep, section_blocks
+from .polyhedra import format_h_rep, section_blocks
 from .strings import dominant_crystals, weighted_points
 
 _STAGE_CODES = {
@@ -193,8 +193,10 @@ def _cmd_crystal(config: RunConfig) -> int:
 def _infer_cone(config: RunConfig, datum, timings: dict):
     """The word and the hull of its strings up to the level bound.
 
-    The milliseconds of the ``crystal``, ``strings`` and ``hull`` stages
-    go into ``timings``.
+    The hull is ``level_hull``'s: the level-1 strings in one hull, then
+    each higher level packed against it and joined only where it adds
+    points.  The milliseconds of the ``crystal``, ``strings`` and
+    ``hull`` stages go into ``timings``.
     """
     clock = time.perf_counter
     if config.w0_word is None:
@@ -209,7 +211,7 @@ def _infer_cone(config: RunConfig, datum, timings: dict):
     images = weighted_points(datum, word, config.level_bound, crystals=crystals)
     timings["strings"] = (clock() - t) * 1000.0
     t = clock()
-    cone = conic_hull([lam + psi for lam, image in images.items() for psi in image])
+    cone = level_hull(images, config.level_bound)
     timings["hull"] = (clock() - t) * 1000.0
     return word, cone
 

@@ -18,9 +18,11 @@ from stringcone.cartan import all_reduced_words, build_cartan, longest_word
 from stringcone.cli import main
 from stringcone.degeneration import (
     build_pairs,
+    SeparatingForm,
     degeneration_certificate,
     demazure_quotient,
     lattice_relations,
+    level_hull,
     report_to_json,
     separating_form,
     string_cone_rows,
@@ -507,13 +509,14 @@ def test_report_json_deterministic(a2):
 @pytest.mark.parametrize("type_label, rank, level, sizes", [
     ("G", 2, 1, [86, 105]),
     ("B", 2, 1, [26, 14]),
-    ("G", 2, 2, [1394, 195]),
+    ("G", 2, 2, [86, 105, 195]),
     ("A", 3, 1, [134]),
 ])
 def test_certificate_hulls_the_build_level_then_the_missed_points(
         type_label, rank, level, sizes, monkeypatch):
-    # the second hull takes the first hull's rays and the points it misses,
-    # never the whole enumeration
+    # each join takes the previous hull's rays and the points it misses,
+    # never the whole enumeration: G2 at level bound 2 hulls level 1, joins
+    # the level-2 points it misses, then the missed check-level points
     calls = []
     original = stringcone.degeneration.conic_hull
 
@@ -607,3 +610,70 @@ def test_certificate_lanes_cover_every_packed_point(monkeypatch):
     packed += [lam + psi for lam, psi in report.hilbert_basis]
     assert len(reaches) == 2  # the level-1 hull misses level-2 points
     assert all(max(map(abs, v)) <= reach for v in packed for reach in reaches)
+
+
+@pytest.mark.parametrize("type_label, rank, tops", [
+    ("A", 2, range(4)), ("B", 2, range(4)), ("C", 2, range(4)), ("G", 2, range(4)),
+    ("A", 3, [2]),
+], ids=["A2", "B2", "C2", "G2", "A3"])
+def test_level_hull_is_the_hull_of_all_points(type_label, rank, tops):
+    # every reduced word; weights above the top are ignored
+    datum = build_cartan(type_label, rank)
+    crystals = CrystalCache(datum)
+    for word in all_reduced_words(datum, longest_word(datum)):
+        images = weighted_points(datum, word, max(tops) + 1, crystals=crystals)
+        for top in tops:
+            points = [lam + psi for lam, image in images.items() if max(lam) <= top
+                      for psi in image]
+            assert level_hull(images, top) == conic_hull(points), (word, top)
+
+
+@pytest.mark.parametrize("type_label, base, missed", [("B", 26, 6), ("G", 86, 88)])
+def test_level_hull_joins_the_rays_and_the_missed_shell_points(
+        type_label, base, missed, monkeypatch):
+    # the level-1 hull misses 6 level-2 points of B2 and 88 of G2, and the
+    # one join takes its rays and those points alone
+    calls = []
+    original = stringcone.degeneration.conic_hull
+
+    def recording(points):
+        calls.append((tuple(points), original(points)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(stringcone.degeneration, "conic_hull", recording)
+    datum = build_cartan(type_label, 2)
+    images = weighted_points(datum, longest_word(datum), 2)
+    level_hull(images, 2)
+    assert [len(points) for points, _ in calls] == [base, len(calls[0][1].rays) + missed]
+    rays = calls[0][1].rays
+    joined = calls[1][0]
+    assert joined[:len(rays)] == rays
+    shell = {lam + psi for lam, image in images.items() if max(lam) == 2 for psi in image}
+    assert set(joined[len(rays):]) <= shell
+
+
+def test_cone_command_hulls_the_level_one_strings_once(monkeypatch, capsys):
+    # A3's level-1 hull holds every level-2 string: one hull of 134 points,
+    # not of all 2 996
+    calls = []
+    original = stringcone.degeneration.conic_hull
+
+    def recording(points):
+        calls.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(stringcone.degeneration, "conic_hull", recording)
+    assert main(["cone", "--type", "A", "--rank", "3", "--level-bound", "2"]) == 0
+    capsys.readouterr()
+    assert calls == [134]
+
+
+def test_degenerate_reports_a_form_that_fails_a_pair(monkeypatch, capsys):
+    # A2's level-1 pair (0, 1, 1) < (1, 1, 0) ties under the all-ones form:
+    # the certificate reports the failed check instead of raising
+    monkeypatch.setattr(stringcone.degeneration, "separating_form",
+                        lambda pairs, n_coords: SeparatingForm((1,) * n_coords))
+    assert main(["degenerate", "--type", "A", "--rank", "2", "--level-bound", "1"]) == 1
+    out = capsys.readouterr().out
+    assert '"separating_form_strict":false' in out
+    assert '"weight_form":[1,1,1]' in out
