@@ -23,8 +23,6 @@ from .linalg import kernel_basis_int, slack_lanes, vec_dot
 from .pathcrystal import CrystalCache
 from .polyhedra import (
     RationalCone,
-    SaturationReport,
-    SectionCount,
     conic_hull,
     count_section_points,
     hilbert_basis,
@@ -219,17 +217,17 @@ def string_cone_rows(datum: CartanDatum, word):
     return tuple(rows)
 
 
-def _counted_saturation(cone, rows, images, check_level, outside):
+def _counted_saturation(cone, rows, images):
     """Saturation by counting: each section's lattice points against its image.
 
     The rows must hold on the cone's rays, so they hold on the cone and
     bound every free coordinate of a section from below and above; with
     the facets they let ``count_section_points`` count each section with
-    no box.  The caller has checked that every image point lies in the
-    cone (``outside`` lists those that do not), and an image is injective,
-    so a section whose count equals its image's size is that image.  Only
-    a section whose count differs is listed, to name a cone point missing
-    from the data.
+    no box.  The caller checks that every image point lies in the cone,
+    and an image is injective, so a section whose count equals its
+    image's size is that image.  Only a section whose count differs is
+    listed, and a cone point missing from the data raises; nothing is
+    returned.
     """
     for row in rows:
         for ray in cone.rays:
@@ -237,23 +235,14 @@ def _counted_saturation(cone, rows, images, check_level, outside):
                 raise InvariantViolation(f"string cone row {row} fails on cone ray {ray}")
     # many rows are facets (14 of A4's 20); each is scanned once
     constraints = tuple(dict.fromkeys(cone.facets + rows))
-    sections = []
     for lam, image in images.items():
-        count = count_section_points(constraints, lam)
-        if count != len(image):
+        if count_section_points(constraints, lam) != len(image):
             missing = sorted(set(section_lattice_points(cone, lam)) - set(image))
             if missing:
                 raise DegenerationError(
                     f"cone section point lambda={lam} psi={missing[0]}"
                     " is absent from the enumeration"
                 )
-        sections.append(SectionCount(lam=lam, cone_count=count, data_count=len(image)))
-    return SaturationReport(
-        level_bound=check_level,
-        sections=tuple(sections),
-        cone_points_missing_from_data=(),
-        data_points_outside_cone=tuple(outside),
-    )
 
 
 def _packed_slacks(cone, images, data_reach):
@@ -324,11 +313,12 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     joined once with the data points outside it: the rays generate that
     hull, lineality as opposite pairs, so the join is the hull of all the
     data.  The data points are then checked against the joined cone, and
-    any outside it fail ``saturation``.  Each section is counted once under the facets
-    and the string cone's rows (``_counted_saturation``); every data point
-    lies in the cone and an image is injective, so a section whose count
-    equals its image's size is that image.  A section whose count differs
-    is listed, and a cone section point absent from the enumeration is a
+    any outside it fail ``saturation``.  Each section is counted once under
+    the facets and the string cone's rows (``_counted_saturation``); every
+    data point lies in the cone and an image is injective, so a section
+    whose count equals its image's size is that image, and its record
+    takes its count from the image.  A section whose count differs is
+    listed, and a cone section point absent from the enumeration is a
     genuine failure and raises.  Each data point's facet slack is packed
     into one int with a lane per facet (``slack_lanes``), and the Hilbert
     checks run on these packed slacks alone.  A lane is at
@@ -392,9 +382,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     timings["hull"] = (clock() - t) * 1000.0
 
     t = clock()
-    report = _counted_saturation(cone, string_cone_rows(datum, w0_word), images,
-                                 check_level, missed)
-    certified_level = check_level
+    _counted_saturation(cone, string_cone_rows(datum, w0_word), images)
     timings["saturation"] = (clock() - t) * 1000.0
 
     t = clock()
@@ -407,8 +395,8 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     dem_sections = dict(quotient.sections) if quotient is not None else {}
     sections = []
     # a counted section equal in size to its injective image is that image
-    for section in report.sections:
-        lam, count = section.lam, section.data_count
+    for lam, image in images.items():
+        count = len(image)
         dim = weyl_dim(datum, lam)
         if quotient is not None:
             dem = dem_sections[lam]
@@ -460,7 +448,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     timings["form"] = (clock() - t) * 1000.0
 
     checks = [
-        ("saturation", report.clean),
+        ("saturation", not missed),
         ("section_counts_match_weyl", all(s.match for s in sections)),
         ("hilbert_basis_generates", generates),
         ("hilbert_basis_minimal", minimal),
@@ -478,7 +466,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
         w0_word=w0_word,
         demazure_word=w_word,
         cone=cone,
-        certified_level=certified_level,
+        certified_level=check_level,
         hilbert_basis=basis_points,
         relations=relations,
         form=form,

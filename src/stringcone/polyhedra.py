@@ -12,9 +12,10 @@ plain swap.  The redundancy test of ``_dd_pair`` and the reduction test of
 a lane per normal (``linalg.slack_lanes``): one multiply-add per coordinate
 computes all of them, and one addition and mask tests their signs.  Each
 caller sizes the lanes from a bound on every value it packs or subtracts.
-One kernel, ``_section_runs``, scans every section: it fixes the free
-coordinates from the last to the first and, once all but x_0 are fixed,
-records one run ``(tail, lo, hi)`` of x_0 instead of a point per x_0.  It
+One kernel, ``_section_runs``, scans every section: it files each row once
+under the first free coordinate it bounds, fixes the free coordinates from
+the last to the first and, once all but x_0 are fixed, records one run
+``(tail, lo, hi)`` of x_0 instead of a point per x_0.  It
 has three readers.  ``count_section_points`` sums the run lengths, with
 no box; the certificate compares these counts with the image sizes,
 because its data lie in its cone and each image is injective.
@@ -173,62 +174,46 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _buckets(rows, nfree):
-    """Sort ``(constant, free coefficients)`` rows by their first nonzero coefficient.
-
-    ``buckets[k]`` holds ``(constant, c_k, ((j, c_j) for the nonzero c_j
-    with j > k))``: once the coordinates after k are fixed, the row bounds
-    x_k from below when c_k > 0 and from above when c_k < 0.  A row with no
-    free coefficient holds or fails outright; None means one fails.
-    """
-    buckets = [[] for _ in range(nfree)]
-    for const, coeffs in rows:
-        k = next((j for j, c in enumerate(coeffs) if c), None)
-        if k is None:
-            if const < 0:
-                return None
-            continue
-        tail = tuple((j, c) for j, c in enumerate(coeffs) if c and j > k)
-        buckets[k].append((const, coeffs[k], tail))
-    return buckets
-
-
 def _section_runs(rows, nfree):
     """Runs ``(tail, lo, hi)`` of the integer x with const + coeffs . x >= 0 on every row.
 
-    The one scan behind ``section_blocks`` and ``count_section_points``.  It
-    fixes the free coordinates from the last to the first, each within the
-    bounds of its bucket's rows (``_buckets``), so each row is enforced
-    exactly once.  Once x_1 ... x_{m-1} are fixed as ``tail``, the points
-    are x_0 = lo ... hi, recorded as one run and never listed.  Runs come
-    in colexicographic order of their tails, and only nonempty runs are
-    recorded.  Every bucket needs a row bounding its coordinate from below
-    and one bounding it from above.
+    The one scan behind ``section_blocks`` and ``count_section_points``.
+    Each row is read once and filed under its first nonzero free coordinate
+    k, which it bounds from below when c_k > 0 and from above when c_k < 0:
+    as a tail row, its coefficients zeroed up to k, or as a constant floor
+    or ceiling, each side keeping its tightest.  A row with no free
+    coefficient holds or fails outright, and one that fails leaves no runs.
+    The scan fixes the free coordinates from the last to the first, so
+    each row is enforced exactly once.  Once x_1 ... x_{m-1} are fixed as
+    ``tail``, the points are x_0 = lo ... hi, recorded as one run and never
+    listed.  Runs come in colexicographic order of their tails, and only
+    nonempty runs are recorded.  Every free coordinate needs a row bounding
+    it from below and one bounding it from above.
     """
     if nfree <= 0:
         raise PolyhedralError("section leaves no free coordinates")
-    buckets = _buckets(rows, nfree)
-    if buckets is None:
-        return []
-    # (constant, |c_k|, dense tail) per row: a tail is zero up to k, so a
-    # dot product with the whole point reads only the coordinates after k.
-    # A row with no tail is a constant bound, and each side keeps its
-    # tightest: x_k >= ceil(-const / c) below, x_k <= floor(const / |c|) above.
+    # (constant, |c_k|, tail) per tail row: a tail is zero up to k, so a dot
+    # product with the whole point reads only the coordinates after k.  A
+    # floor is x_k >= ceil(-const / c), a ceiling x_k <= floor(const / |c|).
     lower = [[] for _ in range(nfree)]
     upper = [[] for _ in range(nfree)]
     floor = [[] for _ in range(nfree)]
     ceiling = [[] for _ in range(nfree)]
-    for k, bucket in enumerate(buckets):
-        lows = [-(const // c) for const, c, tail in bucket if c > 0 and not tail]
-        highs = [const // -c for const, c, tail in bucket if c < 0 and not tail]
-        floor[k] = [max(lows)] if lows else []
-        ceiling[k] = [min(highs)] if highs else []
-        for const, c, tail in bucket:
-            if tail:
-                dense = [0] * nfree
-                for j, cj in tail:
-                    dense[j] = cj
-                (lower if c > 0 else upper)[k].append((const, abs(c), dense))
+    for const, coeffs in rows:
+        k = next((j for j, c in enumerate(coeffs) if c), None)
+        if k is None:
+            if const < 0:
+                return []
+            continue
+        c = coeffs[k]
+        if any(coeffs[k + 1:]):
+            tail = (0,) * (k + 1) + tuple(coeffs[k + 1:])
+            (lower if c > 0 else upper)[k].append((const, abs(c), tail))
+        elif c > 0:
+            floor[k] = [max([-(const // c)] + floor[k])]
+        else:
+            ceiling[k] = [min([const // -c] + ceiling[k])]
+    for k in range(nfree):
         if not (lower[k] or floor[k]) or not (upper[k] or ceiling[k]):
             raise PolyhedralError(f"the constraints leave free coordinate {k} unbounded")
     runs = []
@@ -314,8 +299,8 @@ def count_section_points(constraints, lam) -> int:
 
     The scan of ``section_blocks`` with no box: ``_section_runs`` fixes the
     free coordinates from the last to the first, and the runs of the first
-    one are counted, not listed.  So every bucket needs a row bounding its
-    coordinate from below and one bounding it from above.  A string cone's
+    one are counted, not listed.  So every free coordinate needs a row
+    bounding it from below and one bounding it from above.  A string cone's
     rows give both: x_k >= 0 and Littelmann's phi-bound on x_k by lambda
     and the coordinates after k ("Cones, crystals, and patterns", Prop. 1.5).
     """

@@ -26,3 +26,13 @@ def test_every_hook_name_resolves():
     for module_name, function_name in hooks:
         module = importlib.import_module(f"{tracing.PACKAGE}.{module_name}")
         assert callable(getattr(module, function_name, None)), (module_name, function_name)
+
+
+def test_every_result_counter_names_a_spanned_hook():
+    # a counter keyed by a function without a span would never be called
+    tracing = _load_tracing()
+    spanned = {f"{module_name}.{function_name}"
+               for module_name, function_name in tracing.SPANNED}
+    assert tracing.ON_RESULT
+    for key in tracing.ON_RESULT:
+        assert key in spanned, key
