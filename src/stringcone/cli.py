@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import os
 import stat
@@ -20,11 +19,27 @@ from collections import namedtuple
 
 from .cartan import build_cartan, check_longest_word, is_dominant, longest_word, validate_word
 from .characters import weyl_dim
-from .degeneration import degeneration_certificate, level_hull, report_to_json
-from .errors import PolyhedralError, RootSystemError, StringConeError, WordError
+from .degeneration import (
+    degeneration_certificate,
+    level_hull,
+    report_to_json,
+    section_constraints,
+)
+from .errors import (
+    EnumerationCapError,
+    PolyhedralError,
+    RootSystemError,
+    StringConeError,
+    WordError,
+)
 from .pathcrystal import DEFAULT_NODE_CAP, CrystalCache, edge_lines, enumerate_crystal
 from .polyhedra import format_h_rep, section_blocks
 from .strings import dominant_crystals, weighted_points
+
+# the most points ``polytope`` scans and prints.  ``--cap`` bounds crystals,
+# and a section can be far larger than any crystal its cone needs: A3 at
+# (6, 6, 6) has 117 649 points, over the default cap of 60 000.
+POLYTOPE_POINT_LIMIT = 1_000_000
 
 _STAGE_CODES = {
     "general": 1,
@@ -216,21 +231,42 @@ def _infer_cone(config: RunConfig, datum, timings: dict):
     return word, cone
 
 
+class _TailTexts(dict):
+    """Each tail's text, with its leading space ("" for A1), formatted on first lookup."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, tail):
+        text = self[tail] = self.row % tail
+        return text
+
+
 def _cmd_polytope(config: RunConfig) -> int:
     clock = time.perf_counter
     datum = build_cartan(config.type_label, config.rank)
+    expected = weyl_dim(datum, config.lam)
+    if expected > POLYTOPE_POINT_LIMIT:
+        raise EnumerationCapError(
+            f"section at lambda={config.lam} has {expected} points, over the"
+            f" polytope limit of {POLYTOPE_POINT_LIMIT}"
+        )
     timings = {}
     word, cone = _infer_cone(config, datum, timings)
     t = clock()
-    blocks = section_blocks(cone, config.lam)
+    blocks = section_blocks(section_constraints(cone, datum, word), config.lam)
+    timings["section"] = (clock() - t) * 1000.0
     found = sum(len(tails) for _, tails in blocks)
-    expected = weyl_dim(datum, config.lam)
     if found != expected:
         raise PolyhedralError(
             f"section at lambda={config.lam} has {found} points but"
             f" V(lambda) has dimension {expected}: the cone inferred up to level"
             f" bound {config.level_bound} misses points there; try a higher --level-bound"
         )
+    t = clock()
     lines = [
         f"polytope {config.type_label}{config.rank}"
         f" word {_fmt(word)} lambda {_fmt(config.lam)}",
@@ -241,17 +277,13 @@ def _cmd_polytope(config: RunConfig) -> int:
         const = sum(a * b for a, b in zip(u[:n], config.lam))
         lines.append(" ".join([str(const)] + [str(c) for c in u[n:]]))
     lines.append(f"points {found}")
-    # each tail is formatted once, with its leading space ("" for A1), and
     # a block's lines are its x_0 joined with the texts of its tails
-    row = " %d" * (cone.ambient_dim - n - 1)
-    texts = dict.fromkeys(itertools.chain.from_iterable(tails for _, tails in blocks))
-    for tail in texts:
-        texts[tail] = row % tail
+    texts = _TailTexts(" %d" * (cone.ambient_dim - n - 1))
     for x0, tails in blocks:
         head = str(x0)
         lines.append(head + ("\n" + head).join(map(texts.__getitem__, tails)))
     text = "\n".join(lines) + "\n"
-    timings["section"] = (clock() - t) * 1000.0
+    timings["format"] = (clock() - t) * 1000.0
     _emit(text, config.out)
     _print_timing(timings)
     return 0

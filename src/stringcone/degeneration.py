@@ -217,27 +217,38 @@ def string_cone_rows(datum: CartanDatum, word):
     return tuple(rows)
 
 
-def _counted_saturation(cone, rows, images):
-    """Saturation by counting: each section's lattice points against its image.
+def section_constraints(cone, datum: CartanDatum, word):
+    """The cone's facets and the string cone's rows of ``word``, each once.
 
     The rows must hold on the cone's rays, so they hold on the cone and
-    bound every free coordinate of a section from below and above; with
-    the facets they let ``count_section_points`` count each section with
-    no box.  The caller checks that every image point lies in the cone,
-    and an image is injective, so a section whose count equals its
-    image's size is that image.  Only a section whose count differs is
-    listed, and a cone point missing from the data raises; nothing is
-    returned.
+    leave its sections unchanged; a row that fails raises.  With the
+    facets they bound every free coordinate of a section from below and
+    above once the later ones are fixed, as ``section_blocks`` and
+    ``count_section_points`` ask: x_k >= 0 and Littelmann's phi-bound on
+    x_k by lambda and the coordinates after k.
     """
+    rows = string_cone_rows(datum, word)
     for row in rows:
         for ray in cone.rays:
             if vec_dot(row, ray) < 0:
                 raise InvariantViolation(f"string cone row {row} fails on cone ray {ray}")
     # many rows are facets (14 of A4's 20); each is scanned once
-    constraints = tuple(dict.fromkeys(cone.facets + rows))
+    return tuple(dict.fromkeys(cone.facets + rows))
+
+
+def _counted_saturation(constraints, images):
+    """Saturation by counting: each section's lattice points against its image.
+
+    ``constraints`` are ``section_constraints``' facets and rows, under
+    which ``count_section_points`` counts each section with no box.  The
+    caller checks that every image point lies in the cone, and an image is
+    injective, so a section whose count equals its image's size is that
+    image.  Only a section whose count differs is listed, and a cone point
+    missing from the data raises; nothing is returned.
+    """
     for lam, image in images.items():
         if count_section_points(constraints, lam) != len(image):
-            missing = sorted(set(section_lattice_points(cone, lam)) - set(image))
+            missing = sorted(set(section_lattice_points(constraints, lam)) - set(image))
             if missing:
                 raise DegenerationError(
                     f"cone section point lambda={lam} psi={missing[0]}"
@@ -382,7 +393,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     timings["hull"] = (clock() - t) * 1000.0
 
     t = clock()
-    _counted_saturation(cone, string_cone_rows(datum, w0_word), images)
+    _counted_saturation(section_constraints(cone, datum, w0_word), images)
     timings["saturation"] = (clock() - t) * 1000.0
 
     t = clock()

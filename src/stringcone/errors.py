@@ -47,14 +47,6 @@ class PolyhedralError(StringConeError):
     stage = "polyhedra"
 
 
-class UnboundedSectionError(PolyhedralError):
-    """A polytope section is unbounded; ``ray`` certifies the direction."""
-
-    def __init__(self, message, ray):
-        super().__init__(message)
-        self.ray = tuple(ray)
-
-
 class DegenerationError(StringConeError):
     """Invalid input to the degeneration pipeline."""
 

@@ -2,38 +2,45 @@
 
 Double description over exact integers gives minimal V- and H-
 representations; sections, face tests, Hilbert bases, and saturation checks
-ride on top.  One routine, ``_dd_pair``, computes every hull and section
-box; it decides adjacency from the zero sets of the rays, with no
-elimination.  The triangulation reads its faces off the same kind of zero
-sets, the rays each facet vanishes on.  Lineality is encoded as opposite
-ray pairs and equations as opposite facet pairs, which makes dualization a
-plain swap.  The redundancy test of ``_dd_pair`` and the reduction test of
+ride on top.  One routine, ``_dd_pair``, computes every hull; it decides
+adjacency from the zero sets of the rays, with no elimination.  The
+triangulation reads its faces off the same kind of zero sets, the rays
+each facet vanishes on.  Lineality is encoded as opposite ray pairs and
+equations as opposite facet pairs, which makes dualization a plain swap.
+The redundancy test of ``_dd_pair`` and the reduction test of
 ``hilbert_basis`` pack a vector's values on a list of normals into one int,
 a lane per normal (``linalg.slack_lanes``): one multiply-add per coordinate
 computes all of them, and one addition and mask tests their signs.  Each
 caller sizes the lanes from a bound on every value it packs or subtracts.
-One kernel, ``_section_runs``, scans every section: it files each row once
-under the first free coordinate it bounds, fixes the free coordinates from
-the last to the first and, once all but x_0 are fixed, records one run
-``(tail, lo, hi)`` of x_0 instead of a point per x_0.  It
-has three readers.  ``count_section_points`` sums the run lengths, with
-no box; the certificate compares these counts with the image sizes,
-because its data lie in its cone and each image is injective.
-``section_blocks`` adds the exact box, sorts the tails and files them
-under each x_0 of their runs, which lists a section in lexicographic
-order with no point sort; ``polytope`` prints these blocks directly.
-``section_lattice_points`` flattens the blocks into points, and
-``saturation_check`` compares each section with the string image of its
-weight, read from the lambda-keyed images of ``strings.weighted_points``.
+One kernel, ``_section_runs``, scans every section under a list of
+constraints, with no box: it files each row once under the first free
+coordinate it bounds and fixes the free coordinates from the last to
+x_1, one level at a time for all prefixes at once, with C-level maps
+over arithmetic progressions in place of a Python loop per prefix.  Each
+tail x_1 ... x_{m-1} gets one run ``lo ... hi`` of x_0 instead of a point
+per x_0.  Every free coordinate needs a constraint bounding it from each
+side once the later ones are fixed; a string cone's facets with
+Littelmann's rows give that.  It has three readers.
+``count_section_points`` sums the run lengths; the certificate compares
+these counts with the image sizes, because its data lie in its cone and
+each image is injective.  ``section_blocks`` sorts the tails and files
+the runs under each x_0 they cover, which lists a section in
+lexicographic order with no point sort; ``polytope`` prints these blocks
+directly.  ``section_lattice_points`` flattens the blocks into points,
+and ``saturation_check`` compares each section with the string image of
+its weight, read from the lambda-keyed images of
+``strings.weighted_points``.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import namedtuple
-from operator import itemgetter, mul
+from itertools import chain, compress, repeat
+from operator import add, floordiv, ge, itemgetter, le, mul
 
-from .errors import PolyhedralError, UnboundedSectionError
+from .errors import PolyhedralError
 from .linalg import hnf_rows, primitive, rank_int, slack_lanes, snf_with_uinv, vec_dot
 from .strings import dominant_weights
 
@@ -170,145 +177,168 @@ def contains(cone: RationalCone, point) -> bool:
     return all(vec_dot(u, point) >= 0 for u in cone.facets)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def _section_runs(rows, nfree):
-    """Runs ``(tail, lo, hi)`` of the integer x with const + coeffs . x >= 0 on every row.
+    """Tails and x_0 bounds ``(tails, los, his)`` of the integer x with const + coeffs . x >= 0.
 
     The one scan behind ``section_blocks`` and ``count_section_points``.
     Each row is read once and filed under its first nonzero free coordinate
-    k, which it bounds from below when c_k > 0 and from above when c_k < 0:
-    as a tail row, its coefficients zeroed up to k, or as a constant floor
-    or ceiling, each side keeping its tightest.  A row with no free
-    coefficient holds or fails outright, and one that fails leaves no runs.
-    The scan fixes the free coordinates from the last to the first, so
-    each row is enforced exactly once.  Once x_1 ... x_{m-1} are fixed as
-    ``tail``, the points are x_0 = lo ... hi, recorded as one run and never
-    listed.  Runs come in colexicographic order of their tails, and only
-    nonempty runs are recorded.  Every free coordinate needs a row bounding
-    it from below and one bounding it from above.
+    k, which it bounds from below when c_k > 0 and from above when c_k < 0.
+    Either bound is a floor, floor((d + t . x) / |c_k|): a row bounding
+    from above keeps its constant and coefficients, and a row bounding from
+    below negates them and adds |c_k| - 1 to the constant, which turns its
+    ceiling into a floor.  The later coefficients t are kept sparse.  A row
+    with no later coefficient is a constant bound, each side keeping its
+    tightest, and a row with no free coefficient holds or fails outright;
+    one that fails leaves no runs.  The scan fixes x_{m-1} ... x_1 from the
+    last to the first, one level at a time for every prefix at once, so
+    each row is enforced exactly once.  A prefix x_{k+1} ... x_{m-1} leaves
+    a range of x_k; a row filed under k - 1 has one base value per prefix,
+    and over the range of x_k its values are an arithmetic progression, so
+    ``map`` over the progressions bounds x_{k-1} for every prefix and x_k
+    with no Python frame per prefix.  Exact integers throughout.  Each tail
+    x_1 ... x_{m-1} comes with the bounds lo and hi on x_0, one run of
+    x_0 = lo ... hi that is never listed and is empty when lo > hi.  The
+    tails come in colexicographic order, as an iterator that builds each
+    tuple only when it is read; ``los`` and ``his`` are lists.  Every free
+    coordinate needs a row bounding it from below and one bounding it from
+    above.
     """
     if nfree <= 0:
         raise PolyhedralError("section leaves no free coordinates")
-    # (constant, |c_k|, tail) per tail row: a tail is zero up to k, so a dot
-    # product with the whole point reads only the coordinates after k.  A
-    # floor is x_k >= ceil(-const / c), a ceiling x_k <= floor(const / |c|).
-    lower = [[] for _ in range(nfree)]
-    upper = [[] for _ in range(nfree)]
-    floor = [[] for _ in range(nfree)]
-    ceiling = [[] for _ in range(nfree)]
+    # per side (0 below, 1 above) and coordinate k: (d, |c_k|, t_{k+1},
+    # ((j, t_j), ...) for the nonzero t_j with j > k + 1) per row with a
+    # later coefficient, and the tightest constant bound
+    filed = ([[] for _ in range(nfree)], [[] for _ in range(nfree)])
+    consts = ([[] for _ in range(nfree)], [[] for _ in range(nfree)])
     for const, coeffs in rows:
         k = next((j for j, c in enumerate(coeffs) if c), None)
         if k is None:
             if const < 0:
-                return []
+                return iter(()), [], []
             continue
         c = coeffs[k]
-        if any(coeffs[k + 1:]):
-            tail = (0,) * (k + 1) + tuple(coeffs[k + 1:])
-            (lower if c > 0 else upper)[k].append((const, abs(c), tail))
-        elif c > 0:
-            floor[k] = [max([-(const // c)] + floor[k])]
+        if c > 0:
+            side, const, later = 0, c - 1 - const, [-t for t in coeffs[k + 1:]]
         else:
-            ceiling[k] = [min([const // -c] + ceiling[k])]
+            side, c, later = 1, -c, coeffs[k + 1:]
+        if any(later):
+            rest = tuple((j, t) for j, t in enumerate(later[1:], k + 2) if t)
+            filed[side][k].append((const, c, later[0], rest))
+        else:
+            consts[side][k] = [(max, min)[side]([const // c] + consts[side][k])]
     for k in range(nfree):
-        if not (lower[k] or floor[k]) or not (upper[k] or ceiling[k]):
+        if not (filed[0][k] or consts[0][k]) or not (filed[1][k] or consts[1][k]):
             raise PolyhedralError(f"the constraints leave free coordinate {k} unbounded")
-    runs = []
-    point = [0] * nfree
+    lo, hi = consts[0][-1][0], consts[1][-1][0]  # x_{m-1} has constant bounds only
+    if nfree == 1:
+        return iter([()]), [lo], [hi]
+    # per prefix fixed so far: its coordinates, a column per coordinate,
+    # and the range lo ... hi of the next coordinate
+    fixed = [None] * nfree
+    los, his = [lo], [hi]
+    for k in range(nfree - 1, 0, -1):
+        ranges = list(map(range, los, map(add, his, repeat(1))))
+        counts = list(map(len, ranges))
+        bounds = []  # on x_{k-1}, per prefix and x_k
+        for side, pick in (0, max), (1, min):
+            columns = []
+            for const, c, a, rest in filed[side][k - 1]:
+                base = repeat(const)
+                for j, t in rest:
+                    base = map(add, base, map(mul, fixed[j], repeat(t)))
+                if a:
+                    starts = list(map(add, base, map(mul, los, repeat(a))))
+                    stops = map(add, starts, map(mul, counts, repeat(a)))
+                    values = chain.from_iterable(map(range, starts, stops, repeat(a)))
+                else:
+                    values = chain.from_iterable(map(repeat, base, counts))
+                columns.append(values if c == 1 else map(floordiv, values, repeat(c)))
+            if consts[side][k - 1]:
+                columns.append(repeat(consts[side][k - 1][0], sum(counts)))
+            bounds.append(list(columns[0] if len(columns) == 1 else map(pick, *columns)))
+        fixed[k + 1:] = [chain.from_iterable(map(repeat, column, counts))
+                         for column in fixed[k + 1:]]
+        fixed[k] = chain.from_iterable(ranges)
+        if k > 1:  # the next level reads the columns; the tails read them once
+            fixed[k:] = map(list, fixed[k:])
+        los, his = bounds
+    return zip(*fixed[1:]), los, his
 
-    def scan(k):
-        lo = max([-((const + sum(map(mul, tail, point))) // c)
-                  for const, c, tail in lower[k]] + floor[k])
-        hi = min([(const + sum(map(mul, tail, point))) // c
-                  for const, c, tail in upper[k]] + ceiling[k])
-        if k == 0:
-            if lo <= hi:
-                runs.append((tuple(point[1:]), lo, hi))
-            return
-        for v in range(lo, hi + 1):
-            point[k] = v
-            scan(k - 1)
 
-    scan(nfree - 1)
-    return runs
-
-
-def section_blocks(cone: RationalCone, lam):
-    """Integer points of the cone section at lam, as ``((x_0, tails), ...)``.
-
-    The section polytope is homogenized and its vertices bound an exact box;
-    an empty section yields no blocks, and unbounded sections are rejected
-    with a certifying recession ray.  Under the facets and the box,
-    ``_section_runs`` scans the free coordinates from the last to the first
-    and records one run of x_0 per tail x_1 ... x_{m-1}.  Only the tails
-    are sorted; each is then filed under every x_0 of its run, so the
-    blocks run through x_0 in ascending order, each tail block is in
-    lexicographic order, and the points ``(x_0,) + tail`` come out in
-    lexicographic order with no point sort.  String cones suit the scan
-    order: their lambda-inequalities bound each coordinate by the ones
-    after it in the word (Littelmann, "Cones, crystals, and patterns",
-    Prop. 1.5).
-    """
+def _runs_at(constraints, lam):
     lam = tuple(lam)
     n = len(lam)
-    nfree = cone.ambient_dim - n
-    if nfree <= 0:
-        raise PolyhedralError("section leaves no free coordinates")
-    rows = [(vec_dot(u[:n], lam), u[n:]) for u in cone.facets]
-    homog = [(1,) + (0,) * nfree]
-    homog += [(const,) + tuple(coeffs) for const, coeffs in rows]
-    lin, rays = _dd_pair(homog, nfree + 1)
-    if not any(v[0] > 0 for v in rays):
-        return ()  # the homogenized cone lies in x_0 = 0: the section is empty
-    for v in lin + rays:
-        if v[0] == 0:
-            raise UnboundedSectionError(
-                f"section at lambda={lam} is unbounded", ray=v[1:]
-            )
-    for k in range(1, nfree + 1):
-        unit = tuple(int(j == k) for j in range(1, nfree + 1))
-        rows.append((-min(_ceil_div(v[k], v[0]) for v in rays), unit))
-        rows.append((max(v[k] // v[0] for v in rays), _neg(unit)))
-    runs = _section_runs(rows, nfree)
+    rows = [(vec_dot(u[:n], lam), u[n:]) for u in constraints]
+    return _section_runs(rows, len(rows[0][1]) if rows else 0)
+
+
+def section_blocks(constraints, lam):
+    """Integer x with u . (lam + x) >= 0 for every constraint u, as ``((x_0, tails), ...)``.
+
+    The runs of ``_section_runs``, with no box: every free coordinate
+    needs a constraint bounding it from below and one bounding it from
+    above, once the later coordinates are fixed.  A string cone's facets
+    with Littelmann's rows (``degeneration.section_constraints``) give
+    both.  The runs are sorted by tail once, then by start, stably.  The
+    live runs change only where a run starts or just past its end: at each
+    such x_0 they are cut to those that reach x_0 with ``compress`` and
+    merged with those that start there, all in tail order, and every x_0
+    up to the next change shares their tuple.  So the blocks run through
+    x_0 in ascending order, each tail block is in lexicographic order, and
+    the points ``(x_0,) + tail`` come out in lexicographic order with no
+    point sort and no step per point in Python.  An empty section yields
+    no blocks.
+    """
+    tails, los, his = _runs_at(constraints, lam)
+    runs = list(compress(zip(tails, los, his), map(le, los, his)))
     if not runs:
         return ()
     runs.sort(key=itemgetter(0))  # tails are distinct
-    base = min(lo for _, lo, _ in runs)
-    blocks = [[] for _ in range(max(hi for _, _, hi in runs) - base + 1)]
-    for tail, lo, hi in runs:
-        for block in blocks[lo - base:hi - base + 1]:
-            block.append(tail)
-    return tuple((x0, tuple(block)) for x0, block in enumerate(blocks, base) if block)
+    runs.sort(key=itemgetter(1))  # stable: by start, then tail
+    tails, los, his = zip(*runs)
+    # the live runs change only where a run starts or has just ended
+    edges = sorted(set(los).union(map(add, his, repeat(1))))
+    blocks = []
+    live, live_his = (), []  # the runs that reach x_0, in tail order
+    done = 0  # the runs that have started
+    for x0, stop in zip(edges, edges[1:]):
+        keep = list(map(ge, live_his, repeat(x0)))
+        live, live_his = tuple(compress(live, keep)), list(compress(live_his, keep))
+        end = bisect_right(los, x0, done)
+        if end > done:
+            if live:  # merge the runs that start at x_0 in tail order
+                merged = sorted(zip(live + tails[done:end], live_his + list(his[done:end])))
+                live = tuple(map(itemgetter(0), merged))
+                live_his = list(map(itemgetter(1), merged))
+            else:
+                live, live_his = tails[done:end], list(his[done:end])
+            done = end
+        if live:
+            blocks.extend(zip(range(x0, stop), repeat(live)))
+    return tuple(blocks)
 
 
-def section_lattice_points(cone: RationalCone, lam):
-    """Integer points of the cone section with the leading block fixed to lam.
+def section_lattice_points(constraints, lam):
+    """Integer points of the section of ``constraints`` at lam, as a sorted tuple.
 
-    The points of ``section_blocks``, flattened: a sorted tuple of the free
-    coordinates of each point.  An empty section yields no points, and an
-    unbounded one raises ``UnboundedSectionError``.
+    The points of ``section_blocks``, flattened: the free coordinates of
+    each point.  An empty section yields no points.
     """
-    return tuple((x0,) + tail for x0, tails in section_blocks(cone, lam) for tail in tails)
+    return tuple((x0,) + tail for x0, tails in section_blocks(constraints, lam)
+                 for tail in tails)
 
 
 def count_section_points(constraints, lam) -> int:
     """Number of integer x with u . (lam + x) >= 0 for every constraint u.
 
-    The scan of ``section_blocks`` with no box: ``_section_runs`` fixes the
-    free coordinates from the last to the first, and the runs of the first
-    one are counted, not listed.  So every free coordinate needs a row
-    bounding it from below and one bounding it from above.  A string cone's
-    rows give both: x_k >= 0 and Littelmann's phi-bound on x_k by lambda
-    and the coordinates after k ("Cones, crystals, and patterns", Prop. 1.5).
+    The runs of ``section_blocks``, counted, not listed.  So every free
+    coordinate needs a row bounding it from below and one bounding it from
+    above.  A string cone's rows give both: x_k >= 0 and Littelmann's
+    phi-bound on x_k by lambda and the coordinates after k ("Cones,
+    crystals, and patterns", Prop. 1.5).
     """
-    lam = tuple(lam)
-    n = len(lam)
-    rows = [(vec_dot(u[:n], lam), u[n:]) for u in constraints]
-    nfree = len(rows[0][1]) if rows else 0
-    return sum(hi - lo + 1 for _, lo, hi in _section_runs(rows, nfree))
+    _, los, his = _runs_at(constraints, lam)
+    return sum(map(len, map(range, los, map(add, his, repeat(1)))))
 
 
 def is_face(cone: RationalCone, points):
@@ -483,10 +513,11 @@ class SaturationReport(namedtuple("SaturationReport", "level_bound sections"
         return not self.cone_points_missing_from_data and not self.data_points_outside_cone
 
 
-def saturation_check(cone: RationalCone, images, level_bound: int) -> SaturationReport:
-    """Compare integral cone sections with the lambda-keyed string images.
+def saturation_check(constraints, images, level_bound: int) -> SaturationReport:
+    """Compare integral sections of ``constraints`` with the lambda-keyed string images.
 
-    A section and a string image are both sorted tuples of distinct points,
+    The constraints bound each section as ``section_blocks`` asks.  A
+    section and a string image are both sorted tuples of distinct points,
     so equal tuples settle a weight; sets are built only where they differ.
     """
     if not images:
@@ -496,7 +527,7 @@ def saturation_check(cone: RationalCone, images, level_bound: int) -> Saturation
     missing = []
     outside = []
     for lam in dominant_weights(n, level_bound):
-        sec = section_lattice_points(cone, lam)
+        sec = section_lattice_points(constraints, lam)
         data = images.get(lam, ())
         if sec != data:
             sec, data = set(sec), set(data)

@@ -7,12 +7,14 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
+import stringcone.degeneration
 from stringcone import cli
 from stringcone.cartan import build_cartan
 from stringcone.characters import weyl_dim
@@ -115,7 +117,7 @@ def test_polytope_section(capsys):
         "1\n"
         "2\n"
     )
-    assert list(_timing(captured.err)) == ["crystal", "strings", "hull", "section"]
+    assert list(_timing(captured.err)) == ["crystal", "strings", "hull", "section", "format"]
 
 
 def test_cone_writes_text_and_json(tmp_path, capsys):
@@ -230,6 +232,47 @@ def test_huge_weight_stops_at_the_cap(capsys):
     assert captured.out == ""
     assert captured.err == ("error[crystal]: crystal for lambda=(99999999999999, 0)"
                             " exceeded node cap 60000\n")
+
+
+def test_polytope_over_the_point_limit_builds_no_crystal(monkeypatch, capsys):
+    # dim V(100000, 0) = 5 000 150 001 is refused before any crystal or
+    # hull; the sections workload's A3 (6, 6, 6) stays under the limit
+    assert weyl_dim(build_cartan("A", 3), (6, 6, 6)) == 117649 < cli.POLYTOPE_POINT_LIMIT
+    caches = []
+
+    class RecordingCache(CrystalCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            caches.append(self)
+
+    monkeypatch.setattr(cli, "CrystalCache", RecordingCache)
+    start = time.perf_counter()
+    rc = main(["polytope", "--type", "A", "--rank", "2",
+               "--lambda", "100000,0", "--level-bound", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error[crystal]: section at lambda=(100000, 0) has"
+                            " 5000150001 points, over the polytope limit of 1000000\n")
+    assert caches == []
+
+
+def test_polytope_checks_the_string_cone_rows(monkeypatch, capsys):
+    # -x1 >= 0 fails on every ray with x1 > 0, and the check names it; with
+    # no rows, B2's facets leave a coordinate unbounded.  Each is one
+    # error line with its stage's exit code, and no traceback.
+    argv = ["polytope", "--type", "B", "--rank", "2", "--lambda", "1,1", "--level-bound", "1"]
+    for rows, code, message in [
+        (((0, 0, -1, 0, 0, 0),), 5, "error[strings]: string cone row (0, 0, -1, 0, 0, 0)"
+                                    " fails on cone ray"),
+        ((), 6, "error[polyhedra]: the constraints leave free coordinate 3 unbounded"),
+    ]:
+        monkeypatch.setattr(stringcone.degeneration, "string_cone_rows",
+                            lambda datum, word, rows=rows: rows)
+        code_, out, err = _run(argv)
+        assert (code_, out) == (code, "")
+        assert err.startswith(message) and len(err.splitlines()) == 1
 
 
 def test_polytope_undercount_is_a_polyhedral_error(capsys):

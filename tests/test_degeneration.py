@@ -24,6 +24,7 @@ from stringcone.degeneration import (
     lattice_relations,
     level_hull,
     report_to_json,
+    section_constraints,
     separating_form,
     string_cone_rows,
 )
@@ -31,6 +32,7 @@ from stringcone.errors import DegenerationError, InvariantViolation, WordError
 from stringcone.linalg import slack_lanes, vec_dot
 from stringcone.pathcrystal import CrystalCache
 from stringcone.polyhedra import (
+    _dd_pair,
     conic_hull,
     count_section_points,
     hilbert_basis,
@@ -353,13 +355,52 @@ def test_string_cone_rows_a2():
     )
 
 
+def test_section_constraints_hold_each_facet_and_row_once(a2, monkeypatch):
+    # the facets, then the rows that are no facet (5 of A2's 6 rows are);
+    # a row failing on a ray raises
+    images = weighted_points(a2, (1, 2, 1), 1)
+    cone = conic_hull([lam + psi for lam, image in images.items() for psi in image])
+    rows = string_cone_rows(a2, (1, 2, 1))
+    constraints = section_constraints(cone, a2, (1, 2, 1))
+    assert constraints == cone.facets + tuple(r for r in rows if r not in cone.facets)
+    assert len(constraints) == 7
+    monkeypatch.setattr(stringcone.degeneration, "string_cone_rows",
+                        lambda datum, word: rows + ((0, 0, -1, 0, 0),))
+    with pytest.raises(InvariantViolation, match=r"row \(0, 0, -1, 0, 0\) fails on cone ray"):
+        section_constraints(cone, a2, (1, 2, 1))
+
+
+def _box_listing(cone, lam):
+    """The section of the cone's facets at lam, listed inside its vertex box.
+
+    The homogenized section's extreme rays are its vertices (one double
+    description), and the box of their coordinates goes in as rows on the
+    weight lam + (1,), a unit coordinate carrying the box's constants: an
+    oracle, with no string cone row, for the count under the rows.
+    """
+    n = len(lam)
+    nfree = cone.ambient_dim - n
+    homog = [(1,) + (0,) * nfree] + [(vec_dot(u[:n], lam),) + u[n:] for u in cone.facets]
+    lineality, vertices = _dd_pair(homog, nfree + 1)
+    assert not lineality and all(v[0] > 0 for v in vertices)  # a polytope
+    rows = [u[:n] + (0,) + u[n:] for u in cone.facets]
+    for k in range(1, nfree + 1):
+        unit = tuple(int(j == k) for j in range(1, nfree + 1))
+        low = min(-(-v[k] // v[0]) for v in vertices)
+        high = max(v[k] // v[0] for v in vertices)
+        rows.append((0,) * n + (-low,) + unit)
+        rows.append((0,) * n + (high,) + tuple(-c for c in unit))
+    return section_lattice_points(rows, lam + (1,))
+
+
 @pytest.mark.parametrize("type_label, rank, step", [
     ("A", 2, 1), ("B", 2, 1), ("C", 2, 1), ("G", 2, 1), ("A", 3, 4),
 ])
 def test_counted_sections_match_the_listed_sections(type_label, rank, step):
     # every word of the rank-2 types and four words of A3: the rows hold on
     # the check-level cone's rays and on every string, and the count under
-    # the rows and facets equals the box scan's listing at each weight
+    # the rows and facets equals the listing under the facets and the
+    # vertex box at each weight
     datum = build_cartan(type_label, rank)
     for word in all_reduced_words(datum, longest_word(datum))[::step]:
         images = weighted_points(datum, word, 2)
@@ -370,7 +411,7 @@ def test_counted_sections_match_the_listed_sections(type_label, rank, step):
                    for lam, image in images.items() for psi in image)
         for lam in dominant_weights(rank, 2):
             assert (count_section_points(cone.facets + rows, lam)
-                    == len(section_lattice_points(cone, lam))), (word, lam)
+                    == len(_box_listing(cone, lam))), (word, lam)
 
 
 def test_certificate_rejects_a_row_failing_on_a_ray(a2, monkeypatch):

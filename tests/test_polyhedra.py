@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import stringcone.polyhedra
 from stringcone.cartan import all_reduced_words, build_cartan, longest_word
 from stringcone.degeneration import string_cone_rows
-from stringcone.errors import PolyhedralError, UnboundedSectionError
+from stringcone.errors import PolyhedralError
 from stringcone.linalg import kernel_basis_int, primitive, rank_int, vec_dot
 from stringcone.polyhedra import (
     _dd_pair,
@@ -71,21 +71,23 @@ def test_dualize_involution_on_hull():
 
 def test_section_one_dimensional():
     cone = conic_hull([(1, 0), (1, 1)])
-    assert section_lattice_points(cone, (2,)) == ((0,), (1,), (2,))
-    assert section_lattice_points(cone, (0,)) == ((0,),)
+    assert section_lattice_points(cone.facets, (2,)) == ((0,), (1,), (2,))
+    assert section_lattice_points(cone.facets, (0,)) == ((0,),)
 
 
 def test_section_unbounded():
+    # no facet bounds x from above: the scan names the coordinate, with no box
     cone = conic_hull([(1, 0), (0, 1)])
-    with pytest.raises(UnboundedSectionError) as info:
-        section_lattice_points(cone, (1,))
-    assert info.value.ray == (1,)
+    for listing in (section_lattice_points, section_blocks):
+        with pytest.raises(PolyhedralError, match="coordinate 0 unbounded"):
+            listing(cone.facets, (1,))
 
 
 def test_empty_section_is_not_unbounded():
     # The recession direction (1,) does not matter: no point has lambda = -1.
     cone = conic_hull([(1, 0), (0, 1), (0, -1)])
-    assert section_lattice_points(cone, (-1,)) == ()
+    assert section_lattice_points(cone.facets, (-1,)) == ()
+    assert section_blocks(cone.facets, (-1,)) == ()
 
 
 def test_count_section_points_cases():
@@ -128,6 +130,21 @@ def test_count_matches_brute_force(case):
     box = itertools.product(range(-3, 4), repeat=nfree)
     expected = sum(all(vec_dot(u, lam + x) >= 0 for u in rows) for x in box)
     assert count_section_points(rows, lam) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_rows())
+def test_blocks_match_brute_force(case):
+    # the blocks flatten to the brute-force points in lexicographic order,
+    # one nonempty block per x_0, in ascending order
+    rows, lam = case
+    nfree = len(rows[0]) - 2
+    box = itertools.product(range(-3, 4), repeat=nfree)
+    expected = tuple(x for x in box if all(vec_dot(u, lam + x) >= 0 for u in rows))
+    blocks = section_blocks(rows, lam)
+    assert tuple((x0,) + tail for x0, tails in blocks for tail in tails) == expected
+    assert [x0 for x0, _ in blocks] == sorted({x[0] for x in expected})
+    assert all(tails for _, tails in blocks)
 
 
 def test_is_face_cases():
@@ -204,28 +221,28 @@ def test_hilbert_basis_rejects_bad_input():
 
 
 def test_saturation_report():
-    cone = conic_hull([(1, 0), (1, 1)])
+    facets = conic_hull([(1, 0), (1, 1)]).facets
     good = {(0,): ((0,),), (1,): ((0,), (1,))}
-    report = saturation_check(cone, good, 1)
+    report = saturation_check(facets, good, 1)
     assert report.clean
     assert [s.cone_count for s in report.sections] == [1, 2]
 
-    report = saturation_check(cone, {(0,): ((0,),), (1,): ((0,),)}, 1)
+    report = saturation_check(facets, {(0,): ((0,),), (1,): ((0,),)}, 1)
     assert report.cone_points_missing_from_data == (((1,), (1,)),)
     assert not report.clean
 
     bogus = {(0,): ((0,),), (1,): ((0,), (1,), (5,))}
-    report = saturation_check(cone, bogus, 1)
+    report = saturation_check(facets, bogus, 1)
     assert report.data_points_outside_cone == (((1,), (5,)),)
 
     with pytest.raises(PolyhedralError):
-        saturation_check(cone, {}, 1)
+        saturation_check(facets, {}, 1)
 
     # data in any order and with repeats: counts are of distinct points
-    section = section_lattice_points(cone, (2,))
+    section = section_lattice_points(facets, (2,))
     images = {(0,): ((0,),), (1,): ((0,), (1,)),
               (2,): tuple(reversed(section)) + (section[0],)}
-    report = saturation_check(cone, images, 2)
+    report = saturation_check(facets, images, 2)
     assert report.clean
     assert [(s.cone_count, s.data_count) for s in report.sections] == [(1, 1), (2, 2), (3, 3)]
 
@@ -397,8 +414,9 @@ def test_hull_and_sections_need_no_rank_test(monkeypatch):
     a2 = build_cartan("A", 2)
     images = weighted_points(a2, (1, 2, 1), 1)
     cone = conic_hull([lam + psi for lam, image in images.items() for psi in image])
-    assert len(section_lattice_points(cone, (1, 1))) == 8
-    assert saturation_check(cone, images, 1).clean
+    constraints = cone.facets + string_cone_rows(a2, (1, 2, 1))
+    assert len(section_lattice_points(constraints, (1, 1))) == 8
+    assert saturation_check(constraints, images, 1).clean
 
 
 @st.composite
@@ -411,26 +429,31 @@ def sections(draw):
     return gens, lam
 
 
+def _boxed(constraints, n, nfree, bound):
+    """The constraints with -bound <= x_k <= bound, on the weight lam + (1,).
+
+    A unit weight coordinate, zero in every constraint, carries the box's
+    constant, so the box does not scale with lam.
+    """
+    rows = [tuple(u[:n]) + (0,) + tuple(u[n:]) for u in constraints]
+    rows += [(0,) * n + (bound,) + tuple(sign * int(j == k) for j in range(nfree))
+             for k in range(nfree) for sign in (1, -1)]
+    return rows
+
+
 @settings(max_examples=150, deadline=None)
 @given(sections())
 @example(([(3, -1, -3, -3), (4, 2, 0, -1), (-1, 3, -2, -1), (3, 2, -1, -3)], (4, 1)))
 def test_section_matches_brute_force(case):
+    # an explicit box bounds the section of any cone; the points inside
+    # it are the brute-force ones, in lexicographic order
     gens, lam = case
     cone = conic_hull(gens)
     n = len(lam)
     nfree = cone.ambient_dim - n
-    try:
-        points = section_lattice_points(cone, lam)
-    except UnboundedSectionError as exc:
-        assert any(exc.ray)
-        for u in cone.facets:
-            assert sum(c * r for c, r in zip(u[n:], exc.ray)) >= 0
-        return
-    assert list(points) == sorted(set(points))
-    for p in points:
-        assert contains(cone, lam + p)
+    points = section_lattice_points(_boxed(cone.facets, n, nfree, 25), lam + (1,))
     box = itertools.product(range(-25, 26), repeat=nfree)
-    assert {p for p in box if contains(cone, lam + p)} <= set(points)
+    assert points == tuple(p for p in box if contains(cone, lam + p))
 
 
 @st.composite
@@ -452,19 +475,18 @@ def wide_sections(draw):
 @given(wide_sections())
 @example(([(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 0)], (2,)))
 def test_wide_section_matches_brute_force(case):
+    # the rows 2t +- x_k >= 0 cut out a box holding the whole section
     gens, lam = case
     cone = conic_hull(gens)
     nfree = cone.ambient_dim - 1
-    points = section_lattice_points(cone, lam)
-    assert list(points) == sorted(set(points))
-    box = itertools.product(range(-2 * lam[0], 2 * lam[0] + 1), repeat=nfree)
-    assert {p for p in box if contains(cone, lam + p)} == set(points)
-    # the rows 2t +- x_k >= 0 cut out the box, so the count with no box of
-    # its own is the section's size
     box_rows = tuple((2,) + tuple(sign * int(j == k) for j in range(nfree))
                      for k in range(nfree) for sign in (1, -1))
-    assert count_section_points(cone.facets + box_rows, lam) == len(points)
-    blocks = section_blocks(cone, lam)
+    constraints = cone.facets + box_rows
+    points = section_lattice_points(constraints, lam)
+    box = itertools.product(range(-2 * lam[0], 2 * lam[0] + 1), repeat=nfree)
+    assert points == tuple(p for p in box if contains(cone, lam + p))
+    assert count_section_points(constraints, lam) == len(points)
+    blocks = section_blocks(constraints, lam)
     assert [x0 for x0, _ in blocks] == sorted({p[0] for p in points})
     assert all(tails for _, tails in blocks)
 
@@ -479,9 +501,9 @@ def test_blocks_flatten_to_the_images_and_the_counts():
         cone = conic_hull([lam + psi for lam, image in images.items() for psi in image])
         constraints = cone.facets + string_cone_rows(datum, word)
         for lam, image in images.items():
-            blocks = section_blocks(cone, lam)
+            blocks = section_blocks(constraints, lam)
             flat = tuple((x0,) + tail for x0, tails in blocks for tail in tails)
-            assert flat == section_lattice_points(cone, lam) == image, (word, lam)
+            assert flat == section_lattice_points(constraints, lam) == image, (word, lam)
             assert count_section_points(constraints, lam) == len(flat), (word, lam)
 
 

@@ -20,5 +20,9 @@ def test_library_entry_points_block_runs(capsys):
     assert report["type"] == "A" and report["rank"] == 2
     assert namespace["report"].passing
     assert len(namespace["image"]) == 8 and namespace["pairs"]
+    # the section at (1, 1) is the string image of its weight, by first coordinate
+    blocks = namespace["blocks"]
+    flat = tuple((x0,) + tail for x0, tails in blocks for tail in tails)
+    assert flat == namespace["images"][(1, 1)]
     # the last calls reuse the cache that weighted_points filled
     assert len(namespace["crystals"]) == 9
