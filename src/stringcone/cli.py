@@ -33,7 +33,7 @@ from .errors import (
     WordError,
 )
 from .pathcrystal import DEFAULT_NODE_CAP, CrystalCache, edge_lines, enumerate_crystal
-from .polyhedra import format_h_rep, section_blocks
+from .polyhedra import format_h_rep, section_runs
 from .strings import dominant_crystals, weighted_points
 
 # the most points ``polytope`` scans and prints.  ``--cap`` bounds crystals,
@@ -231,18 +231,27 @@ def _infer_cone(config: RunConfig, datum, timings: dict):
     return word, cone
 
 
-class _TailTexts(dict):
-    """Each tail's text, with its leading space ("" for A1), formatted on first lookup."""
+def _point_lines(columns, segments):
+    """The text of ``polyhedra.section_runs``' points, one block per x_0.
 
-    __slots__ = ("row",)
-
-    def __init__(self, row):
-        super().__init__()
-        self.row = row
-
-    def __missing__(self, tail):
-        text = self[tail] = self.row % tail
-        return text
+    Each run's tail text " x_1 ... x_{m-1}" ("" for A1) is built once from
+    per-integer pieces: a column's " %d" is formatted once per integer in
+    its range and looked up per run, and ``zip`` hands ``join`` one reused
+    tuple of pieces, so no tail tuple is built.  A block is then its x_0
+    joined with the texts of its live runs.
+    """
+    if not segments:
+        return []
+    pieces = []
+    for column in columns:
+        table = {v: " %d" % v for v in range(min(column), max(column) + 1)}
+        pieces.append(map(table.__getitem__, column))
+    texts = list(map("".join, zip(*pieces))) if columns else [""]
+    blocks = []
+    for x0, stop, live in segments:
+        tails = list(map(texts.__getitem__, live))
+        blocks.extend(head + ("\n" + head).join(tails) for head in map(str, range(x0, stop)))
+    return blocks
 
 
 def _cmd_polytope(config: RunConfig) -> int:
@@ -257,9 +266,9 @@ def _cmd_polytope(config: RunConfig) -> int:
     timings = {}
     word, cone = _infer_cone(config, datum, timings)
     t = clock()
-    blocks = section_blocks(section_constraints(cone, datum, word), config.lam)
+    columns, segments = section_runs(section_constraints(cone, datum, word), config.lam)
     timings["section"] = (clock() - t) * 1000.0
-    found = sum(len(tails) for _, tails in blocks)
+    found = sum((stop - x0) * len(live) for x0, stop, live in segments)
     if found != expected:
         raise PolyhedralError(
             f"section at lambda={config.lam} has {found} points but"
@@ -277,11 +286,7 @@ def _cmd_polytope(config: RunConfig) -> int:
         const = sum(a * b for a, b in zip(u[:n], config.lam))
         lines.append(" ".join([str(const)] + [str(c) for c in u[n:]]))
     lines.append(f"points {found}")
-    # a block's lines are its x_0 joined with the texts of its tails
-    texts = _TailTexts(" %d" * (cone.ambient_dim - n - 1))
-    for x0, tails in blocks:
-        head = str(x0)
-        lines.append(head + ("\n" + head).join(map(texts.__getitem__, tails)))
+    lines += _point_lines(columns, segments)
     text = "\n".join(lines) + "\n"
     timings["format"] = (clock() - t) * 1000.0
     _emit(text, config.out)

@@ -379,6 +379,8 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     t = clock()
     images = weighted_points(datum, w0_word, check_level, crystals=crystals)
     timings["strings"] = (clock() - t) * 1000.0
+    if w_word is None:  # only a Demazure word reads crystals later
+        crystals = None  # so a cache passed as a temporary is freed here
 
     t = clock()
     # weights are dominant and string entries are eps-values, all >= 0, so
@@ -389,6 +391,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     reach, columns, sign, slacks, missed = _packed_slacks(cone, images, data_reach)
     if missed:
         cone = conic_hull(cone.rays + tuple(lam + psi for lam, psi in missed))
+        del slacks  # the pre-join packing is dead before the repack
         reach, columns, sign, slacks, missed = _packed_slacks(cone, images, data_reach)
     timings["hull"] = (clock() - t) * 1000.0
 

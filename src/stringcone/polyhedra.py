@@ -18,18 +18,21 @@ coordinate it bounds and fixes the free coordinates from the last to
 x_1, one level at a time for all prefixes at once, with C-level maps
 over arithmetic progressions in place of a Python loop per prefix.  Each
 tail x_1 ... x_{m-1} gets one run ``lo ... hi`` of x_0 instead of a point
-per x_0.  Every free coordinate needs a constraint bounding it from each
-side once the later ones are fixed; a string cone's facets with
-Littelmann's rows give that.  It has three readers.
-``count_section_points`` sums the run lengths; the certificate compares
-these counts with the image sizes, because its data lie in its cone and
-each image is injective.  ``section_blocks`` sorts the tails and files
-the runs under each x_0 they cover, which lists a section in
-lexicographic order with no point sort; ``polytope`` prints these blocks
-directly.  ``section_lattice_points`` flattens the blocks into points,
-and ``saturation_check`` compares each section with the string image of
-its weight, read from the lambda-keyed images of
-``strings.weighted_points``.
+per x_0, and one int key, mixed radix over its coordinates, whose order
+is lexicographic tail order; the key grows by one coordinate per level
+like the tail does.  Every free coordinate needs a constraint bounding
+it from each side once the later ones are fixed; a string cone's facets
+with Littelmann's rows give that.  ``count_section_points`` sums the run
+lengths and never reads a tail or a key; the certificate compares these
+counts with the image sizes, because its data lie in its cone and each
+image is injective.  ``section_runs`` orders the nonempty runs by key
+and files their indices under each x_0 they cover, which lists a section
+in lexicographic order with no point sort and no tail tuple: ``polytope``
+prints its points from per-integer text pieces, and ``section_blocks``
+maps the indices to tail tuples.  ``section_lattice_points`` flattens
+the blocks into points, and ``saturation_check`` compares each section
+with the string image of its weight, read from the lambda-keyed images
+of ``strings.weighted_points``.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import chain, compress, repeat
-from operator import add, floordiv, ge, itemgetter, le, mul
+from itertools import chain, compress, repeat, tee
+from operator import add, floordiv, ge, le, mul
 
 from .errors import PolyhedralError
 from .linalg import hnf_rows, primitive, rank_int, slack_lanes, snf_with_uinv, vec_dot
@@ -178,9 +181,9 @@ def contains(cone: RationalCone, point) -> bool:
 
 
 def _section_runs(rows, nfree):
-    """Tails and x_0 bounds ``(tails, los, his)`` of the integer x with const + coeffs . x >= 0.
+    """Tail columns, keys and x_0 bounds ``(columns, keys, los, his)`` of const + coeffs . x >= 0.
 
-    The one scan behind ``section_blocks`` and ``count_section_points``.
+    The one scan behind ``section_runs`` and ``count_section_points``.
     Each row is read once and filed under its first nonzero free coordinate
     k, which it bounds from below when c_k > 0 and from above when c_k < 0.
     Either bound is a floor, floor((d + t . x) / |c_k|): a row bounding
@@ -198,10 +201,16 @@ def _section_runs(rows, nfree):
     with no Python frame per prefix.  Exact integers throughout.  Each tail
     x_1 ... x_{m-1} comes with the bounds lo and hi on x_0, one run of
     x_0 = lo ... hi that is never listed and is empty when lo > hi.  The
-    tails come in colexicographic order, as an iterator that builds each
-    tuple only when it is read; ``los`` and ``his`` are lists.  Every free
-    coordinate needs a row bounding it from below and one bounding it from
-    above.
+    tails come in colexicographic order, as the columns x_1, ..., x_{m-1}
+    (none when m = 1), each an iterator read at most once and computed
+    only when it is read.  Each tail also gets a key, sum x_k * w_k with
+    w_{m-1} = 1 and w_{k-1} = w_k times max - min + 1 of x_k over the
+    nonempty ranges of its level, so the later coordinates never reach
+    the next weight and integer order is lexicographic tail order.  A
+    prefix's key plus w_k * x_k over the range of x_k is a progression,
+    taken with ``range`` like the rows' values; the keys are an iterator
+    too, and ``los`` and ``his`` are lists.  Every free coordinate needs a
+    row bounding it from below and one bounding it from above.
     """
     if nfree <= 0:
         raise PolyhedralError("section leaves no free coordinates")
@@ -214,7 +223,7 @@ def _section_runs(rows, nfree):
         k = next((j for j, c in enumerate(coeffs) if c), None)
         if k is None:
             if const < 0:
-                return iter(()), [], []
+                return [], [], [], []
             continue
         c = coeffs[k]
         if c > 0:
@@ -231,10 +240,11 @@ def _section_runs(rows, nfree):
             raise PolyhedralError(f"the constraints leave free coordinate {k} unbounded")
     lo, hi = consts[0][-1][0], consts[1][-1][0]  # x_{m-1} has constant bounds only
     if nfree == 1:
-        return iter([()]), [lo], [hi]
+        return [], [0], [lo], [hi]
     # per prefix fixed so far: its coordinates, a column per coordinate,
-    # and the range lo ... hi of the next coordinate
+    # its key, and the range lo ... hi of the next coordinate
     fixed = [None] * nfree
+    keys, weight = [0], 1
     los, his = [lo], [hi]
     for k in range(nfree - 1, 0, -1):
         ranges = list(map(range, los, map(add, his, repeat(1))))
@@ -259,10 +269,18 @@ def _section_runs(rows, nfree):
         fixed[k + 1:] = [chain.from_iterable(map(repeat, column, counts))
                          for column in fixed[k + 1:]]
         fixed[k] = chain.from_iterable(ranges)
-        if k > 1:  # the next level reads the columns; the tails read them once
+        # the key of a prefix plus weight * x_k, a progression over each
+        # range; lazy at every level, so a count never computes it
+        starts, ends = tee(map(add, keys, map(mul, los, repeat(weight))))
+        stops = map(add, ends, map(mul, counts, repeat(weight)))
+        keys = chain.from_iterable(map(range, starts, stops, repeat(weight)))
+        if k > 1:  # the next level reads the columns; the caller reads them once
             fixed[k:] = map(list, fixed[k:])
+            # x_k's radix: max - min + 1 over the nonempty ranges, if any
+            weight *= (max(compress(his, counts), default=0)
+                       - min(compress(los, counts), default=0) + 1)
         los, his = bounds
-    return zip(*fixed[1:]), los, his
+    return fixed[1:], keys, los, his
 
 
 def _runs_at(constraints, lam):
@@ -272,49 +290,69 @@ def _runs_at(constraints, lam):
     return _section_runs(rows, len(rows[0][1]) if rows else 0)
 
 
+def section_runs(constraints, lam):
+    """The nonempty runs of a section and their filing by x_0, as ``(columns, segments)``.
+
+    The runs of ``_section_runs`` with lo <= hi, numbered in scan order;
+    ``columns`` holds their tails' coordinates x_1, ..., x_{m-1} as lists
+    (no list when m = 1, where the one run has the empty tail).  Each
+    segment ``(x0, stop, live)`` says that the runs in ``live``, a list of
+    run numbers in lexicographic tail order, are those covering every
+    x_0 = x0 ... stop - 1; the segments run through x_0 in ascending
+    order and no ``live`` is empty, so the points ``(x_0,) + tail`` come
+    out in lexicographic order with no point sort.  The run numbers are
+    sorted once by the scan's int keys, whose order is lexicographic tail
+    order, so no tail tuple is built or compared, then by start, stably.
+    The live runs change only where a run starts or just past its end: at
+    each such x_0 they are cut to those that reach x_0 with ``compress``
+    and merged with those that start there by key.  An empty section has
+    no segments.
+    """
+    columns, keys, los, his = _runs_at(constraints, lam)
+    keep = list(map(le, los, his))
+    columns = [list(compress(column, keep)) for column in columns]
+    keys = list(compress(keys, keep))
+    los, his = list(compress(los, keep)), list(compress(his, keep))
+    if not los:
+        return columns, []
+    order = sorted(range(len(los)), key=keys.__getitem__)
+    order.sort(key=los.__getitem__)  # stable: by start, then tail
+    starts = list(map(los.__getitem__, order))
+    # the live runs change only where a run starts or has just ended
+    edges = sorted(set(starts).union(map(add, his, repeat(1))))
+    segments = []
+    live = []  # the runs that reach x_0, in tail order
+    done = 0  # the runs that have started
+    for x0, stop in zip(edges, edges[1:]):
+        live = list(compress(live, map(ge, map(his.__getitem__, live), repeat(x0))))
+        end = bisect_right(starts, x0, done)
+        if end > done:
+            new = order[done:end]
+            live = sorted(live + new, key=keys.__getitem__) if live else new
+            done = end
+        if live:
+            segments.append((x0, stop, live))
+    return columns, segments
+
+
 def section_blocks(constraints, lam):
     """Integer x with u . (lam + x) >= 0 for every constraint u, as ``((x_0, tails), ...)``.
 
-    The runs of ``_section_runs``, with no box: every free coordinate
-    needs a constraint bounding it from below and one bounding it from
-    above, once the later coordinates are fixed.  A string cone's facets
-    with Littelmann's rows (``degeneration.section_constraints``) give
-    both.  The runs are sorted by tail once, then by start, stably.  The
-    live runs change only where a run starts or just past its end: at each
-    such x_0 they are cut to those that reach x_0 with ``compress`` and
-    merged with those that start there, all in tail order, and every x_0
-    up to the next change shares their tuple.  So the blocks run through
-    x_0 in ascending order, each tail block is in lexicographic order, and
-    the points ``(x_0,) + tail`` come out in lexicographic order with no
-    point sort and no step per point in Python.  An empty section yields
-    no blocks.
+    The segments of ``section_runs``, with each run number mapped to its
+    tail tuple and every x_0 of a segment sharing one tuple of tails.  No
+    box is computed: every free coordinate needs a constraint bounding it
+    from below and one bounding it from above, once the later coordinates
+    are fixed.  A string cone's facets with Littelmann's rows
+    (``degeneration.section_constraints``) give both.  The blocks run
+    through x_0 in ascending order and each tail block is in lexicographic
+    order, so the points ``(x_0,) + tail`` come out in lexicographic
+    order.  An empty section yields no blocks.
     """
-    tails, los, his = _runs_at(constraints, lam)
-    runs = list(compress(zip(tails, los, his), map(le, los, his)))
-    if not runs:
-        return ()
-    runs.sort(key=itemgetter(0))  # tails are distinct
-    runs.sort(key=itemgetter(1))  # stable: by start, then tail
-    tails, los, his = zip(*runs)
-    # the live runs change only where a run starts or has just ended
-    edges = sorted(set(los).union(map(add, his, repeat(1))))
+    columns, segments = section_runs(constraints, lam)
+    tails = list(zip(*columns)) if columns else [()]
     blocks = []
-    live, live_his = (), []  # the runs that reach x_0, in tail order
-    done = 0  # the runs that have started
-    for x0, stop in zip(edges, edges[1:]):
-        keep = list(map(ge, live_his, repeat(x0)))
-        live, live_his = tuple(compress(live, keep)), list(compress(live_his, keep))
-        end = bisect_right(los, x0, done)
-        if end > done:
-            if live:  # merge the runs that start at x_0 in tail order
-                merged = sorted(zip(live + tails[done:end], live_his + list(his[done:end])))
-                live = tuple(map(itemgetter(0), merged))
-                live_his = list(map(itemgetter(1), merged))
-            else:
-                live, live_his = tails[done:end], list(his[done:end])
-            done = end
-        if live:
-            blocks.extend(zip(range(x0, stop), repeat(live)))
+    for x0, stop, live in segments:
+        blocks.extend(zip(range(x0, stop), repeat(tuple(map(tails.__getitem__, live)))))
     return tuple(blocks)
 
 
@@ -337,7 +375,7 @@ def count_section_points(constraints, lam) -> int:
     phi-bound on x_k by lambda and the coordinates after k ("Cones,
     crystals, and patterns", Prop. 1.5).
     """
-    _, los, his = _runs_at(constraints, lam)
+    *_, los, his = _runs_at(constraints, lam)
     return sum(map(len, map(range, los, map(add, his, repeat(1)))))
 
 

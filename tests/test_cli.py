@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,31 @@ def test_degenerate_report(tmp_path, capsys):
     err = capsys.readouterr().err
     assert list(_timing(err)) == ["crystal", "strings", "hull", "saturation", "sections",
                                   "hilbert", "relations", "form"]
+
+
+@pytest.mark.parametrize("demazure", [[], ["--demazure", "1"]])
+def test_degenerate_frees_its_temporary_cache_before_the_hull(monkeypatch, capsys, demazure):
+    # the command passes its CrystalCache as a temporary: with no Demazure
+    # word the certificate drops it after the peel, so it is dead when the
+    # hull runs; a Demazure word needs its crystals later, so it lives
+    caches, alive = [], []
+
+    def cache(datum, node_cap):
+        built = CrystalCache(datum, node_cap)
+        caches.append(weakref.ref(built))
+        return built
+
+    def hull(images, top):
+        alive.append(caches[0]() is not None)
+        return level_hull(images, top)
+
+    level_hull = stringcone.degeneration.level_hull
+    monkeypatch.setattr(cli, "CrystalCache", cache)
+    monkeypatch.setattr(stringcone.degeneration, "level_hull", hull)
+    argv = ["degenerate", "--type", "A", "--rank", "2", "--level-bound", "1"]
+    assert main(argv + demazure) == 0
+    capsys.readouterr()
+    assert len(caches) == 1 and alive == [bool(demazure)]
 
 
 def test_degenerate_bad_word_stage_code(capsys):

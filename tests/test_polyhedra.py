@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import stringcone.polyhedra
 from stringcone.cartan import all_reduced_words, build_cartan, longest_word
+from stringcone.cli import _point_lines
 from stringcone.degeneration import string_cone_rows
 from stringcone.errors import PolyhedralError
 from stringcone.linalg import kernel_basis_int, primitive, rank_int, vec_dot
@@ -24,6 +26,7 @@ from stringcone.polyhedra import (
     saturation_check,
     section_blocks,
     section_lattice_points,
+    section_runs,
 )
 from stringcone.strings import weighted_points
 
@@ -454,6 +457,58 @@ def test_section_matches_brute_force(case):
     points = section_lattice_points(_boxed(cone.facets, n, nfree, 25), lam + (1,))
     box = itertools.product(range(-25, 26), repeat=nfree)
     assert points == tuple(p for p in box if contains(cone, lam + p))
+
+
+@st.composite
+def boxed_cones(draw):
+    """Generators of a general cone with one to four free coordinates, and a weight.
+
+    ``_boxed`` bounds its section by -3 <= x_k <= 3, so coordinates and
+    run starts go negative and a tail has up to three columns.
+    """
+    n = draw(st.integers(min_value=1, max_value=2))
+    f = draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=-3, max_value=4)
+    gens = draw(st.lists(st.tuples(*[entry] * (n + f)), min_size=1, max_size=6))
+    lam = draw(st.tuples(*[st.integers(min_value=-2, max_value=4)] * n))
+    return gens, lam
+
+
+# runs that start at six x_0, five of them while earlier runs are live
+SEVERAL_STARTS = ([(0, -3, 1, -3), (-2, -2, -3, 0), (3, 1, 1, -1), (-3, 2, 2, 2)], (2,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxed_cones())
+@example(([(1, 0), (1, 1)], (2,)))  # one free coordinate, as for A1
+@example(([(1, 0), (1, 1)], (-1,)))  # an empty section
+@example(SEVERAL_STARTS)
+def test_filing_matches_naive_enumeration(case):
+    # the int-key order and the index filing against a sort of the
+    # brute-force points: the blocks, and polytope's text of the points
+    gens, lam = case
+    cone = conic_hull(gens)
+    n = len(lam)
+    nfree = cone.ambient_dim - n
+    rows, weight = _boxed(cone.facets, n, nfree, 3), lam + (1,)
+    box = itertools.product(range(-3, 4), repeat=nfree)
+    points = sorted(p for p in box if contains(cone, lam + p))
+    assert section_blocks(rows, weight) == tuple(
+        (x0, tuple(p[1:] for p in group))
+        for x0, group in itertools.groupby(points, itemgetter(0)))
+    text = "\n".join(_point_lines(*section_runs(rows, weight)))
+    assert text == "\n".join(" ".join(map(str, p)) for p in points)
+
+
+def test_filing_merges_runs_that_start_at_several_x0():
+    # string cone sections start every run at x_0 = 0; this general cone
+    # reaches the merge of new runs into live ones
+    gens, lam = SEVERAL_STARTS
+    cone = conic_hull(gens)
+    _, segments = section_runs(_boxed(cone.facets, 1, 3, 3), lam + (1,))
+    live = [set(runs) for _, _, runs in segments]
+    merges = sum(bool(now - before and now & before) for before, now in zip(live, live[1:]))
+    assert merges >= 2
 
 
 @st.composite

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from stringcone import cartan, pathcrystal, strings
 from stringcone.cartan import all_reduced_words, build_cartan, longest_word, weyl_group_words
-from stringcone.characters import weyl_dim
+from stringcone.characters import weyl_character, weyl_dim
 from stringcone.errors import EnumerationCapError, InvariantViolation, RootSystemError, WordError
 from stringcone.pathcrystal import (
     CrystalCache,
@@ -215,6 +217,21 @@ def test_demazure_strings_match_node_by_node_peel():
             nodes = demazure_crystal(graph, w)
             expected = sorted(string_param(graph, node, w0) for node in nodes)
             assert list(demazure_strings(datum, lam, w, w0, crystals=crystals)) == expected
+
+
+@pytest.mark.parametrize("label,rank,top", [
+    ("A", 2, 2), ("B", 2, 2), ("C", 2, 2), ("G", 2, 2), ("A", 3, 1),
+])
+def test_images_carry_the_weyl_character(label, rank, top):
+    # characters, not counts: on every reduced word, each image's weights
+    # with multiplicity are the character of V(lambda), which a peel that
+    # keeps the image's size but assigns wrong strings would break
+    datum = build_cartan(label, rank)
+    crystals = CrystalCache(datum)
+    for word in all_reduced_words(datum, longest_word(datum)):
+        for lam, image in weighted_points(datum, word, top, crystals=crystals).items():
+            weights = Counter(string_weight(datum, lam, word, psi) for psi in image)
+            assert weights == weyl_character(datum, lam).as_dict(), (word, lam)
 
 
 def test_peel_that_misses_the_highest_node_raises():
