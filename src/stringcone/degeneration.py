@@ -6,6 +6,11 @@ string pairs, and (optionally) the Demazure face data, together with the
 outcome of every verification check.  The enumeration is read as
 ``weighted_points`` returns it, one string image per weight lambda; a cone
 point is ``lam + psi``, and the Hilbert basis holds ``(lam, psi)`` pairs.
+The data are tested against a cone on point lanes (``PointLanes``): one
+int per facet with a lane per data point, built from one bytes object per
+coordinate, so that containment is one AND of the facet ints and the
+generation check a few shifts and ANDs per basis element, with no Python
+step per point.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import itertools
 import json
 import time
 from collections import namedtuple
-from operator import mul
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import and_, mul
 
 from .cartan import CartanDatum, apply_word, check_longest_word, check_reduced_word, rho
 from .characters import demazure_character, dimension_of, weyl_dim
@@ -256,28 +263,113 @@ def _counted_saturation(constraints, images):
                 )
 
 
-def _packed_slacks(cone, images, data_reach):
-    """Facet slacks of every data point, packed by ``slack_lanes``.
+class PointLanes(namedtuple("PointLanes", "normals lanes ones width count reach")):
+    """The values of many points on a list of normals: one int per normal, a lane per point.
 
-    Returns the rays' bound on a Hilbert basis element, the packing, the
-    packed slacks in enumeration order and the ``(lam, psi)`` points with
-    a negative lane, which the cone misses.  The weight part of a slack is
-    summed once per image.
+    Lane i of ``lanes[j]`` is ``width`` bits holding ``normals[j] . x_i +
+    2**(width-1)``, point i first, so a lane's top bit (its bit in
+    ``ones << (width-1)``) is set exactly when the value is >= 0.  The
+    width keeps every value in -2**(width-1) .. 2**(width-1) - 1 and every
+    value minus ``u . g`` for a vector g with |g|_inf <= ``reach``, so
+    shifts never carry across lanes.  Built by ``point_lanes``.
     """
-    reach = sum(max(map(abs, r)) for r in cone.rays)
-    columns, sign = slack_lanes(cone.facets, max(data_reach, reach))
-    n = len(next(iter(images)))
-    head, tail = columns[:n], columns[n:]
-    slacks = []
-    missed = []
-    for lam, image in images.items():
-        base = sum(map(mul, lam, head))
-        for psi in image:
-            slack = base + sum(map(mul, psi, tail))
-            if (slack + sign) & sign != sign:
-                missed.append((lam, psi))
-            slacks.append(slack)
-    return reach, columns, sign, slacks, missed
+
+    __slots__ = ()
+
+    def outside(self) -> bytes:
+        """One byte per point: 1 where some normal is negative on it, else 0.
+
+        The points inside are one AND of the lanes.
+        """
+        sign = self.ones << (self.width - 1)
+        return self._flags(sign ^ reduce(and_, self.lanes, sign))
+
+    def cover(self, vectors) -> bytes:
+        """One byte per point x: 1 where x - g is >= 0 on every normal for some g, else 0.
+
+        Each vector g needs |g|_inf <= ``reach``.  For each g the lanes
+        shifted by -(u . g) are ANDed over the normals and their sign
+        bits ORed over the vectors.  When g is >= 0 on every normal, x - g
+        is so only if x is, so the AND starts from the points inside and
+        skips the normals g is 0 on.  No shifted lane is kept: caching one
+        per distinct (normal, u . g) saves time but raises the peak memory.
+        """
+        lanes, ones = self.lanes, self.ones
+        sign = ones << (self.width - 1)
+        inside = reduce(and_, lanes, sign)
+        covered = 0
+        for g in vectors:
+            if max(map(abs, g), default=0) > self.reach:
+                raise ValueError(f"vector {g} is beyond the lanes' reach {self.reach}")
+            shifts = [vec_dot(u, g) for u in self.normals]
+            on_side = min(shifts, default=0) >= 0
+            common = inside if on_side else sign
+            for j, shift in enumerate(shifts):
+                if shift or not on_side:
+                    common &= lanes[j] - shift * ones  # common holds sign bits alone
+            covered |= common
+        return self._flags(covered)
+
+    def _flags(self, bits) -> bytes:
+        size = self.width // 8
+        return (bits >> (self.width - 1)).to_bytes(self.count * size, "little")[::size]
+
+
+def point_columns(images):
+    """Each coordinate of the points ``lam + psi`` of ``images`` as one bytes object.
+
+    Returns ``(columns, size, count)``: entry i of a column is point i's,
+    in enumeration order, as ``size`` little-endian bytes, the fewest that
+    hold every entry, and ``count`` is the number of points.  Entries
+    must be >= 0, as weights and string entries are.  Each image is
+    transposed once (``zip(*image)``) and its columns turned into bytes.
+    """
+    images = {lam: image for lam, image in images.items() if image}  # no columns to zip
+    count = sum(map(len, images.values()))
+    try:
+        parts = [[bytes((v,)) * len(image) for v in lam] + list(map(bytes, zip(*image)))
+                 for lam, image in images.items()]
+        return list(map(b"".join, zip(*parts))), 1, count
+    except ValueError:  # an entry beyond a byte
+        points = [lam + psi for lam, image in images.items() for psi in image]
+        size = (max(map(max, points)).bit_length() + 7) // 8
+        return [b"".join(v.to_bytes(size, "little") for v in column)
+                for column in zip(*points)], size, count
+
+
+def point_lanes(normals, columns, reach: int = 0) -> PointLanes:
+    """Pack the values of ``point_columns``' points on ``normals``, one int per normal.
+
+    ``reach`` bounds |g|_inf for the vectors g later passed to
+    ``PointLanes.cover``.  An entry of ``size`` bytes is at most
+    top = 2**(8*size) - 1, so every value u . x and u . (x - g) is at most
+    max |u|_1 * (top + reach) in size; the lanes are the fewest whole
+    bytes that hold that bound and a sign bit.  Each coordinate is spread
+    once into one int, its bytes at the low end of each lane, and each
+    normal's int is one multiply-add per nonzero coefficient.
+    """
+    normals = tuple(normals)
+    columns, size, count = columns
+    top = (1 << 8 * size) - 1
+    bound = max((sum(map(abs, u)) for u in normals), default=0) * (top + reach)
+    lane = bound.bit_length() // 8 + 1
+    width = 8 * lane
+    ones = int.from_bytes(b"\x01".ljust(lane, b"\0") * count, "little")
+    lanes = [ones << (width - 1)] * len(normals)
+    spread = bytearray(count * lane)
+    for column, coefficients in zip(columns, zip(*normals)):
+        for k in range(size):
+            spread[k::lane] = column[k::size]
+        coordinate = int.from_bytes(spread, "little")
+        for j, a in enumerate(coefficients):
+            if a:
+                lanes[j] += a * coordinate
+    return PointLanes(normals, lanes, ones, width, count, reach)
+
+
+def _image_points(images):
+    """The ``(lam, psi)`` pairs of ``images`` in enumeration order, lane order."""
+    return chain.from_iterable(map(zip, map(repeat, images), images.values()))
 
 
 def level_hull(images, top: int) -> RationalCone:
@@ -286,14 +378,14 @@ def level_hull(images, top: int) -> RationalCone:
     ``images`` is ``weighted_points``' lambda-keyed images; weights above
     ``top`` are ignored.  The points with max(lam) <= 1 are hulled in one
     ``conic_hull`` call.  Then each shell max(lam) = 2, ..., top is packed
-    against the current facets (``_packed_slacks``, its lanes as wide as
-    the reach of all the points up to ``top``), and only when some point
-    has a negative lane is the cone joined, in one ``conic_hull`` call on
-    its rays and the missed points.  The rays generate the previous hull
-    (lineality as opposite pairs), and every other shell point lies in it,
-    so each join is the hull of all the points so far.  The whole level-1
-    set is the base, since the intermediate cones of a sparse sample carry
-    far more facets than the final one.
+    on the current facets (``point_lanes``, a lane per shell point), and
+    only when some point is outside is the cone joined, in one
+    ``conic_hull`` call on its rays and the missed points.  The rays
+    generate the previous hull (lineality as opposite pairs), and every
+    other shell point lies in it, so each join is the hull of all the
+    points so far.  The whole level-1 set is the base, since the
+    intermediate cones of a sparse sample carry far more facets than the
+    final one.
     """
     shells = [{} for _ in range(top + 1)]
     for lam, image in images.items():
@@ -301,14 +393,10 @@ def level_hull(images, top: int) -> RationalCone:
             shells[level][lam] = image
     cone = conic_hull([lam + psi for shell in shells[:2]
                        for lam, image in shell.items() for psi in image])
-    if top < 2:
-        return cone
-    # weights are dominant and string entries are eps-values, all >= 0
-    data_reach = max(max(max(lam), max(map(max, image)))
-                     for shell in shells for lam, image in shell.items())
     for shell in shells[2:]:
-        missed = _packed_slacks(cone, shell, data_reach)[4]
-        if missed:
+        outside = point_lanes(cone.facets, point_columns(shell)).outside()
+        if any(outside):
+            missed = compress(_image_points(shell), outside)
             cone = conic_hull(cone.rays + tuple(lam + psi for lam, psi in missed))
     return cone
 
@@ -330,30 +418,29 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     whose count equals its image's size is that image, and its record
     takes its count from the image.  A section whose count differs is
     listed, and a cone section point absent from the enumeration is a
-    genuine failure and raises.  Each data point's facet slack is packed
-    into one int with a lane per facet (``slack_lanes``), and the Hilbert
-    checks run on these packed slacks alone.  A lane is at
-    most max |u|_1 over the facets u times the largest |v|_inf of a data
-    point or a Hilbert basis element, and a basis element has
-    |h|_inf <= sum over the rays r of |r|_inf (it is a ray or lies in a
-    half-open parallelepiped of rays), which gives the lane width.
+    genuine failure and raises.  The data's facet values are packed one
+    int per facet with a lane per data point (``point_lanes``): the points
+    outside the cone are one AND of the facet ints, and the generation
+    check is the lanes' cover by the Hilbert basis (``PointLanes.cover``).
+    The lanes hold u . x and u . (x - g) for every data point x and basis
+    element g, since a basis element has |g|_inf <= sum over the rays r of
+    |r|_inf (it is a ray or lies in a half-open parallelepiped of rays).
 
-    The cone lies in lambda >= 0 and is pointed, so its facet normals span
-    the space: a packed slack is zero only for the zero point, and x - g
-    lies in the cone exactly when the packed difference has no negative
-    lane.  ``generates`` asks that every nonzero data point x have a basis
-    element g with x - g in the cone.  Then x - g is a lattice point of
-    the cone whose lambda is at most x's, so it lies in a counted section.
-    When ``saturation`` passes, that section's count equals its image's
-    size, so the section is the image and x - g is a data point; had a
-    count differed, the listing would have raised on the missing point
-    or ``saturation`` would fail.  The grading sum(lambda) is positive
-    on the nonzero basis elements, so x - g has lower degree, and by
-    induction on degree every data point is a sum of basis elements.
-    ``minimal`` asks that no difference of two basis elements lie in the
-    cone.  This is stronger than "no member is a sum of others", and the
-    same on a basis ``hilbert_basis`` returns, whose members generate
-    every lattice point of the cone.
+    The weight-zero image is the zero point alone, which every cone holds,
+    so the lanes leave it out.  ``generates`` asks that every other data
+    point x have a basis element g with x - g in the cone.  Then x - g is
+    a lattice point of the cone whose lambda is at most x's, so it lies in
+    a counted section.  When ``saturation`` passes, that section's count
+    equals its image's size, so the section is the image and x - g is a
+    data point; had a count differed, the listing would have raised on the
+    missing point or ``saturation`` would fail.  The grading sum(lambda)
+    is positive on the nonzero basis elements, so x - g has lower degree,
+    and by induction on degree every data point is a sum of basis
+    elements.  ``minimal`` asks that no difference of two basis elements
+    lie in the cone, on their facet slacks packed one int per element
+    with a lane per facet (``slack_lanes``).  This is stronger than "no
+    member is a sum of others", and the same on a basis ``hilbert_basis``
+    returns, whose members generate every lattice point of the cone.
 
     The separating form is built on the build-level pairs and evaluated on
     them once, for ``separating_form_strict``: a form that fails a pair is
@@ -383,16 +470,21 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
         crystals = None  # so a cache passed as a temporary is freed here
 
     t = clock()
-    # weights are dominant and string entries are eps-values, all >= 0, so
-    # the largest |entry| of the data is the largest entry, read per image
-    data_reach = max(max(max(lam), max(map(max, image)))
-                     for lam, image in images.items())
     cone = level_hull(images, level_bound)
-    reach, columns, sign, slacks, missed = _packed_slacks(cone, images, data_reach)
-    if missed:
+    data = {lam: image for lam, image in images.items() if any(lam)}  # no zero point
+    columns = point_columns(data)
+    reach = sum(max(map(abs, r)) for r in cone.rays)
+    lanes = point_lanes(cone.facets, columns, reach)
+    outside = lanes.outside()
+    if any(outside):
+        del lanes  # the lanes of the build-level hull are dead before the repack
+        missed = compress(_image_points(data), outside)
         cone = conic_hull(cone.rays + tuple(lam + psi for lam, psi in missed))
-        del slacks  # the pre-join packing is dead before the repack
-        reach, columns, sign, slacks, missed = _packed_slacks(cone, images, data_reach)
+        reach = sum(max(map(abs, r)) for r in cone.rays)
+        lanes = point_lanes(cone.facets, columns, reach)
+        outside = lanes.outside()
+    saturated = not any(outside)
+    del columns, outside
     timings["hull"] = (clock() - t) * 1000.0
 
     t = clock()
@@ -431,16 +523,10 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     basis_points = tuple((v[:n], v[n:]) for v in basis_vecs)
     if any(max(map(abs, v)) > reach for v in basis_vecs):
         raise DegenerationError("Hilbert basis element beyond its parallelepiped bound")
+    generates = all(lanes.cover(basis_vecs))
+    del lanes
+    columns, sign = slack_lanes(cone.facets, reach)
     basis_slacks = [sum(map(mul, v, columns)) for v in basis_vecs]
-    generates = True
-    for x in filter(None, slacks):
-        biased = x + sign  # (biased - g) & sign is the sign test of x - g
-        for g in basis_slacks:
-            if (biased - g) & sign == sign:
-                break
-        else:
-            generates = False
-            break
     minimal = not any((h + sign - g) & sign == sign
                       for h, g in itertools.permutations(basis_slacks, 2))
     timings["hilbert"] = (clock() - t) * 1000.0
@@ -462,7 +548,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     timings["form"] = (clock() - t) * 1000.0
 
     checks = [
-        ("saturation", not missed),
+        ("saturation", saturated),
         ("section_counts_match_weyl", all(s.match for s in sections)),
         ("hilbert_basis_generates", generates),
         ("hilbert_basis_minimal", minimal),

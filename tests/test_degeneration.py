@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stringcone.degeneration
@@ -23,13 +23,15 @@ from stringcone.degeneration import (
     demazure_quotient,
     lattice_relations,
     level_hull,
+    point_columns,
+    point_lanes,
     report_to_json,
     section_constraints,
     separating_form,
     string_cone_rows,
 )
 from stringcone.errors import DegenerationError, InvariantViolation, WordError
-from stringcone.linalg import slack_lanes, vec_dot
+from stringcone.linalg import vec_dot
 from stringcone.pathcrystal import CrystalCache
 from stringcone.polyhedra import (
     _dd_pair,
@@ -632,25 +634,87 @@ def test_hilbert_checks_reject_a_wrong_basis(type_label, monkeypatch):
         assert dict(report.checks)[failing] is False
 
 
+@pytest.mark.parametrize("type_label, level", [("B", 1), ("B", 2), ("G", 1), ("G", 2)])
+def test_generation_misses_any_dropped_basis_element(type_label, level, monkeypatch):
+    # every basis element is a data point that no sum of the others reaches,
+    # so the lane cover must leave it out once it is dropped
+    datum = build_cartan(type_label, 2)
+    word = longest_word(datum)
+    crystals = CrystalCache(datum)
+    vecs = [lam + psi for lam, psi in degeneration_certificate(
+        datum, word, level_bound=level, crystals=crystals).hilbert_basis]
+    for k, dropped in enumerate(vecs):
+        wrong = tuple(vecs[:k] + vecs[k + 1:])
+        monkeypatch.setattr(stringcone.degeneration, "hilbert_basis",
+                            lambda cone, grading, wrong=wrong: wrong)
+        checks = dict(degeneration_certificate(datum, word, level_bound=level,
+                                               crystals=crystals).checks)
+        assert checks["hilbert_basis_generates"] is False, dropped
+        assert checks["hilbert_basis_minimal"] is True
+
+
 def test_certificate_lanes_cover_every_packed_point(monkeypatch):
-    # every data point and basis element is packed, so the reach handed to
-    # slack_lanes must bound their coordinates, on the build-level hull and
-    # on the hull joined with the points it misses
-    reaches = []
+    # the lane width must hold every data point's facet values and every
+    # data-minus-basis difference, on the build-level hull and on the hull
+    # joined with the points it misses
+    packed = []
 
-    def recording(normals, reach):
-        reaches.append(reach)
-        return slack_lanes(normals, reach)
+    def recording(normals, columns, reach=0):
+        packed.append(point_lanes(normals, columns, reach))
+        return packed[-1]
 
-    monkeypatch.setattr(stringcone.degeneration, "slack_lanes", recording)
+    monkeypatch.setattr(stringcone.degeneration, "point_lanes", recording)
     datum = build_cartan("B", 2)
     word = longest_word(datum)
     report = degeneration_certificate(datum, word, level_bound=1)
-    packed = [lam + psi for lam, image in weighted_points(datum, word, 2).items()
-              for psi in image]
-    packed += [lam + psi for lam, psi in report.hilbert_basis]
-    assert len(reaches) == 2  # the level-1 hull misses level-2 points
-    assert all(max(map(abs, v)) <= reach for v in packed for reach in reaches)
+    images = weighted_points(datum, word, 2)
+    points = [lam + psi for lam, image in images.items() for psi in image]
+    hulls = [level_hull(images, 1), report.cone]
+    assert hulls[0] != hulls[1]  # the level-1 hull misses level-2 points
+    assert [lanes.normals for lanes in packed] == [cone.facets for cone in hulls]
+    for lanes, cone in zip(packed, hulls):
+        half = 1 << (lanes.width - 1)
+        basis = hilbert_basis(cone, (1, 1) + (0,) * 4)
+        for u in cone.facets:
+            values = [vec_dot(u, x) for x in points]
+            shifts = [vec_dot(u, g) for g in basis]
+            assert -half <= min(values) - max(shifts) <= max(values) - min(shifts) < half
+            assert -half <= min(values) <= max(values) < half
+
+
+LANE_ENTRIES = st.one_of(st.integers(0, 9), st.sampled_from([127, 128, 255, 256, 65535, 65536]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=5),
+    st.lists(st.tuples(*[LANE_ENTRIES] * dim), max_size=12),
+    st.integers(0, dim),
+    st.sampled_from([0, 1, 7, 128, 300]).flatmap(lambda reach: st.tuples(
+        st.just(reach),
+        st.lists(st.tuples(*[st.integers(-reach, reach)] * dim), max_size=4))),
+)))
+# values at the width bound: a lane of max |u|_1 * 255 = 255 needs 9 bits,
+# and one of 255 + 32513 = 2**15 needs 17
+@example((1, [(1,), (-1,)], [(0,), (128,), (255,)], 0, (0, [])))
+@example((1, [(1,), (-1,)], [(0,), (255,)], 0, (32513, [(-32513,), (32513,), (0,)])))
+@example((1, [(1,)], [(255,), (0,)], 0, (32513, [(-32513,)])))
+@example((2, [(1, 0), (0, 1)], [(3, 5), (4, 5)], 1, (7, [(4, 0)])))  # x - g is -1 or 0
+@example((2, [(2, -1), (-1, 3)], [(0, 0), (256, 1), (65536, 70)], 1, (300, [(1, 0), (-3, -1)])))
+def test_point_lanes_match_the_dot_products(case):
+    dim, normals, points, split, (reach, vectors) = case
+    images: dict = {}
+    for x in points:
+        images.setdefault(x[:split], []).append(x[split:])
+    order = [lam + psi for lam, image in images.items() for psi in image]
+    lanes = point_lanes(normals, point_columns(images), reach)
+    assert lanes.outside() == bytes(any(vec_dot(u, x) < 0 for u in normals) for x in order)
+    assert lanes.cover(vectors) == bytes(
+        any(all(vec_dot(u, x) >= vec_dot(u, g) for u in normals) for g in vectors)
+        for x in order)
+    with pytest.raises(ValueError, match="beyond the lanes' reach"):
+        lanes.cover([(reach + 1,) * dim])
 
 
 @pytest.mark.parametrize("type_label, rank, tops", [

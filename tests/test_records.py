@@ -9,6 +9,7 @@ from stringcone.cli import RunConfig
 from stringcone.degeneration import (
     DegenerationReport,
     DemazureQuotient,
+    PointLanes,
     SectionRecord,
     SeparatingForm,
 )
@@ -18,7 +19,7 @@ from stringcone.polyhedra import RationalCone, SaturationReport, SectionCount
 RECORDS = [
     CartanDatum, WeightPolynomial, PiecewisePath, CrystalGraph, RationalCone,
     SectionCount, SaturationReport, SeparatingForm, DemazureQuotient, SectionRecord,
-    DegenerationReport, RunConfig, CriterionResult,
+    DegenerationReport, PointLanes, RunConfig, CriterionResult,
 ]
 
 

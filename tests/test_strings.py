@@ -4,7 +4,7 @@ import pytest
 
 from stringcone import cartan, pathcrystal, strings
 from stringcone.cartan import all_reduced_words, build_cartan, longest_word, weyl_group_words
-from stringcone.characters import weyl_character, weyl_dim
+from stringcone.characters import demazure_character, weyl_character, weyl_dim
 from stringcone.errors import EnumerationCapError, InvariantViolation, RootSystemError, WordError
 from stringcone.pathcrystal import (
     CrystalCache,
@@ -232,6 +232,23 @@ def test_images_carry_the_weyl_character(label, rank, top):
         for lam, image in weighted_points(datum, word, top, crystals=crystals).items():
             weights = Counter(string_weight(datum, lam, word, psi) for psi in image)
             assert weights == weyl_character(datum, lam).as_dict(), (word, lam)
+
+
+@pytest.mark.parametrize("label,rank,top", [
+    ("A", 2, 2), ("B", 2, 2), ("C", 2, 2), ("G", 2, 2), ("A", 3, 1),
+])
+def test_demazure_images_carry_the_demazure_character(label, rank, top):
+    # for every prefix w of every reduced word, the Demazure image's weights
+    # with multiplicity are the Demazure character of w, from the operators
+    # alone; its size is only the character's dimension
+    datum = build_cartan(label, rank)
+    crystals = CrystalCache(datum)
+    for word in all_reduced_words(datum, longest_word(datum)):
+        for w in (word[:k] for k in range(len(word) + 1)):
+            for lam in dominant_weights(rank, top):
+                image = demazure_strings(datum, lam, w, word, crystals=crystals)
+                weights = Counter(string_weight(datum, lam, word, psi) for psi in image)
+                assert weights == demazure_character(datum, lam, w).as_dict(), (word, w, lam)
 
 
 def test_peel_that_misses_the_highest_node_raises():
