@@ -109,7 +109,7 @@ class AcceptanceRun:
             images = weighted_points(
                 self.datum(key), w0_word, 2, crystals=self.crystals[key]
             )
-            self._dem_cones[slot] = level_hull(images, 2)
+            self._dem_cones[slot], _ = level_hull(images, 2)
         return self._dem_cones[slot]
 
 

@@ -209,9 +209,10 @@ def _infer_cone(config: RunConfig, datum, timings: dict):
     """The word and the hull of its strings up to the level bound.
 
     The hull is ``level_hull``'s: the level-1 strings in one hull, then
-    each higher level packed against it and joined only where it adds
-    points.  The milliseconds of the ``crystal``, ``strings`` and
-    ``hull`` stages go into ``timings``.
+    the strings up to each higher level packed against it and joined only
+    where they add points; its point lanes are not needed here.  The
+    milliseconds of the ``crystal``, ``strings`` and ``hull`` stages go
+    into ``timings``.
     """
     clock = time.perf_counter
     if config.w0_word is None:
@@ -226,7 +227,7 @@ def _infer_cone(config: RunConfig, datum, timings: dict):
     images = weighted_points(datum, word, config.level_bound, crystals=crystals)
     timings["strings"] = (clock() - t) * 1000.0
     t = clock()
-    cone = level_hull(images, config.level_bound)
+    cone, _ = level_hull(images, config.level_bound)
     timings["hull"] = (clock() - t) * 1000.0
     return word, cone
 

@@ -6,11 +6,12 @@ string pairs, and (optionally) the Demazure face data, together with the
 outcome of every verification check.  The enumeration is read as
 ``weighted_points`` returns it, one string image per weight lambda; a cone
 point is ``lam + psi``, and the Hilbert basis holds ``(lam, psi)`` pairs.
-The data are tested against a cone on point lanes (``PointLanes``): one
-int per facet with a lane per data point, built from one bytes object per
-coordinate, so that containment is one AND of the facet ints and the
-generation check a few shifts and ANDs per basis element, with no Python
-step per point.
+One routine grows the cone, ``level_hull``, which tests the data on point
+lanes (``PointLanes``): one int per facet with a lane per data point, built
+from one bytes object per coordinate, so that containment is one AND of the
+facet ints and the generation check a few shifts and ANDs per basis
+element, with no Python step per point.  The minimal check runs the same
+kernel on the basis, a lane per element.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import time
 from collections import namedtuple
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import and_, mul
+from operator import and_
 
 from .cartan import CartanDatum, apply_word, check_longest_word, check_reduced_word, rho
 from .characters import demazure_character, dimension_of, weyl_dim
 from .errors import DegenerationError, InvariantViolation
-from .linalg import kernel_basis_int, slack_lanes, vec_dot
+from .linalg import kernel_basis_int, vec_dot
 from .pathcrystal import CrystalCache
 from .polyhedra import (
     RationalCone,
@@ -372,33 +373,48 @@ def _image_points(images):
     return chain.from_iterable(map(zip, map(repeat, images), images.values()))
 
 
-def level_hull(images, top: int) -> RationalCone:
-    """Conic hull of the points ``lam + psi`` with max(lam) <= top, grown one level at a time.
+def level_hull(images, top: int) -> tuple[RationalCone, PointLanes]:
+    """Conic hull of the points ``lam + psi`` with max(lam) <= top, and their point lanes.
 
     ``images`` is ``weighted_points``' lambda-keyed images; weights above
     ``top`` are ignored.  The points with max(lam) <= 1 are hulled in one
-    ``conic_hull`` call.  Then each shell max(lam) = 2, ..., top is packed
-    on the current facets (``point_lanes``, a lane per shell point), and
-    only when some point is outside is the cone joined, in one
-    ``conic_hull`` call on its rays and the missed points.  The rays
-    generate the previous hull (lineality as opposite pairs), and every
-    other shell point lies in it, so each join is the hull of all the
-    points so far.  The whole level-1 set is the base, since the
-    intermediate cones of a sparse sample carry far more facets than the
-    final one.
+    ``conic_hull`` call.  Then at each level L = 2, ..., top (only L = top
+    when top < 2) every nonzero point with max(lam) <= L is packed on the
+    current facets (``point_lanes``, a lane per point in enumeration
+    order), with reach the sum over the rays r of |r|_inf.  Only when some
+    point is outside is the cone joined, in one ``conic_hull`` call on its
+    rays and the missed points.  The rays generate the previous hull
+    (lineality as opposite pairs), and every other point lies in it, so
+    each join is the hull of all the points so far.  The whole level-1 set
+    is the base, since the intermediate cones of a sparse sample carry far
+    more facets than the final one.  Returns ``(cone, lanes)``: the lanes
+    of the last level, whose columns are repacked on the joined cone when
+    that level joins, so a last level that adds no point costs one pack.
+    The zero point, which every cone holds, has no lane.
     """
-    shells = [{} for _ in range(top + 1)]
-    for lam, image in images.items():
-        if (level := max(lam)) <= top:
-            shells[level][lam] = image
-    cone = conic_hull([lam + psi for shell in shells[:2]
-                       for lam, image in shell.items() for psi in image])
-    for shell in shells[2:]:
-        outside = point_lanes(cone.facets, point_columns(shell)).outside()
+    cone = conic_hull([lam + psi for lam, image in images.items()
+                       if max(lam) <= min(top, 1) for psi in image])
+    for level in range(min(top, 2), top + 1):
+        points = {lam: image for lam, image in images.items()
+                  if any(lam) and max(lam) <= level}
+        columns = point_columns(points)
+        lanes = point_lanes(cone.facets, columns, _reach(cone))
+        outside = lanes.outside()
         if any(outside):
-            missed = compress(_image_points(shell), outside)
+            lanes = None  # stale: the next level's pack or the repack below replaces it
+            missed = compress(_image_points(points), outside)
             cone = conic_hull(cone.rays + tuple(lam + psi for lam, psi in missed))
-    return cone
+    if lanes is None:
+        lanes = point_lanes(cone.facets, columns, _reach(cone))
+    return cone, lanes
+
+
+def _reach(cone) -> int:
+    """A bound on |g|_inf for a Hilbert basis element g: the sum of |r|_inf over the rays r.
+
+    A basis element is a ray or lies in a half-open parallelepiped of rays.
+    """
+    return sum(max(map(abs, r)) for r in cone.rays)
 
 
 def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
@@ -407,23 +423,20 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     """Run the full pipeline and record every check outcome.
 
     The cone is the conic hull of the enumeration at check_level (one
-    level higher than level_bound by default).  It is built as
-    ``level_hull`` of the points with weight coordinates up to level_bound,
-    joined once with the data points outside it: the rays generate that
-    hull, lineality as opposite pairs, so the join is the hull of all the
-    data.  The data points are then checked against the joined cone, and
-    any outside it fail ``saturation``.  Each section is counted once under
-    the facets and the string cone's rows (``_counted_saturation``); every
-    data point lies in the cone and an image is injective, so a section
-    whose count equals its image's size is that image, and its record
-    takes its count from the image.  A section whose count differs is
-    listed, and a cone section point absent from the enumeration is a
-    genuine failure and raises.  The data's facet values are packed one
-    int per facet with a lane per data point (``point_lanes``): the points
-    outside the cone are one AND of the facet ints, and the generation
-    check is the lanes' cover by the Hilbert basis (``PointLanes.cover``).
-    The lanes hold u . x and u . (x - g) for every data point x and basis
-    element g, since a basis element has |g|_inf <= sum over the rays r of
+    level higher than level_bound by default), and ``level_hull`` up to the
+    check level builds it with the data's point lanes: the facet values of
+    every nonzero data point, a lane per point, on the final facets.  Any
+    data point outside the cone fails ``saturation``.  The build level
+    picks only the separating form's pairs.  Each section is counted once
+    under the facets and the string cone's rows (``_counted_saturation``);
+    every data point lies in the cone and an image is injective, so a
+    section whose count equals its image's size is that image, and its
+    record takes its count from the image.  A section whose count differs
+    is listed, and a cone section point absent from the enumeration is a
+    genuine failure and raises.  The generation check is the lanes' cover
+    by the Hilbert basis (``PointLanes.cover``).  The lanes hold u . x and
+    u . (x - g) for every data point x and basis element g, since a basis
+    element has |g|_inf <= the lanes' reach, the sum over the rays r of
     |r|_inf (it is a ray or lies in a half-open parallelepiped of rays).
 
     The weight-zero image is the zero point alone, which every cone holds,
@@ -437,10 +450,11 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     is positive on the nonzero basis elements, so x - g has lower degree,
     and by induction on degree every data point is a sum of basis
     elements.  ``minimal`` asks that no difference of two basis elements
-    lie in the cone, on their facet slacks packed one int per element
-    with a lane per facet (``slack_lanes``).  This is stronger than "no
-    member is a sum of others", and the same on a basis ``hilbert_basis``
-    returns, whose members generate every lattice point of the cone.
+    lie in the cone: on point lanes of the basis, a lane per element,
+    each element g covers exactly one, g itself.  This is stronger than
+    "no member is a sum of others", and the same on a basis
+    ``hilbert_basis`` returns, whose members generate every lattice point
+    of the cone.
 
     The separating form is built on the build-level pairs and evaluated on
     them once, for ``separating_form_strict``: a form that fails a pair is
@@ -470,21 +484,8 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
         crystals = None  # so a cache passed as a temporary is freed here
 
     t = clock()
-    cone = level_hull(images, level_bound)
-    data = {lam: image for lam, image in images.items() if any(lam)}  # no zero point
-    columns = point_columns(data)
-    reach = sum(max(map(abs, r)) for r in cone.rays)
-    lanes = point_lanes(cone.facets, columns, reach)
-    outside = lanes.outside()
-    if any(outside):
-        del lanes  # the lanes of the build-level hull are dead before the repack
-        missed = compress(_image_points(data), outside)
-        cone = conic_hull(cone.rays + tuple(lam + psi for lam, psi in missed))
-        reach = sum(max(map(abs, r)) for r in cone.rays)
-        lanes = point_lanes(cone.facets, columns, reach)
-        outside = lanes.outside()
-    saturated = not any(outside)
-    del columns, outside
+    cone, lanes = level_hull(images, check_level)
+    saturated = not any(lanes.outside())
     timings["hull"] = (clock() - t) * 1000.0
 
     t = clock()
@@ -502,33 +503,25 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     sections = []
     # a counted section equal in size to its injective image is that image
     for lam, image in images.items():
-        count = len(image)
-        dim = weyl_dim(datum, lam)
+        demazure = ()
         if quotient is not None:
-            dem = dem_sections[lam]
+            dcount = len(dem_sections[lam])
             ddim = dimension_of(demazure_character(datum, lam, w_word))
-            sections.append(SectionRecord(
-                lam=lam, count=count, dim=dim, match=count == dim,
-                demazure_count=len(dem), demazure_dim=ddim,
-                demazure_match=len(dem) == ddim,
-            ))
-        else:
-            sections.append(SectionRecord(lam=lam, count=count, dim=dim,
-                                          match=count == dim))
+            demazure = (dcount, ddim, dcount == ddim)
+        count, dim = len(image), weyl_dim(datum, lam)
+        sections.append(SectionRecord(lam, count, dim, count == dim, *demazure))
     timings["sections"] = (clock() - t) * 1000.0
 
     t = clock()
     grading = (1,) * n + (0,) * ncoords
     basis_vecs = hilbert_basis(cone, grading)
     basis_points = tuple((v[:n], v[n:]) for v in basis_vecs)
-    if any(max(map(abs, v)) > reach for v in basis_vecs):
+    if any(max(map(abs, v)) > lanes.reach for v in basis_vecs):
         raise DegenerationError("Hilbert basis element beyond its parallelepiped bound")
     generates = all(lanes.cover(basis_vecs))
+    basis_lanes = point_lanes(cone.facets, point_columns({(): basis_vecs}), lanes.reach)
     del lanes
-    columns, sign = slack_lanes(cone.facets, reach)
-    basis_slacks = [sum(map(mul, v, columns)) for v in basis_vecs]
-    minimal = not any((h + sign - g) & sign == sign
-                      for h, g in itertools.permutations(basis_slacks, 2))
+    minimal = all(sum(basis_lanes.cover((g,))) == 1 for g in basis_vecs)
     timings["hilbert"] = (clock() - t) * 1000.0
 
     t = clock()

@@ -177,28 +177,6 @@ def lowering_operator(datum: CartanDatum, path: PiecewisePath, i: int):
     return _rebuild(datum, path, i, t1, t2)
 
 
-def raising_operator(datum: CartanDatum, path: PiecewisePath, i: int):
-    """Inverse root operator; None when the profile never goes below zero."""
-    datum.check_index(i)
-    times, heights = _breakpoints(path, i)
-    m = _min_height(heights)
-    if -m < 1:
-        return None
-    idx = min(k for k, h in enumerate(heights) if h == m)
-    t1 = times[idx]
-    target = m + 1
-    t0 = None
-    for k in range(idx - 1, -1, -1):
-        if heights[k] >= target:
-            span = times[k + 1] - times[k]
-            rise = heights[k + 1] - heights[k]
-            t0 = times[k] + (target - heights[k]) * span / rise
-            break
-    if t0 is None:
-        raise InvariantViolation("profile has no unit drop before its minimum")
-    return _rebuild(datum, path, i, t0, t1)
-
-
 class CrystalGraph(namedtuple("CrystalGraph", "datum lam f_edge e_edge eps phi weights")):
     """Crystal of a dominant weight, nodes numbered in search order.
 

@@ -166,16 +166,6 @@ def conic_hull(points) -> RationalCone:
     )
 
 
-def dualize(cone: RationalCone) -> RationalCone:
-    """Swap the two descriptions; an involution up to canonical sorting."""
-    return RationalCone(
-        ambient_dim=cone.ambient_dim,
-        rays=cone.facets,
-        facets=cone.rays,
-        pointed=rank_int(cone.rays) == cone.ambient_dim if cone.rays else cone.ambient_dim == 0,
-    )
-
-
 def contains(cone: RationalCone, point) -> bool:
     return all(vec_dot(u, point) >= 0 for u in cone.facets)
 

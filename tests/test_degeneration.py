@@ -320,6 +320,35 @@ def test_minimal_check_tries_both_orders_of_each_pair(order, monkeypatch):
     assert checks["hilbert_basis_generates"] is True
 
 
+@pytest.mark.parametrize("type_label", ["B", "G"])
+def test_minimal_check_rejects_a_sum_of_two_basis_elements(type_label, monkeypatch):
+    # a basis with g_i + g_j added is not minimal: g_i covers it as well as
+    # itself.  B2 adds every pair of its level-bound-1 basis, doubles
+    # included, G2 its lowest-degree element plus each other element.  The
+    # sum goes last and then first, so that neither end of the basis is
+    # left out of the check; the true basis stays minimal
+    datum = build_cartan(type_label, 2)
+    word = longest_word(datum)
+    crystals = CrystalCache(datum)
+    report = degeneration_certificate(datum, word, level_bound=1, crystals=crystals)
+    assert dict(report.checks)["hilbert_basis_minimal"] is True
+    vecs = tuple(lam + psi for lam, psi in report.hilbert_basis)
+    if type_label == "B":
+        pairs = list(itertools.combinations_with_replacement(vecs, 2))
+    else:
+        low = min(vecs, key=lambda v: (sum(v[:2]), v))
+        pairs = [(low, g) for g in vecs if g != low]
+    for g, h in pairs:
+        added = (tuple(map(operator.add, g, h)),)
+        for wrong in (vecs + added, added + vecs):
+            monkeypatch.setattr(stringcone.degeneration, "hilbert_basis",
+                                lambda cone, grading, wrong=wrong: wrong)
+            checks = dict(degeneration_certificate(datum, word, level_bound=1,
+                                                   crystals=crystals).checks)
+            assert checks["hilbert_basis_minimal"] is False, (g, h)
+            assert checks["hilbert_basis_generates"] is True
+
+
 def test_demazure_certificate_hulls_only_in_the_hull_stage(a2, monkeypatch):
     # the face test reads the cone's rays and takes no hull of its own; the
     # saturated sections are counted, never listed
@@ -555,11 +584,11 @@ def test_report_json_deterministic(a2):
     ("G", 2, 2, [86, 105, 195]),
     ("A", 3, 1, [134]),
 ])
-def test_certificate_hulls_the_build_level_then_the_missed_points(
+def test_certificate_hulls_level_one_then_the_points_each_level_misses(
         type_label, rank, level, sizes, monkeypatch):
     # each join takes the previous hull's rays and the points it misses,
     # never the whole enumeration: G2 at level bound 2 hulls level 1, joins
-    # the level-2 points it misses, then the missed check-level points
+    # the level-2 points it misses, then the missed level-3 points
     calls = []
     original = stringcone.degeneration.conic_hull
 
@@ -616,7 +645,7 @@ def test_certificate_scans_sections_once(monkeypatch):
 
 @pytest.mark.parametrize("type_label", ["B", "G"])
 def test_hilbert_checks_reject_a_wrong_basis(type_label, monkeypatch):
-    # the packed slack checks must see a missing generator and a redundant one
+    # the lane checks must see a missing generator and a redundant one
     datum = build_cartan(type_label, 2)
     word = longest_word(datum)
     basis = list(degeneration_certificate(datum, word, level_bound=1, check_level=2)
@@ -654,9 +683,10 @@ def test_generation_misses_any_dropped_basis_element(type_label, level, monkeypa
 
 
 def test_certificate_lanes_cover_every_packed_point(monkeypatch):
-    # the lane width must hold every data point's facet values and every
-    # data-minus-basis difference, on the build-level hull and on the hull
-    # joined with the points it misses
+    # B2's level-1 hull misses level-2 points: the data are packed on it,
+    # repacked on the joined cone, and the basis is packed on that cone.
+    # Each width must hold every packed point's facet values and every
+    # difference with a basis element
     packed = []
 
     def recording(normals, columns, reach=0):
@@ -668,18 +698,70 @@ def test_certificate_lanes_cover_every_packed_point(monkeypatch):
     word = longest_word(datum)
     report = degeneration_certificate(datum, word, level_bound=1)
     images = weighted_points(datum, word, 2)
-    points = [lam + psi for lam, image in images.items() for psi in image]
-    hulls = [level_hull(images, 1), report.cone]
-    assert hulls[0] != hulls[1]  # the level-1 hull misses level-2 points
-    assert [lanes.normals for lanes in packed] == [cone.facets for cone in hulls]
-    for lanes, cone in zip(packed, hulls):
+    data = [lam + psi for lam, image in images.items() if any(lam) for psi in image]
+    level_one = conic_hull([lam + psi for lam, image in images.items() if max(lam) <= 1
+                            for psi in image])
+    assert level_one != report.cone  # the level-1 hull misses level-2 points
+    basis = [lam + psi for lam, psi in report.hilbert_basis]
+    steps = [(level_one, data), (report.cone, data), (report.cone, basis)]
+    assert [lanes.normals for lanes in packed] == [cone.facets for cone, _ in steps]
+    assert [lanes.count for lanes in packed] == [len(points) for _, points in steps]
+    for lanes, (cone, points) in zip(packed, steps):
+        assert lanes.reach == sum(max(map(abs, r)) for r in cone.rays)
         half = 1 << (lanes.width - 1)
-        basis = hilbert_basis(cone, (1, 1) + (0,) * 4)
+        gens = hilbert_basis(cone, (1, 1) + (0,) * 4)
+        assert max(max(map(abs, g)) for g in gens) <= lanes.reach
         for u in cone.facets:
             values = [vec_dot(u, x) for x in points]
-            shifts = [vec_dot(u, g) for g in basis]
+            shifts = [vec_dot(u, g) for g in gens]
             assert -half <= min(values) - max(shifts) <= max(values) - min(shifts) < half
             assert -half <= min(values) <= max(values) < half
+
+
+@pytest.mark.parametrize("type_label, rank, level, events", [
+    # A3's level-1 hull holds every check-level point: one pack per level
+    ("A", 3, 1, ["hull", ("pack", 2, False), ("pack", "basis", False)]),
+    ("A", 3, 2, ["hull", ("pack", 2, False), ("pack", 3, False), ("pack", "basis", False)]),
+    # B2's misses 6 level-2 points: the join is followed by one repack
+    ("B", 2, 1, ["hull", ("pack", 2, True), "hull", ("pack", 2, False),
+                 ("pack", "basis", False)]),
+    # G2's misses points at levels 2 and 3: only the last join is repacked,
+    # since the next level's pack replaces the lanes of level 2
+    ("G", 2, 2, ["hull", ("pack", 2, True), "hull", ("pack", 3, True), "hull",
+                 ("pack", 3, False), ("pack", "basis", False)]),
+], ids=["A3-1", "A3-2", "B2-1", "G2-2"])
+def test_certificate_packs_each_level_once_and_repacks_only_after_a_join(
+        type_label, rank, level, events, monkeypatch):
+    # the data up to each level are packed once, and again only on a joined
+    # cone; the lanes of the check level serve every data check, and the
+    # basis is packed once more, for the minimal check.  A pack is named by
+    # its point count: the nonzero points up to a level, or the basis
+    seen = []
+    hull = stringcone.degeneration.conic_hull
+    pack = stringcone.degeneration.point_lanes
+
+    def recording_hull(points):
+        seen.append("hull")
+        return hull(points)
+
+    def recording_pack(normals, columns, reach=0):
+        lanes = pack(normals, columns, reach)
+        seen.append(("pack", lanes.count, any(lanes.outside())))
+        return lanes
+
+    monkeypatch.setattr(stringcone.degeneration, "conic_hull", recording_hull)
+    monkeypatch.setattr(stringcone.degeneration, "point_lanes", recording_pack)
+    datum = build_cartan(type_label, rank)
+    word = longest_word(datum)
+    report = degeneration_certificate(datum, word, level_bound=level)
+    assert report.passing
+    images = weighted_points(datum, word, level + 1)
+    counts = {top: sum(len(image) for lam, image in images.items()
+                       if any(lam) and max(lam) <= top) for top in range(2, level + 2)}
+    counts["basis"] = len(report.hilbert_basis)
+    assert len(set(counts.values())) == len(counts)
+    assert seen == [event if event == "hull" else ("pack", counts[event[1]], event[2])
+                    for event in events]
 
 
 LANE_ENTRIES = st.one_of(st.integers(0, 9), st.sampled_from([127, 128, 255, 256, 65535, 65536]))
@@ -730,7 +812,12 @@ def test_level_hull_is_the_hull_of_all_points(type_label, rank, tops):
         for top in tops:
             points = [lam + psi for lam, image in images.items() if max(lam) <= top
                       for psi in image]
-            assert level_hull(images, top) == conic_hull(points), (word, top)
+            cone, lanes = level_hull(images, top)
+            assert cone == conic_hull(points), (word, top)
+            # the lanes hold every nonzero point on the final facets
+            assert lanes.normals == cone.facets
+            assert lanes.count == sum(map(any, points))
+            assert not any(lanes.outside())
 
 
 @pytest.mark.parametrize("type_label, base, missed", [("B", 26, 6), ("G", 86, 88)])

@@ -24,7 +24,6 @@ from stringcone.pathcrystal import (
     lowering_operator,
     make_path,
     path_weight,
-    raising_operator,
 )
 
 
@@ -55,10 +54,9 @@ def test_lowering_then_raising_roundtrip():
     path = highest_path(datum, (1, 1))
     low = lowering_operator(datum, path, 1)
     assert low is not None
-    assert raising_operator(datum, low, 1) == path
-    # raising the highest path gives nothing
-    assert raising_operator(datum, path, 1) is None
-    assert raising_operator(datum, path, 2) is None
+    # one step down from the highest path: e_1 applies once, f_1 no more
+    assert path_weight(low) == (-1, 2)
+    assert epsilon_phi(low, 1) == (1, 0)
 
 
 def test_a2_fundamental_graph():

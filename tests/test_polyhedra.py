@@ -18,7 +18,6 @@ from stringcone.polyhedra import (
     conic_hull,
     contains,
     count_section_points,
-    dualize,
     format_h_rep,
     hilbert_basis,
     is_face,
@@ -42,19 +41,12 @@ def test_halfplane_and_dual():
     half = conic_hull([(1, 0), (-1, 0), (0, 1)])
     assert half.facets == ((0, 1),)
     assert not half.pointed
-    dual = dualize(half)
-    assert dual.rays == ((0, 1),)
-    assert dual.pointed
 
 
 def test_zero_cone_full_space_pair():
     zero = conic_hull([(0, 0)])
     assert zero.rays == ()
     assert zero.pointed
-    full = dualize(zero)
-    assert full.facets == ()
-    assert not full.pointed
-    assert dualize(full).rays == ()
 
 
 def test_contains():
@@ -63,13 +55,6 @@ def test_contains():
     assert contains(cone, (0, 0))
     assert not contains(cone, (0, 1))
     assert not contains(cone, (-1, 0))
-
-
-def test_dualize_involution_on_hull():
-    cone = conic_hull([(2, 1, 0), (0, 1, 1), (1, 0, 3)])
-    back = dualize(dualize(cone))
-    assert back.rays == cone.rays
-    assert back.facets == cone.facets
 
 
 def test_section_one_dimensional():
@@ -274,14 +259,6 @@ def test_hull_contains_generators(points):
     cone = conic_hull(points)
     for p in points:
         assert contains(cone, p)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=4))
-def test_dualize_round_trip(points):
-    cone = conic_hull(points)
-    back = dualize(dualize(cone))
-    assert back == cone
 
 
 @st.composite
