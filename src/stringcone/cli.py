@@ -232,14 +232,14 @@ def _infer_cone(config: RunConfig, datum, timings: dict):
     return word, cone
 
 
-def _point_lines(columns, segments):
+def _point_lines(columns, order, segments):
     """The text of ``polyhedra.section_runs``' points, one block per x_0.
 
     Each run's tail text " x_1 ... x_{m-1}" ("" for A1) is built once from
     per-integer pieces: a column's " %d" is formatted once per integer in
     its range and looked up per run, and ``zip`` hands ``join`` one reused
-    tuple of pieces, so no tail tuple is built.  A block is then its x_0
-    joined with the texts of its live runs.
+    tuple of pieces, so no tail tuple is built, and put in key order once.
+    A block is then its x_0 joined with the texts of its live runs.
     """
     if not segments:
         return []
@@ -248,6 +248,7 @@ def _point_lines(columns, segments):
         table = {v: " %d" % v for v in range(min(column), max(column) + 1)}
         pieces.append(map(table.__getitem__, column))
     texts = list(map("".join, zip(*pieces))) if columns else [""]
+    texts = list(map(texts.__getitem__, order))
     blocks = []
     for x0, stop, live in segments:
         tails = list(map(texts.__getitem__, live))
@@ -267,7 +268,7 @@ def _cmd_polytope(config: RunConfig) -> int:
     timings = {}
     word, cone = _infer_cone(config, datum, timings)
     t = clock()
-    columns, segments = section_runs(section_constraints(cone, datum, word), config.lam)
+    columns, order, segments = section_runs(section_constraints(cone, datum, word), config.lam)
     timings["section"] = (clock() - t) * 1000.0
     found = sum((stop - x0) * len(live) for x0, stop, live in segments)
     if found != expected:
@@ -287,7 +288,7 @@ def _cmd_polytope(config: RunConfig) -> int:
         const = sum(a * b for a, b in zip(u[:n], config.lam))
         lines.append(" ".join([str(const)] + [str(c) for c in u[n:]]))
     lines.append(f"points {found}")
-    lines += _point_lines(columns, segments)
+    lines += _point_lines(columns, order, segments)
     text = "\n".join(lines) + "\n"
     timings["format"] = (clock() - t) * 1000.0
     _emit(text, config.out)

@@ -1,10 +1,23 @@
 """Crystal graphs of dominant weights: fundamental paths, tensor products.
 
 A path is a list of (direction, duration) segments starting at the origin;
-directions are integer weight vectors and durations are exact rationals
-summing to one.  Root operators cut the height profile of a path at exact
-rational times, reflect the middle window, and translate the tail, so the
-whole crystal of a dominant weight can be generated from the straight path.
+directions are integer weight vectors and durations are positive and sum
+to one.  Root operators cut the height profile of a path at exact times,
+reflect the middle window, and translate the tail, so the whole crystal of
+a dominant weight can be generated from the straight path.
+
+The crystals are built on integer times.  Every breakpoint a_k of an LS
+path of shape lambda satisfies a_k <nu_k, beta^vee> in Z for a direction
+nu_k in W lambda and a positive root beta (Littelmann, *A
+Littlewood-Richardson rule for symmetrizable Kac-Moody algebras*, 1994;
+*Paths and root operators*, 1995), so every time lies in (1/D) Z with
+D = lcm(1, ..., <lambda, theta^vee>), theta^vee the highest coroot.  The
+runtime kernel ``_lower`` keeps the durations times D as ints and raises
+``InvariantViolation`` on a height minimum or a cut off that grid, so a
+wrong D cannot pass as a wrong crystal.  The rational model
+(``PiecewisePath``, ``make_path``, ``highest_path``, ``lowering_operator``,
+``epsilon_phi``, ``path_weight``) works in ``Fraction`` and stays only as
+the independent reference the tests compare with; no crystal build calls it.
 
 The path model builds only the crystals of zero and of the fundamental
 weights, and stays the oracle for the others.  Every other B(lambda) is the
@@ -31,6 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, islice
+from math import lcm
 from operator import sub
 
 from .cartan import CartanDatum, Weight, check_reduced_word, is_dominant
@@ -275,18 +289,104 @@ def _graph(datum: CartanDatum, lam: Weight, f_edge) -> CrystalGraph:
     )
 
 
+def _mirrors(datum: CartanDatum, lam: Weight) -> list[dict]:
+    """Per simple root i, s_i as a table on the orbit W lam, the paths' directions."""
+    alphas = [datum.simple_root(i) for i in range(1, datum.rank + 1)]
+    mirrors = [{} for _ in alphas]
+    orbit = {lam}
+    frontier = [lam]
+    while frontier:
+        fresh = []
+        for nu in frontier:
+            for i, (alpha, mirror) in enumerate(zip(alphas, mirrors)):
+                c = nu[i]
+                image = mirror[nu] = tuple(v - c * a for v, a in zip(nu, alpha)) if c else nu
+                if image not in orbit:
+                    orbit.add(image)
+                    fresh.append(image)
+        frontier = fresh
+    return mirrors
+
+
+def _time_scale(mirrors: list[dict]) -> int:
+    """D = lcm(1, ..., <lam, theta^vee>), theta^vee the highest coroot.
+
+    Every time of an LS path of shape lam lies in (1/D) Z: a breakpoint
+    a_k satisfies a_k <nu_k, beta^vee> in Z for a direction nu_k in W lam
+    and a positive root beta (Littelmann, *Paths and root operators*,
+    1995), and |<nu_k, beta^vee>| <= <lam, theta^vee>.  Every coroot is
+    W-conjugate to a simple one, so <lam, theta^vee> is the largest
+    coordinate over the orbit W lam, which the keys of a mirror hold.
+    """
+    return lcm(*range(1, max(map(max, mirrors[0])) + 1))
+
+
+def _lower(path, i: int, scale: int, mirror: dict):
+    """``lowering_operator`` for the 0-based root i on an integer path.
+
+    ``path`` is a canonical tuple of (direction, duration) pairs whose int
+    durations sum to ``scale``, so the times are multiples of 1/scale and
+    the heights are scaled by ``scale``; ``mirror`` is s_i on the
+    directions.  Returns None when the profile cannot drop.  A minimum that
+    is not a multiple of ``scale``, or a cut time off the grid, raises
+    ``InvariantViolation``: the scale is then too coarse for the path.
+    """
+    height = low = cut = 0
+    ends = []
+    for k, (direction, duration) in enumerate(path, 1):
+        height += direction[i] * duration
+        ends.append(height)
+        if height <= low:
+            low, cut = height, k
+    if low % scale:
+        raise InvariantViolation(f"height minimum {low}/{scale} is not integral")
+    if height - low < scale:
+        return None
+    target = low + scale
+    k, before = cut, low
+    while ends[k] < target:
+        before = ends[k]
+        k += 1
+    direction, duration = path[k]
+    rise, off = divmod(target - before, direction[i])
+    if off:
+        raise InvariantViolation(f"profile regains one unit off the time grid 1/{scale}")
+    window = [(mirror[d], t) for d, t in path[cut:k]]
+    window.append((mirror[direction], rise))
+    # s_i only changes directions inside the window, so only its ends can
+    # meet an equal neighbour
+    if cut and path[cut - 1][0] == window[0][0]:
+        cut -= 1
+        window[0] = (window[0][0], path[cut][1] + window[0][1])
+    tail = path[k + 1:]
+    if rise < duration:
+        tail = ((direction, duration - rise),) + tail
+    elif tail and tail[0][0] == window[-1][0]:
+        window[-1] = (window[-1][0], window[-1][1] + tail[0][1])
+        tail = tail[1:]
+    return path[:cut] + tuple(window) + tail
+
+
 def _path_crystal(datum: CartanDatum, lam: Weight, node_cap: int) -> CrystalGraph:
     """The crystal below the straight dominant path, by the root operators.
 
-    The paths are the search's nodes and are needed only for the lowering
-    columns; ``_graph`` derives the other tables from those in integers.
+    The operators run on integer times: a path keeps its durations times
+    D = lcm(1, ..., <lam, theta^vee>) (``_time_scale``), which sum to D.
+    An LS path of shape lam has every time in (1/D) Z, so this is exact
+    and no ``Fraction`` is made; ``_lower`` raises ``InvariantViolation``
+    on a height minimum or a cut off the grid rather than round it.  D
+    follows from the datum and lam alone.  The paths are the search's
+    nodes and are needed only for the lowering columns; ``_graph`` derives
+    the other tables from those in integers.
     """
-    ops = range(1, datum.rank + 1)
+    mirrors = _mirrors(datum, lam)
+    scale = _time_scale(mirrors)
+    ops = list(enumerate(mirrors))
 
     def step(paths):
-        return [[lowering_operator(datum, path, i) for path in paths] for i in ops]
+        return [[_lower(path, i, scale, mirror) for path in paths] for i, mirror in ops]
 
-    return _graph(datum, lam, _search(datum, lam, highest_path(datum, lam), step, node_cap))
+    return _graph(datum, lam, _search(datum, lam, ((lam, scale),), step, node_cap))
 
 
 def _split(lam: Weight) -> tuple[Weight, Weight]:

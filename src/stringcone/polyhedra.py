@@ -26,22 +26,22 @@ with Littelmann's rows give that.  ``count_section_points`` sums the run
 lengths and never reads a tail or a key; the certificate compares these
 counts with the image sizes, because its data lie in its cone and each
 image is injective.  ``section_runs`` orders the nonempty runs by key
-and files their indices under each x_0 they cover, which lists a section
-in lexicographic order with no point sort and no tail tuple: ``polytope``
-prints its points from per-integer text pieces, and ``section_blocks``
-maps the indices to tail tuples.  ``section_lattice_points`` flattens
-the blocks into points, and ``saturation_check`` compares each section
-with the string image of its weight, read from the lambda-keyed images
-of ``strings.weighted_points``.
+and files their ranks in that order under each x_0 they cover, walking
+x_0 from the top down, which lists a section in lexicographic order with
+no point sort and no tail tuple: ``polytope`` prints its points from
+per-integer text pieces, and ``section_blocks`` maps the ranks to tail
+tuples.  ``section_lattice_points`` flattens the blocks into points, and
+``saturation_check`` compares each section with the string image of its
+weight, read from the lambda-keyed images of ``strings.weighted_points``.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from itertools import chain, compress, repeat, tee
-from operator import add, floordiv, ge, le, mul
+from operator import add, floordiv, le, mul
 
 from .errors import PolyhedralError
 from .linalg import hnf_rows, primitive, rank_int, slack_lanes, snf_with_uinv, vec_dot
@@ -281,54 +281,60 @@ def _runs_at(constraints, lam):
 
 
 def section_runs(constraints, lam):
-    """The nonempty runs of a section and their filing by x_0, as ``(columns, segments)``.
+    """The runs of a section and their filing by x_0, as ``(columns, order, segments)``.
 
-    The runs of ``_section_runs`` with lo <= hi, numbered in scan order;
-    ``columns`` holds their tails' coordinates x_1, ..., x_{m-1} as lists
-    (no list when m = 1, where the one run has the empty tail).  Each
-    segment ``(x0, stop, live)`` says that the runs in ``live``, a list of
-    run numbers in lexicographic tail order, are those covering every
-    x_0 = x0 ... stop - 1; the segments run through x_0 in ascending
-    order and no ``live`` is empty, so the points ``(x_0,) + tail`` come
-    out in lexicographic order with no point sort.  The run numbers are
-    sorted once by the scan's int keys, whose order is lexicographic tail
-    order, so no tail tuple is built or compared, then by start, stably.
-    The live runs change only where a run starts or just past its end: at
-    each such x_0 they are cut to those that reach x_0 with ``compress``
-    and merged with those that start there by key.  An empty section has
+    ``columns`` holds the tail coordinates x_1, ..., x_{m-1} of every run
+    of ``_section_runs`` as lists, in scan order (no list when m = 1, where
+    the one run has the empty tail).  ``order`` lists the scan numbers of
+    the nonempty runs, lo <= hi, sorted by the scan's int keys, whose order
+    is lexicographic tail order, so no tail tuple is built or compared; a
+    run's rank is its place in ``order``.  Each segment ``(x0, stop,
+    live)`` says that the runs ranked ``live``, an ascending list, are
+    those covering every x_0 = x0 ... stop - 1; the segments run through
+    x_0 in ascending order and no ``live`` is empty, so the points
+    ``(x_0,) + tail`` come out in lexicographic order with no point sort.
+    The live runs change only where a run starts or just past its end, and
+    the filing walks these edges from the top down: the runs ending at an
+    edge join the live ones in one sort of their ranks, and the live
+    runs are cut only where a run starts, which a string cone's section,
+    all of whose runs start at x_0 = 0, never needs.  An empty section has
     no segments.
     """
     columns, keys, los, his = _runs_at(constraints, lam)
-    keep = list(map(le, los, his))
-    columns = [list(compress(column, keep)) for column in columns]
-    keys = list(compress(keys, keep))
-    los, his = list(compress(los, keep)), list(compress(his, keep))
-    if not los:
-        return columns, []
-    order = sorted(range(len(los)), key=keys.__getitem__)
-    order.sort(key=los.__getitem__)  # stable: by start, then tail
-    starts = list(map(los.__getitem__, order))
-    # the live runs change only where a run starts or has just ended
-    edges = sorted(set(starts).union(map(add, his, repeat(1))))
+    columns = list(map(list, columns))
+    # one int object per number, shared by the run numbers and the ranks;
+    # the keys are kept only for the sort
+    numbers = list(range(len(los)))
+    order = sorted(compress(numbers, map(le, los, his)), key=list(keys).__getitem__)
+    if not order:
+        return columns, order, []
+    los = list(map(los.__getitem__, order))
+    his = list(map(his.__getitem__, order))
+    by_end = sorted(numbers[:len(order)], key=his.__getitem__)  # stable: ranks ascend per end
+    ends = list(map(his.__getitem__, by_end))
+    firsts = set(los)
+    edges = sorted(firsts.union(map(add, his, repeat(1))))
     segments = []
-    live = []  # the runs that reach x_0, in tail order
-    done = 0  # the runs that have started
-    for x0, stop in zip(edges, edges[1:]):
-        live = list(compress(live, map(ge, map(his.__getitem__, live), repeat(x0))))
-        end = bisect_right(starts, x0, done)
-        if end > done:
-            new = order[done:end]
-            live = sorted(live + new, key=keys.__getitem__) if live else new
-            done = end
+    live = []  # the ranks of the runs covering x0 ... stop - 1
+    top = len(by_end)  # the runs by_end[top:] have joined
+    for x0, stop in zip(edges[-2::-1], edges[:0:-1]):
+        if stop in firsts:  # the runs starting at stop do not reach x0
+            live = list(compress(live, map(le, map(los.__getitem__, live), repeat(x0))))
+        begin = bisect_left(ends, stop - 1, 0, top)
+        if begin < top:
+            live = live + by_end[begin:top]  # a new list: a segment may hold the old one
+            live.sort()
+            top = begin
         if live:
             segments.append((x0, stop, live))
-    return columns, segments
+    segments.reverse()
+    return columns, order, segments
 
 
 def section_blocks(constraints, lam):
     """Integer x with u . (lam + x) >= 0 for every constraint u, as ``((x_0, tails), ...)``.
 
-    The segments of ``section_runs``, with each run number mapped to its
+    The segments of ``section_runs``, with each rank mapped to its run's
     tail tuple and every x_0 of a segment sharing one tuple of tails.  No
     box is computed: every free coordinate needs a constraint bounding it
     from below and one bounding it from above, once the later coordinates
@@ -338,8 +344,9 @@ def section_blocks(constraints, lam):
     order, so the points ``(x_0,) + tail`` come out in lexicographic
     order.  An empty section yields no blocks.
     """
-    columns, segments = section_runs(constraints, lam)
+    columns, order, segments = section_runs(constraints, lam)
     tails = list(zip(*columns)) if columns else [()]
+    tails = list(map(tails.__getitem__, order))
     blocks = []
     for x0, stop, live in segments:
         blocks.extend(zip(range(x0, stop), repeat(tuple(map(tails.__getitem__, live)))))

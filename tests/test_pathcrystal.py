@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -6,16 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringcone import pathcrystal
-from stringcone.cartan import build_cartan
+from stringcone.cartan import _positive_roots, build_cartan
 from stringcone.characters import weyl_dim
 from stringcone.errors import EnumerationCapError, InvariantViolation, WeightError
 from stringcone.pathcrystal import (
     DEFAULT_NODE_CAP,
     CrystalCache,
     _graph,
+    _mirrors,
     _path_crystal,
+    _search,
     _split,
     _tensor_crystal,
+    _time_scale,
     demazure_crystal,
     edge_lines,
     enumerate_crystal,
@@ -199,19 +203,124 @@ def test_tensor_product_matches_path_model(label, rank, lam):
 
 
 def test_path_model_runs_only_on_fundamental_crystals(monkeypatch):
+    # the integer kernel runs once per node of B(omega_1) and B(omega_2) and
+    # operator index; the rational reference and Fraction run nowhere
     seen = []
-    original = pathcrystal.lowering_operator
+    original = pathcrystal._lower
 
-    def counting(datum, path, i):
-        seen.append(path_weight(path))
-        return original(datum, path, i)
+    def counting(path, *args):
+        scale = sum(duration for _, duration in path)
+        seen.append(tuple(sum(d[j] * t for d, t in path) // scale for j in range(2)))
+        return original(path, *args)
 
-    monkeypatch.setattr(pathcrystal, "lowering_operator", counting)
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational path model called")
+
+    monkeypatch.setattr(pathcrystal, "_lower", counting)
+    monkeypatch.setattr(pathcrystal, "lowering_operator", refuse)
+    monkeypatch.setattr(pathcrystal, "Fraction", refuse)
     datum = build_cartan("A", 2)
     assert enumerate_crystal(datum, (2, 2)).size == 27
-    # each node of B(omega_1) and B(omega_2), once per operator index
     fundamental = [(1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (-1, 0)]
     assert sorted(seen) == sorted(fundamental * 2)
+
+
+def _rational_crystal(datum, lam):
+    """The crystal below ``highest_path`` by ``lowering_operator``, the reference."""
+    ops = range(1, datum.rank + 1)
+
+    def step(paths):
+        return [[lowering_operator(datum, path, i) for path in paths] for i in ops]
+
+    return _graph(datum, lam, _search(datum, lam, highest_path(datum, lam), step,
+                                      DEFAULT_NODE_CAP))
+
+
+def _fundamental_and_zero(rank):
+    return [(0,) * rank] + [tuple(int(k == j) for k in range(rank)) for j in range(rank)]
+
+
+FUNDAMENTAL_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+                     ("D", 4), ("G", 2)]
+
+
+RATIONAL_CASES = [
+    pytest.param(label, rank, lam, id=f"{label}{rank}-{','.join(map(str, lam))}")
+    for label, rank in [("A", 1)] + FUNDAMENTAL_TYPES
+    for lam in sorted(set(_fundamental_and_zero(rank)) | (
+        {lam for lam in _weights_up_to(2, 3) if sum(lam) <= 3} if rank == 2 else set()))
+]
+
+
+@pytest.mark.parametrize("label,rank,lam", RATIONAL_CASES)
+def test_integer_path_model_matches_the_rational_one(label, rank, lam):
+    datum = build_cartan(label, rank)
+    graph = _path_crystal(datum, lam, DEFAULT_NODE_CAP)
+    oracle = _rational_crystal(datum, lam)
+    for table in ("f_edge", "e_edge", "eps", "phi", "weights"):
+        assert getattr(graph, table) == getattr(oracle, table), table
+
+
+@pytest.mark.parametrize("label,rank", [("A", 1)] + FUNDAMENTAL_TYPES)
+def test_time_scale_is_lcm_up_to_the_highest_coroot_pairing(label, rank):
+    # the highest root of the transposed matrix is the highest coroot
+    datum = build_cartan(label, rank)
+    coroot = _positive_roots(tuple(zip(*datum.cartan_matrix)), rank)[-1]
+    for lam in _fundamental_and_zero(rank) + [(1,) * rank, (2,) + (0,) * (rank - 1)]:
+        top = sum(c * x for c, x in zip(coroot, lam))
+        assert _time_scale(_mirrors(datum, lam)) == math.lcm(*range(1, top + 1)), lam
+
+
+def test_a_too_coarse_time_scale_is_caught(monkeypatch):
+    # G2's 7-dimensional crystal has its zero-weight path turn at t = 1/2
+    datum = build_cartan("G", 2)
+    lam = next(lam for lam in [(1, 0), (0, 1)] if weyl_dim(datum, lam) == 7)
+    assert _rational_crystal(datum, lam).size == 7
+    monkeypatch.setattr(pathcrystal, "_time_scale", lambda mirrors: 1)
+    with pytest.raises(InvariantViolation, match="time grid 1/1"):
+        _path_crystal(datum, lam, DEFAULT_NODE_CAP)
+
+
+def test_lower_merges_the_window_with_equal_neighbours():
+    # the window [1/3, 2/3] turns (3) into (-3), which joins both neighbours
+    datum = build_cartan("A", 1)
+    path = (((-3,), 2), ((3,), 2), ((-3,), 1), ((3,), 1))
+    low = pathcrystal._lower(path, 0, 6, _mirrors(datum, (3,))[0])
+    assert low == (((-3,), 5), ((3,), 1))
+
+
+@st.composite
+def integer_paths(draw):
+    """A canonical integer path of A2 on the orbit of (1, 1), and its scale."""
+    orbit = sorted(_mirrors(build_cartan("A", 2), (1, 1))[0])
+    directions = draw(st.lists(st.sampled_from(orbit), min_size=1, max_size=5))
+    directions = [d for k, d in enumerate(directions) if not k or d != directions[k - 1]]
+    durations = draw(st.lists(st.integers(1, 4), min_size=len(directions),
+                              max_size=len(directions)))
+    return tuple(zip(directions, durations)), sum(durations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_paths(), st.sampled_from([1, 2]))
+def test_lower_matches_lowering_operator(case, i):
+    # the integer kernel against the rational reference on the same path
+    path, scale = case
+    datum = build_cartan("A", 2)
+    rational = make_path([(d, Fraction(t, scale)) for d, t in path])
+    try:
+        low = pathcrystal._lower(path, i - 1, scale, _mirrors(datum, (1, 1))[i - 1])
+    except InvariantViolation as exc:
+        if "time grid" in str(exc):
+            return  # a cut the rational model makes at a finer time
+        with pytest.raises(InvariantViolation):
+            lowering_operator(datum, rational, i)
+        return
+    expected = lowering_operator(datum, rational, i)
+    if low is None:
+        assert expected is None
+    else:
+        # equal segments, so the kernel's path is canonical like make_path's
+        assert tuple((d, Fraction(t, scale)) for d, t in low) == expected.segments
 
 
 def test_demazure_crystal_growth():
@@ -222,10 +331,6 @@ def test_demazure_crystal_growth():
     assert sizes[0] == 1
     assert sizes == sorted(sizes)
     assert sizes[-1] == graph.size
-
-
-FUNDAMENTAL_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
-                     ("D", 4), ("G", 2)]
 
 
 @pytest.mark.parametrize("label,rank", FUNDAMENTAL_TYPES)
@@ -351,7 +456,8 @@ def test_both_constructions_share_one_search(monkeypatch):
         crystals[lam]
     assert sorted(lam for lam, _ in starts) == _weights_up_to(2, 2)
     for lam, start in starts:
-        assert start == (highest_path(datum, lam) if sum(lam) <= 1 else 0), lam
+        straight = ((lam, _time_scale(_mirrors(datum, lam))),)
+        assert start == (straight if sum(lam) <= 1 else 0), lam
 
 
 def test_tensor_cap_counts_the_component():

@@ -482,7 +482,7 @@ def test_filing_merges_runs_that_start_at_several_x0():
     # reaches the merge of new runs into live ones
     gens, lam = SEVERAL_STARTS
     cone = conic_hull(gens)
-    _, segments = section_runs(_boxed(cone.facets, 1, 3, 3), lam + (1,))
+    *_, segments = section_runs(_boxed(cone.facets, 1, 3, 3), lam + (1,))
     live = [set(runs) for _, _, runs in segments]
     merges = sum(bool(now - before and now & before) for before, now in zip(live, live[1:]))
     assert merges >= 2
