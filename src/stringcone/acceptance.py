@@ -241,7 +241,7 @@ def _criterion_6(run: AcceptanceRun):
             return False, f"{key} form construction exceeded 1s"
         for lam, image in images.items():
             groups: dict = {}
-            for psi in image:
+            for psi in sorted(image):  # each pair lexicographically ordered
                 groups.setdefault(string_weight(datum, lam, word, psi), []).append(psi)
             for mu in groups.values():
                 for a, b in itertools.combinations(mu, 2):

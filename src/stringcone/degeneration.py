@@ -4,14 +4,19 @@ The certificate packages the inferred cone, a Hilbert basis of its lattice
 points, the binomial relation lattice, a linear form separating equal-weight
 string pairs, and (optionally) the Demazure face data, together with the
 outcome of every verification check.  The enumeration is read as
-``weighted_points`` returns it, one string image per weight lambda; a cone
-point is ``lam + psi``, and the Hilbert basis holds ``(lam, psi)`` pairs.
-One routine grows the cone, ``level_hull``, which tests the data on point
-lanes (``PointLanes``): one int per facet with a lane per data point, built
-from one bytes object per coordinate, so that containment is one AND of the
-facet ints and the generation check a few shifts and ANDs per basis
-element, with no Python step per point.  The minimal check runs the same
-kernel on the basis, a lane per element.
+``weighted_points`` returns it, one string image per weight lambda, held
+as ``StringColumns``: a bytes column per letter of the word, in node
+order.  A cone point is ``lam + psi``, and the Hilbert basis holds
+``(lam, psi)`` pairs.  One routine grows the cone, ``level_hull``, which
+tests the data on point lanes (``PointLanes``): one int per facet with a
+lane per data point, built from one bytes object per coordinate, which
+``point_columns`` joins from the images' columns, so that containment is
+one AND of the facet ints and the generation check a few shifts and ANDs
+per basis element, with no Python step per point.  The minimal check runs
+the same kernel on the basis, a lane per element.  No image is sorted,
+and a string becomes a tuple only where it is read as one: in the level-1
+hull, a point a level misses, a shared weight of ``build_pairs``, and a
+section the count cannot settle.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import and_
+from operator import add, and_, mul
 
 from .cartan import CartanDatum, apply_word, check_longest_word, check_reduced_word, rho
 from .characters import demazure_character, dimension_of, weyl_dim
@@ -37,7 +42,13 @@ from .polyhedra import (
     is_face,
     section_lattice_points,
 )
-from .strings import demazure_strings, dominant_crystals, dominant_weights, weighted_points
+from .strings import (
+    StringColumns,
+    demazure_strings,
+    dominant_crystals,
+    dominant_weights,
+    weighted_points,
+)
 
 
 class SeparatingForm(namedtuple("SeparatingForm", "coefficients")):
@@ -52,22 +63,36 @@ class SeparatingForm(namedtuple("SeparatingForm", "coefficients")):
 def build_pairs(datum: CartanDatum, word, images):
     """Equal-weight pairs (phi, psi, lambda) of lexicographic neighbours.
 
-    ``images`` is ``weighted_points``' lambda-keyed sorted images.  Strings
-    are grouped by their exponent totals per simple root: the simple roots
-    are linearly independent, so equal totals mean equal weight.  Each two
-    consecutive strings of a group form one pair; a form strict on these
-    is strict on every equal-weight pair by transitivity.
+    ``images`` is ``weighted_points``' lambda-keyed ``StringColumns``.
+    Strings are grouped by their exponent totals per simple root: the
+    simple roots are linearly independent, so equal totals mean equal
+    weight.  The totals are summed column by column into one int key per
+    string, mixed radix over the roots, and only the strings that share a
+    key become tuples.  Each group is sorted, the groups of a weight come
+    in the order of their least strings, and each two consecutive strings
+    of a group form one pair; a form strict on these is strict on every
+    equal-weight pair by transitivity.
     """
     word = check_longest_word(datum, word)
-    positions = [[k for k, letter in enumerate(word) if letter == i]
-                 for i in range(1, datum.rank + 1)]
     pairs = []
     for lam, image in images.items():
+        values = image.values()
+        tops = [max(column) for column in values]
+        totals = [0] * datum.rank
+        for letter, top in zip(word, tops):
+            totals[letter - 1] += top
+        radix = max(totals) + 1  # above every per-root total
+        keys = [0] * len(image)
+        for letter, column in zip(word, values):
+            keys = list(map(add, keys, map(mul, column, repeat(radix ** (letter - 1)))))
+        counts = Counter(keys)
+        if len(counts) == len(keys):
+            continue
+        shared = list(compress(range(len(keys)), map((1).__lt__, map(counts.__getitem__, keys))))
         groups: dict = {}
-        for psi in image:
-            key = tuple(sum(map(psi.__getitem__, ks)) for ks in positions)
+        for key, psi in zip(map(keys.__getitem__, shared), image.strings(shared)):
             groups.setdefault(key, []).append(psi)
-        for mu in groups.values():
+        for mu in sorted(map(sorted, groups.values())):
             pairs.extend((a, b, lam) for a, b in itertools.pairwise(mu))
     return tuple(pairs)
 
@@ -319,23 +344,31 @@ class PointLanes(namedtuple("PointLanes", "normals lanes ones width count reach"
 def point_columns(images):
     """Each coordinate of the points ``lam + psi`` of ``images`` as one bytes object.
 
-    Returns ``(columns, size, count)``: entry i of a column is point i's,
-    in enumeration order, as ``size`` little-endian bytes, the fewest that
-    hold every entry, and ``count`` is the number of points.  Entries
-    must be >= 0, as weights and string entries are.  Each image is
-    transposed once (``zip(*image)``) and its columns turned into bytes.
+    ``images`` maps each lam to its ``StringColumns``.  Returns ``(columns,
+    size, count)``: entry i of a column is point i's, in enumeration
+    order, as ``size`` little-endian bytes, the fewest that hold every
+    entry, and ``count`` is the number of points.  Entries must be >= 0,
+    as weights and string entries are.  An image's columns are joined as
+    they are, or widened to ``size`` bytes per entry; no point is a tuple.
     """
-    images = {lam: image for lam, image in images.items() if image}  # no columns to zip
+    images = {lam: image for lam, image in images.items() if len(image)}  # no columns
     count = sum(map(len, images.values()))
-    try:
-        parts = [[bytes((v,)) * len(image) for v in lam] + list(map(bytes, zip(*image)))
-                 for lam, image in images.items()]
-        return list(map(b"".join, zip(*parts))), 1, count
-    except ValueError:  # an entry beyond a byte
-        points = [lam + psi for lam, image in images.items() for psi in image]
-        size = (max(map(max, points)).bit_length() + 7) // 8
-        return [b"".join(v.to_bytes(size, "little") for v in column)
-                for column in zip(*points)], size, count
+    top = max(chain.from_iterable(images), default=0)
+    size = max([1, (top.bit_length() + 7) // 8] + [image.size for image in images.values()])
+    parts = [[v.to_bytes(size, "little") * len(image) for v in lam]
+             + [_widen(column, image.size, size) for column in image.columns]
+             for lam, image in images.items()]
+    return list(map(b"".join, zip(*parts))), size, count
+
+
+def _widen(column: bytes, size: int, wide: int):
+    """A column of ``size``-byte little-endian entries as ``wide``-byte ones."""
+    if size == wide:
+        return column
+    spread = bytearray(len(column) // size * wide)
+    for k in range(size):
+        spread[k::wide] = column[k::size]
+    return spread
 
 
 def point_lanes(normals, columns, reach: int = 0) -> PointLanes:
@@ -368,9 +401,18 @@ def point_lanes(normals, columns, reach: int = 0) -> PointLanes:
     return PointLanes(normals, lanes, ones, width, count, reach)
 
 
-def _image_points(images):
-    """The ``(lam, psi)`` pairs of ``images`` in enumeration order, lane order."""
-    return chain.from_iterable(map(zip, map(repeat, images), images.values()))
+def _missed_points(images, outside: bytes):
+    """The points ``lam + psi`` of ``images`` whose byte in ``outside`` is set.
+
+    ``outside`` holds one byte per point in enumeration order, as
+    ``PointLanes.outside`` returns it; only the flagged strings become tuples.
+    """
+    start = 0
+    for lam, image in images.items():
+        flags = outside[start:start + len(image)]
+        start += len(image)
+        if any(flags):
+            yield from (lam + psi for psi in image.strings(compress(range(len(image)), flags)))
 
 
 def level_hull(images, top: int) -> tuple[RationalCone, PointLanes]:
@@ -402,8 +444,7 @@ def level_hull(images, top: int) -> tuple[RationalCone, PointLanes]:
         outside = lanes.outside()
         if any(outside):
             lanes = None  # stale: the next level's pack or the repack below replaces it
-            missed = compress(_image_points(points), outside)
-            cone = conic_hull(cone.rays + tuple(lam + psi for lam, psi in missed))
+            cone = conic_hull(cone.rays + tuple(_missed_points(points, outside)))
     if lanes is None:
         lanes = point_lanes(cone.facets, columns, _reach(cone))
     return cone, lanes
@@ -519,7 +560,8 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     if any(max(map(abs, v)) > lanes.reach for v in basis_vecs):
         raise DegenerationError("Hilbert basis element beyond its parallelepiped bound")
     generates = all(lanes.cover(basis_vecs))
-    basis_lanes = point_lanes(cone.facets, point_columns({(): basis_vecs}), lanes.reach)
+    basis_columns = point_columns({(): StringColumns.from_strings(basis_vecs)})
+    basis_lanes = point_lanes(cone.facets, basis_columns, lanes.reach)
     del lanes
     minimal = all(sum(basis_lanes.cover((g,))) == 1 for g in basis_vecs)
     timings["hilbert"] = (clock() - t) * 1000.0

@@ -31,8 +31,9 @@ x_0 from the top down, which lists a section in lexicographic order with
 no point sort and no tail tuple: ``polytope`` prints its points from
 per-integer text pieces, and ``section_blocks`` maps the ranks to tail
 tuples.  ``section_lattice_points`` flattens the blocks into points, and
-``saturation_check`` compares each section with the string image of its
-weight, read from the lambda-keyed images of ``strings.weighted_points``.
+``saturation_check``, a test oracle, compares each section with the
+sorted string image of its weight, read from the lambda-keyed images of
+``strings.weighted_points``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from itertools import chain, compress, repeat, tee
 from operator import add, floordiv, le, mul
 
 from .errors import PolyhedralError
-from .linalg import hnf_rows, primitive, rank_int, slack_lanes, snf_with_uinv, vec_dot
+from .linalg import det_int, hnf_rows, primitive, rank_int, slack_lanes, snf_with_uinv, vec_dot
 from .strings import dominant_weights
 
 
@@ -464,8 +465,12 @@ def _parallelepiped_points(matrix):
     of rank k; dim may exceed k.  With U * M * V = D in Smith form, the
     points M * lam with lam in [0, 1)^k are integral exactly for
     lam = frac(V * (y_i / d_i)) with y in prod [0, d_i).  Scaling by the
-    last invariant factor d_k keeps every step in integers.
+    last invariant factor d_k keeps every step in integers.  A square
+    cell with |det M| = 1 is unimodular: its parallelepiped holds 0 alone,
+    so one fraction-free determinant settles it with no Smith form.
     """
+    if len(matrix) == len(matrix[0]) and abs(det_int(matrix)) == 1:
+        return ()
     diag, v = snf_with_uinv(matrix)
     top = diag[-1]
     points = []
@@ -552,8 +557,9 @@ def saturation_check(constraints, images, level_bound: int) -> SaturationReport:
     """Compare integral sections of ``constraints`` with the lambda-keyed string images.
 
     The constraints bound each section as ``section_blocks`` asks.  A
-    section and a string image are both sorted tuples of distinct points,
-    so equal tuples settle a weight; sets are built only where they differ.
+    section is a sorted tuple of distinct points, and each image is sorted
+    into one (``StringColumns`` hold their strings in node order), so
+    equal tuples settle a weight; sets are built only where they differ.
     """
     if not images:
         raise PolyhedralError("no enumerated points supplied")
@@ -563,7 +569,7 @@ def saturation_check(constraints, images, level_bound: int) -> SaturationReport:
     outside = []
     for lam in dominant_weights(n, level_bound):
         sec = section_lattice_points(constraints, lam)
-        data = images.get(lam, ())
+        data = tuple(sorted(images.get(lam, ())))
         if sec != data:
             sec, data = set(sec), set(data)
             missing.extend((lam, p) for p in sorted(sec - data))

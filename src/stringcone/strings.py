@@ -18,7 +18,11 @@ stays the per-node reference.
 ``weighted_points`` keys the images by lambda: the weighted cone's section
 at lambda is the image of B(lambda) (Littelmann 1998, Prop. 1.5).  It
 builds the crystals first, with ``dominant_crystals``, and then peels
-them, so a caller can time the two apart.
+them, so a caller can time the two apart.  Its images are
+``StringColumns``: one bytes column per letter of the word, in node
+order, with no tuple per string and no sort.  ``string_image`` and
+``demazure_strings`` return sorted entry tuples, for readers that need
+the strings themselves.
 """
 
 from __future__ import annotations
@@ -55,11 +59,13 @@ def string_param(graph: CrystalGraph, node: int, word) -> tuple[int, ...]:
     return _peel(graph, node, word)
 
 
-def _peel_nodes(graph: CrystalGraph, nodes, word: WeylWord) -> list[tuple[int, ...]]:
+def _peel_nodes(graph: CrystalGraph, nodes, word: WeylWord):
     """String entries of ``nodes`` along an already checked longest word.
 
-    One pass per letter of the word over all the nodes; the ``top_i``
-    tables are built once per simple root.
+    Yields one list per letter of the word, entry j for ``nodes``' j-th
+    node: one pass per letter over all the nodes, with the ``top_i``
+    tables built once per simple root.  The check that every peel ends at
+    the highest node runs when the last column has been taken.
     """
     tops = []
     for eps_col, e_col in zip(graph.eps, graph.e_edge):
@@ -69,16 +75,95 @@ def _peel_nodes(graph: CrystalGraph, nodes, word: WeylWord) -> list[tuple[int, .
             append(top[up] if t else node)
         tops.append(top)
     current = list(nodes)
-    columns = []
     for letter in word:
         eps_col, top = graph.eps[letter - 1], tops[letter - 1]
-        columns.append([eps_col[c] for c in current])
+        yield [eps_col[c] for c in current]
         current = [top[c] for c in current]
     if current.count(graph.highest) != len(current):
         raise InvariantViolation(
             f"peel along {word} did not end at the highest node"
         )
-    return list(zip(*columns))
+
+
+class StringColumns:
+    """The strings of one crystal along a word, one bytes column per letter.
+
+    Entry j of ``columns[k]`` is the k-th string entry of node j, in node
+    order, as ``size`` little-endian bytes: 1 unless some entry exceeds
+    255, then the fewest that hold every entry.  ``len`` is the number of
+    strings.  Iterating, or ``strings``, builds the entry tuples in node
+    order, one per string, for the readers that need them.
+    """
+
+    __slots__ = ("columns", "size", "count")
+
+    def __init__(self, columns, size: int, count: int):
+        self.columns = columns
+        self.size = size
+        self.count = count
+
+    @classmethod
+    def from_strings(cls, strings) -> StringColumns:
+        """Encode entry tuples of one length, each entry >= 0, in their order."""
+        strings = list(strings)
+        columns, size = _encode(zip(*strings))
+        return cls(columns, size, len(strings))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return self.strings()
+
+    def __eq__(self, other):
+        if not isinstance(other, StringColumns):
+            return NotImplemented
+        return (self.count, self.size, self.columns) == (other.count, other.size, other.columns)
+
+    def values(self) -> list:
+        """Each column as a sequence of ints: the bytes themselves when ``size`` is 1."""
+        if self.size == 1:
+            return list(self.columns)
+        size = self.size
+        return [[int.from_bytes(column[i:i + size], "little") for i in range(0, len(column), size)]
+                for column in self.columns]
+
+    def strings(self, nodes=None):
+        """Entry tuples of ``nodes`` (by default every node), in that order."""
+        values = self.values()
+        if nodes is not None:
+            nodes = list(nodes)
+            values = [list(map(column.__getitem__, nodes)) for column in values]
+        return zip(*values)
+
+
+def _encode(columns) -> tuple[list, int]:
+    """Int columns, each entry >= 0, as bytes columns of one entry size, and that size."""
+    encoded = []
+    columns = iter(columns)
+    for column in columns:
+        try:
+            encoded.append(bytes(column))
+        except ValueError:  # an entry beyond a byte: every column goes wide
+            values = [*map(list, encoded), column, *columns]
+            size = (max(map(max, values)).bit_length() + 7) // 8
+            return [b"".join(v.to_bytes(size, "little") for v in col) for col in values], size
+    return encoded, 1
+
+
+def _string_columns(graph: CrystalGraph, word: WeylWord) -> StringColumns:
+    """The image of the whole crystal as columns; injectivity is enforced.
+
+    Distinct nodes need distinct strings: one set of the per-node rows of
+    the columns' bytes, with no sort.
+    """
+    columns, size = _encode(_peel_nodes(graph, range(graph.size), word))
+    rows = columns if size == 1 else [c[k::size] for c in columns for k in range(size)]
+    if len(set(zip(*rows))) != graph.size:
+        raise InvariantViolation(
+            f"string parametrization along {word} is not injective"
+        )
+    return StringColumns(columns, size, graph.size)
 
 
 def string_image(datum: CartanDatum, lam, word, *,
@@ -86,12 +171,7 @@ def string_image(datum: CartanDatum, lam, word, *,
     """Sorted entry tuples of the whole crystal; injectivity is enforced."""
     word = check_longest_word(datum, word)
     graph = CrystalCache.for_datum(datum, crystals)[tuple(lam)]
-    image = tuple(sorted(_peel_nodes(graph, range(graph.size), word)))
-    if len(set(image)) != graph.size:
-        raise InvariantViolation(
-            f"string parametrization along {word} is not injective"
-        )
-    return image
+    return tuple(sorted(_string_columns(graph, word)))
 
 
 def string_weight(datum: CartanDatum, lam, word, entries) -> Weight:
@@ -149,16 +229,16 @@ def dominant_crystals(datum: CartanDatum, level_bound: int, *,
 
 def weighted_points(datum: CartanDatum, word, level_bound: int, *,
                     crystals: CrystalCache | None = None) -> dict:
-    """String images ``{lam: string_image(lam)}`` for dominant lam up to the bound.
+    """String images ``{lam: StringColumns}`` for dominant lam up to the bound.
 
     The crystals come from ``dominant_crystals``, all of them before the
-    first peel.  The keys run in lexicographic order and each image is
-    sorted, so the points ``lam + psi`` come out sorted.
+    first peel.  The keys run in lexicographic order; each image holds its
+    crystal's strings in node order, injective, and is not sorted.
     """
     word = check_longest_word(datum, word)
     crystals = CrystalCache.for_datum(datum, crystals)
-    return {lam: string_image(datum, lam, word, crystals=crystals)
-            for lam in dominant_crystals(datum, level_bound, crystals=crystals)}
+    return {lam: _string_columns(graph, word)
+            for lam, graph in dominant_crystals(datum, level_bound, crystals=crystals).items()}
 
 
 def demazure_strings(datum: CartanDatum, lam, w_word, w0_word, *,
@@ -170,4 +250,4 @@ def demazure_strings(datum: CartanDatum, lam, w_word, w0_word, *,
     w0_word = check_longest_word(datum, w0_word)
     graph = CrystalCache.for_datum(datum, crystals)[tuple(lam)]
     nodes = demazure_crystal(graph, w_word)
-    return tuple(sorted(_peel_nodes(graph, nodes, w0_word)))
+    return tuple(sorted(zip(*_peel_nodes(graph, nodes, w0_word))))

@@ -40,7 +40,13 @@ from stringcone.polyhedra import (
     hilbert_basis,
     section_lattice_points,
 )
-from stringcone.strings import dominant_weights, string_weight, weighted_points
+from stringcone.strings import (
+    StringColumns,
+    dominant_weights,
+    string_image,
+    string_weight,
+    weighted_points,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +65,52 @@ def test_build_pairs_a2_level_one(a2):
     assert pairs == (((0, 1, 1), (1, 1, 0), (1, 1)),)
 
 
+def test_build_pairs_keys_keep_weights_apart(a2):
+    # along (1, 2, 1) the root totals are (a + c, b): (1, 0, 1) totals (2, 0)
+    # and (0, 1, 0) totals (0, 1), so a radix of 2 would give both the key 2;
+    # the radix exceeds every total, 1 + 1 here, and the strings stay apart
+    images = {(1, 1): StringColumns.from_strings([(1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 1, 1)])}
+    assert build_pairs(a2, (1, 2, 1), images) == (((0, 1, 1), (1, 1, 0), (1, 1)),)
+
+
+def _tuple_pairs(datum, word, level):
+    """The pairs of the sorted tuple images: the reference for ``build_pairs``.
+
+    Each image is ``string_image``'s sorted tuple, grouped by its exponent
+    totals per simple root in first-seen order, and each two consecutive
+    strings of a group form a pair.
+    """
+    positions = [[k for k, letter in enumerate(word) if letter == i]
+                 for i in range(1, datum.rank + 1)]
+    pairs = []
+    for lam in dominant_weights(datum.rank, level):
+        groups: dict = {}
+        for psi in string_image(datum, lam, word):
+            key = tuple(sum(map(psi.__getitem__, ks)) for ks in positions)
+            groups.setdefault(key, []).append(psi)
+        for mu in groups.values():
+            pairs.extend((a, b, lam) for a, b in itertools.pairwise(mu))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("type_label, rank, every_word", [
+    ("A", 2, True), ("B", 2, True), ("C", 2, True), ("G", 2, True), ("A", 3, False)])
+def test_build_pairs_match_the_tuple_pairs(type_label, rank, every_word):
+    # the same pairs in the same order as grouping the sorted tuple images
+    datum = build_cartan(type_label, rank)
+    crystals = CrystalCache(datum)
+    words = all_reduced_words(datum, longest_word(datum)) if every_word else [longest_word(datum)]
+    for word in words:
+        pairs = build_pairs(datum, word, weighted_points(datum, word, 2, crystals=crystals))
+        assert pairs and pairs == _tuple_pairs(datum, word, 2), word
+
+
 def _weight_groups(datum, word, images):
     """Sorted strings of equal ``string_weight``, as (lambda, group) pairs."""
     groups = []
     for lam, image in images.items():
         by_weight = {}
-        for psi in image:
+        for psi in sorted(image):
             by_weight.setdefault(string_weight(datum, lam, word, psi), []).append(psi)
         groups += [(lam, mu) for mu in by_weight.values()]
     return groups
@@ -243,18 +289,23 @@ def test_certificate_a2(a2):
 
 
 def test_certificate_peels_each_image_once(a2, monkeypatch):
+    # each crystal is peeled into columns once, and no sorted image is built
     peeled = []
-    original = stringcone.strings.string_image
+    original = stringcone.strings._string_columns
 
-    def counting(datum, lam, word, **kwargs):
-        peeled.append(tuple(lam))
-        return original(datum, lam, word, **kwargs)
+    def counting(graph, word):
+        peeled.append(graph.lam)
+        return original(graph, word)
 
-    # every module that imported the function by name calls the counter
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted image built")
+
+    monkeypatch.setattr(stringcone.strings, "_string_columns", counting)
+    # every module that imported string_image by name refuses it
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("stringcone")
-                and getattr(module, "string_image", None) is original):
-            monkeypatch.setattr(module, "string_image", counting)
+                and getattr(module, "string_image", None) is stringcone.strings.string_image):
+            monkeypatch.setattr(module, "string_image", refuse)
     report = degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2)
     assert report.passing
     assert peeled == list(dominant_weights(2, 2))
@@ -272,7 +323,8 @@ def test_hilbert_path_needs_no_rational_elimination(a2, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("rational elimination called")
 
-    for name in ("invert_fraction", "det_int", "lattice_span_basis"):
+    # det_int is fraction-free and tests each cell for unimodularity
+    for name in ("invert_fraction", "lattice_span_basis"):
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("stringcone"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
@@ -457,11 +509,11 @@ def test_certificate_names_a_section_point_missing_from_the_data(a2, monkeypatch
     # a point dropped from the (2, 2) image leaves the hull unchanged, so
     # the count falls short and the listed section names the point
     original = stringcone.degeneration.weighted_points
-    dropped = original(a2, (1, 2, 1), 2)[(2, 2)][5]
+    dropped = string_image(a2, (2, 2), (1, 2, 1))[5]
 
     def dropping(*args, **kwargs):
         images = original(*args, **kwargs)
-        images[(2, 2)] = tuple(p for p in images[(2, 2)] if p != dropped)
+        images[(2, 2)] = StringColumns.from_strings(p for p in images[(2, 2)] if p != dropped)
         return images
 
     monkeypatch.setattr(stringcone.degeneration, "weighted_points", dropping)
@@ -790,6 +842,7 @@ def test_point_lanes_match_the_dot_products(case):
     for x in points:
         images.setdefault(x[:split], []).append(x[split:])
     order = [lam + psi for lam, image in images.items() for psi in image]
+    images = {lam: StringColumns.from_strings(image) for lam, image in images.items()}
     lanes = point_lanes(normals, point_columns(images), reach)
     assert lanes.outside() == bytes(any(vec_dot(u, x) < 0 for u in normals) for x in order)
     assert lanes.cover(vectors) == bytes(
@@ -797,6 +850,26 @@ def test_point_lanes_match_the_dot_products(case):
         for x in order)
     with pytest.raises(ValueError, match="beyond the lanes' reach"):
         lanes.cover([(reach + 1,) * dim])
+
+
+def test_point_columns_widen_narrow_images_beside_a_wide_one():
+    # A1's image at 256 takes two bytes per entry, so every column of the
+    # points is two bytes wide; the lanes hold each point's facet values
+    datum = build_cartan("A", 1)
+    crystals = CrystalCache(datum)
+    images = {lam: stringcone.strings._string_columns(crystals[lam], (1,))
+              for lam in [(1,), (256,), (3,)]}
+    assert [image.size for image in images.values()] == [1, 2, 1]
+    columns, size, count = point_columns(images)
+    points = [lam + psi for lam, image in images.items() for psi in image]
+    assert (size, count) == (2, len(points)) == (2, 2 + 257 + 4)
+    assert columns == [b"".join(v.to_bytes(2, "little") for v in column)
+                       for column in zip(*points)]
+    normals = ((1, -1), (0, 1), (1, -2))
+    lanes = point_lanes(normals, (columns, size, count), 1)
+    assert lanes.outside() == bytes(any(vec_dot(u, x) < 0 for u in normals) for x in points)
+    assert lanes.cover([(1, 0)]) == bytes(
+        all(vec_dot(u, x) >= vec_dot(u, (1, 0)) for u in normals) for x in points)
 
 
 @pytest.mark.parametrize("type_label, rank, tops", [

@@ -11,9 +11,10 @@ from stringcone.cartan import all_reduced_words, build_cartan, longest_word
 from stringcone.cli import _point_lines
 from stringcone.degeneration import string_cone_rows
 from stringcone.errors import PolyhedralError
-from stringcone.linalg import kernel_basis_int, primitive, rank_int, vec_dot
+from stringcone.linalg import det_int, kernel_basis_int, primitive, rank_int, vec_dot
 from stringcone.polyhedra import (
     _dd_pair,
+    _parallelepiped_points,
     _triangulate,
     conic_hull,
     contains,
@@ -535,7 +536,8 @@ def test_blocks_flatten_to_the_images_and_the_counts():
         for lam, image in images.items():
             blocks = section_blocks(constraints, lam)
             flat = tuple((x0,) + tail for x0, tails in blocks for tail in tails)
-            assert flat == section_lattice_points(constraints, lam) == image, (word, lam)
+            assert flat == section_lattice_points(constraints, lam) == tuple(sorted(image)), (
+                word, lam)
             assert count_section_points(constraints, lam) == len(flat), (word, lam)
 
 
@@ -585,6 +587,41 @@ def test_hilbert_basis_matches_brute_force(case):
     points, grading = case
     cone = conic_hull(points)
     assert hilbert_basis(cone, grading) == _hilbert_by_brute_force(cone, grading)
+
+
+def test_parallelepiped_of_a_determinant_two_cell_keeps_its_point():
+    # the columns (1, 0) and (1, 2) span a cell of |det| 2 whose half-open
+    # parallelepiped holds (1, 1) = ((1, 0) + (1, 2)) / 2
+    assert _parallelepiped_points([(1, 1), (0, 2)]) == ((1, 1),)
+
+
+def test_unimodular_cells_need_no_smith_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Smith form called")
+
+    monkeypatch.setattr(stringcone.polyhedra, "snf_with_uinv", refuse)
+    assert _parallelepiped_points([(1, 1), (0, 1)]) == ()
+    assert _parallelepiped_points([(2, 1), (1, 1)]) == ()
+    assert _parallelepiped_points([(0, 1, 0), (1, 0, 0), (0, 0, -1)]) == ()
+    # a simplicial cone of det 1 is its own basis
+    assert hilbert_basis(conic_hull([(1, 0, 0), (1, 1, 0), (1, 1, 1)]),
+                         (1, 0, 0)) == ((1, 0, 0), (1, 1, 0), (1, 1, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_parallelepiped_points_match_the_smith_form_path(matrix):
+    # the Smith form path, forced by a determinant that never reads 1,
+    # gives the same points in the same order; there are |det| - 1 of them
+    det = det_int(matrix)
+    assume(det)
+    points = _parallelepiped_points(matrix)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stringcone.polyhedra, "det_int", lambda m: 0)
+        assert _parallelepiped_points(matrix) == points
+    assert len(set(points)) == len(points) == abs(det) - 1
 
 
 def _pulling_by_hulls(rays):

@@ -4,6 +4,8 @@ import json
 import re
 from pathlib import Path
 
+from stringcone import string_image
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -23,6 +25,6 @@ def test_library_entry_points_block_runs(capsys):
     # the section at (1, 1) is the string image of its weight, by first coordinate
     blocks = namespace["blocks"]
     flat = tuple((x0,) + tail for x0, tails in blocks for tail in tails)
-    assert flat == namespace["images"][(1, 1)]
+    assert flat == string_image(namespace["datum"], (1, 1), (1, 2, 1))
     # the last calls reuse the cache that weighted_points filled
     assert len(namespace["crystals"]) == 9

@@ -80,7 +80,10 @@ def test_dominant_weights_grid():
 def test_weighted_points_a1():
     datum = build_cartan("A", 1)
     images = weighted_points(datum, (1,), 1)
-    assert images == {(0,): ((0,),), (1,): ((0,), (1,))}
+    # node order: the highest node first
+    assert {lam: tuple(image) for lam, image in images.items()} == {
+        (0,): ((0,),), (1,): ((0,), (1,))}
+    assert images[(1,)].columns == [b"\x00\x01"] and images[(1,)].size == 1
 
 
 def test_weighted_points_a2_level_one():
@@ -92,12 +95,18 @@ def test_weighted_points_a2_level_one():
 
 
 @pytest.mark.parametrize("type_label", ["A", "B", "G"])
-def test_weighted_points_come_out_sorted(type_label):
+def test_weighted_points_come_out_in_weight_order(type_label):
+    # the weights in lexicographic order; each image in node order, its
+    # highest node's zero string first, and never sorted
     datum = build_cartan(type_label, 2)
-    images = weighted_points(datum, longest_word(datum), 2)
+    word = longest_word(datum)
+    images = weighted_points(datum, word, 2)
     assert tuple(images) == dominant_weights(2, 2)
-    pts = [lam + psi for lam, image in images.items() for psi in image]
-    assert pts == sorted(pts)
+    for lam, image in images.items():
+        strings = list(image)
+        assert strings[0] == (0,) * len(word)
+        assert sorted(strings) == list(string_image(datum, lam, word))
+    assert list(images[(2, 2)]) != sorted(images[(2, 2)])
 
 
 def test_weighted_points_cache_reuse():
@@ -313,3 +322,65 @@ def test_braid_moves_predict_every_a3_image_from_one_peel():
         for word, image in predicted.items():
             assert image == string_image(datum, lam, word, crystals=crystals), (lam, word)
     assert checked == 27 * 2 * 18  # every move between A3's 16 words, both ways
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3)])
+def test_string_columns_hold_the_sorted_image(label, rank):
+    # two words each: the columns' rows, sorted, are string_image's tuples,
+    # and the columns are bytes, one per letter, one entry per node
+    datum = build_cartan(label, rank)
+    crystals = CrystalCache(datum)
+    words = all_reduced_words(datum, longest_word(datum))
+    for word in (words[0], words[-1]):
+        for lam, image in weighted_points(datum, word, 2, crystals=crystals).items():
+            assert len(image.columns) == len(word) and image.size == 1
+            assert all(type(c) is bytes and len(c) == len(image) for c in image.columns)
+            assert len(image) == crystals[lam].size
+            expected = string_image(datum, lam, word, crystals=crystals)
+            assert sorted(zip(*image.columns)) == list(expected), (word, lam)
+
+
+def _merged(peel, node, onto):
+    """``peel`` with node ``node``'s string made node ``onto``'s, where there is such a node."""
+    def peel_nodes(graph, nodes, word):
+        for column in peel(graph, nodes, word):
+            if len(column) > node:
+                column[node] = column[onto]
+            yield column
+    return peel_nodes
+
+
+def test_string_columns_reject_two_equal_strings(monkeypatch):
+    datum = build_cartan("B", 2)
+    monkeypatch.setattr(strings, "_peel_nodes", _merged(strings._peel_nodes, 3, 2))
+    with pytest.raises(InvariantViolation, match="not injective"):
+        weighted_points(datum, longest_word(datum), 1)
+
+
+def test_wide_string_columns_round_trip_and_stay_injective(monkeypatch):
+    # A1 at 256: entries 0 ... 256 need two bytes per entry
+    datum = build_cartan("A", 1)
+    graph = enumerate_crystal(datum, (256,))
+    image = strings._string_columns(graph, (1,))
+    assert image.size == 2 and len(image) == 257
+    assert image.columns == [b"".join(v.to_bytes(2, "little") for v in range(257))]
+    assert list(image) == [(v,) for v in range(257)]
+    assert list(image.strings([256, 3])) == [(256,), (3,)]
+    assert image == strings.StringColumns.from_strings((v,) for v in range(257))
+    # node 256's string (256,) made node 1's, (1,), collides in the wide encoding
+    monkeypatch.setattr(strings, "_peel_nodes", _merged(strings._peel_nodes, 256, 1))
+    with pytest.raises(InvariantViolation, match="not injective"):
+        strings._string_columns(graph, (1,))
+
+
+@pytest.mark.slow
+def test_a2_wide_string_columns_hold_the_sorted_image():
+    # B(0, 256) has 33 153 nodes, under the default cap; its largest entry
+    # is 256, so every column takes two bytes per entry
+    datum = build_cartan("A", 2)
+    crystals = CrystalCache(datum)
+    image = strings._string_columns(crystals[(0, 256)], (1, 2, 1))
+    assert image.size == 2 and len(image) == 33153
+    expected = string_image(datum, (0, 256), (1, 2, 1), crystals=crystals)
+    assert max(map(max, expected)) == 256
+    assert sorted(image) == list(expected)
