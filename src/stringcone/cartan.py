@@ -178,17 +178,6 @@ def _apply_word_to_root(datum: CartanDatum, word, root) -> RootVector:
     return img
 
 
-def inversion_count(datum: CartanDatum, word) -> int:
-    """Number of positive roots the word's product sends negative."""
-    word = validate_word(datum, word)
-    count = 0
-    for root in datum.positive_roots:
-        img = _apply_word_to_root(datum, word, root)
-        if any(c < 0 for c in img):
-            count += 1
-    return count
-
-
 def is_reduced_word(datum: CartanDatum, word) -> bool:
     """Whether each letter, applied right to left, lengthens the product.
 

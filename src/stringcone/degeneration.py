@@ -7,9 +7,9 @@ outcome of every verification check.  The enumeration is read as
 ``weighted_points`` returns it, one string image per weight lambda, held
 as ``StringColumns``: a bytes column per letter of the word, in node
 order.  A cone point is ``lam + psi``, and the Hilbert basis holds
-``(lam, psi)`` pairs.  One routine grows the cone, ``level_hull``, which
-tests the data on point lanes (``PointLanes``): one int per facet with a
-lane per data point, built from one bytes object per coordinate, which
+``(lam, psi)`` pairs.  One routine grows the cone, ``level_hull``, and
+the data are tested on point lanes (``PointLanes``): one int per facet with
+a lane per data point, built from one bytes object per coordinate, which
 ``point_columns`` joins from the images' columns, so that containment is
 one AND of the facet ints and the generation check a few shifts and ANDs
 per basis element, with no Python step per point.  The minimal check runs
@@ -415,39 +415,29 @@ def _missed_points(images, outside: bytes):
             yield from (lam + psi for psi in image.strings(compress(range(len(image)), flags)))
 
 
-def level_hull(images, top: int) -> tuple[RationalCone, PointLanes]:
-    """Conic hull of the points ``lam + psi`` with max(lam) <= top, and their point lanes.
+def level_hull(images, top: int) -> RationalCone:
+    """Conic hull of the points ``lam + psi`` with max(lam) <= top.
 
     ``images`` is ``weighted_points``' lambda-keyed images; weights above
     ``top`` are ignored.  The points with max(lam) <= 1 are hulled in one
-    ``conic_hull`` call.  Then at each level L = 2, ..., top (only L = top
-    when top < 2) every nonzero point with max(lam) <= L is packed on the
-    current facets (``point_lanes``, a lane per point in enumeration
-    order), with reach the sum over the rays r of |r|_inf.  Only when some
-    point is outside is the cone joined, in one ``conic_hull`` call on its
-    rays and the missed points.  The rays generate the previous hull
-    (lineality as opposite pairs), and every other point lies in it, so
-    each join is the hull of all the points so far.  The whole level-1 set
-    is the base, since the intermediate cones of a sparse sample carry far
-    more facets than the final one.  Returns ``(cone, lanes)``: the lanes
-    of the last level, whose columns are repacked on the joined cone when
-    that level joins, so a last level that adds no point costs one pack.
-    The zero point, which every cone holds, has no lane.
+    ``conic_hull`` call.  Then at each level L = 2, ..., top only the new
+    shell max(lam) = L is packed on the current facets (``point_lanes``, a
+    lane per point in enumeration order): a join only grows the cone, so
+    the points of the lower levels stay in it.  Only when some shell point
+    is outside is the cone joined, in one ``conic_hull`` call on its rays
+    and the missed points.  The rays generate the previous hull (lineality
+    as opposite pairs), so each join is the hull of all the points so far.
+    The whole level-1 set is the base, since the intermediate cones of a
+    sparse sample carry far more facets than the final one.
     """
     cone = conic_hull([lam + psi for lam, image in images.items()
                        if max(lam) <= min(top, 1) for psi in image])
-    for level in range(min(top, 2), top + 1):
-        points = {lam: image for lam, image in images.items()
-                  if any(lam) and max(lam) <= level}
-        columns = point_columns(points)
-        lanes = point_lanes(cone.facets, columns, _reach(cone))
-        outside = lanes.outside()
+    for level in range(2, top + 1):
+        shell = {lam: image for lam, image in images.items() if max(lam) == level}
+        outside = point_lanes(cone.facets, point_columns(shell)).outside()
         if any(outside):
-            lanes = None  # stale: the next level's pack or the repack below replaces it
-            cone = conic_hull(cone.rays + tuple(_missed_points(points, outside)))
-    if lanes is None:
-        lanes = point_lanes(cone.facets, columns, _reach(cone))
-    return cone, lanes
+            cone = conic_hull(cone.rays + tuple(_missed_points(shell, outside)))
+    return cone
 
 
 def _reach(cone) -> int:
@@ -464,9 +454,9 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     """Run the full pipeline and record every check outcome.
 
     The cone is the conic hull of the enumeration at check_level (one
-    level higher than level_bound by default), and ``level_hull`` up to the
-    check level builds it with the data's point lanes: the facet values of
-    every nonzero data point, a lane per point, on the final facets.  Any
+    level higher than level_bound by default), which ``level_hull`` builds
+    up to the check level.  Then every nonzero data point is packed once
+    on the final facets, a lane per point: the data's point lanes.  Any
     data point outside the cone fails ``saturation``.  The build level
     picks only the separating form's pairs.  Each section is counted once
     under the facets and the string cone's rows (``_counted_saturation``);
@@ -525,7 +515,9 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
         crystals = None  # so a cache passed as a temporary is freed here
 
     t = clock()
-    cone, lanes = level_hull(images, check_level)
+    cone = level_hull(images, check_level)
+    data = {lam: image for lam, image in images.items() if any(lam)}
+    lanes = point_lanes(cone.facets, point_columns(data), _reach(cone))
     saturated = not any(lanes.outside())
     timings["hull"] = (clock() - t) * 1000.0
 

@@ -1,14 +1,15 @@
 """Exact integer linear algebra on small dense matrices.
 
 Everything here works over Python ints, with no floating point; only
-``invert_fraction`` returns Fractions, and the pipeline no longer calls it.
+``invert_fraction`` returns Fractions.  No runtime path calls it (the
+benchmark's tracer still spans it), so it imports ``fractions`` only when
+it runs, and the pipeline never loads that module.
 Rank and integer kernel are both read off one elimination, the Hermite form
 ``hnf_rows``.  Vectors are tuples, matrices are sequences of row tuples.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import lshift, mul
 
@@ -86,6 +87,8 @@ def det_int(matrix) -> int:
 
 def invert_fraction(matrix):
     """Inverse of a nonsingular square integer matrix, as Fraction rows."""
+    from fractions import Fraction
+
     n = len(matrix)
     aug = [
         [Fraction(c) for c in row] + [Fraction(1 if i == j else 0) for j in range(n)]

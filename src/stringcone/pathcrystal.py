@@ -12,12 +12,11 @@ nu_k in W lambda and a positive root beta (Littelmann, *A
 Littlewood-Richardson rule for symmetrizable Kac-Moody algebras*, 1994;
 *Paths and root operators*, 1995), so every time lies in (1/D) Z with
 D = lcm(1, ..., <lambda, theta^vee>), theta^vee the highest coroot.  The
-runtime kernel ``_lower`` keeps the durations times D as ints and raises
+kernel ``_lower`` keeps the durations times D as ints and raises
 ``InvariantViolation`` on a height minimum or a cut off that grid, so a
-wrong D cannot pass as a wrong crystal.  The rational model
-(``PiecewisePath``, ``make_path``, ``highest_path``, ``lowering_operator``,
-``epsilon_phi``, ``path_weight``) works in ``Fraction`` and stays only as
-the independent reference the tests compare with; no crystal build calls it.
+wrong D cannot pass as a wrong crystal.  No ``Fraction`` is made: the
+rational path model, in exact times, lives with the tests as the
+independent reference they compare the kernel with.
 
 The path model builds only the crystals of zero and of the fundamental
 weights, and stays the oracle for the others.  Every other B(lambda) is the
@@ -42,7 +41,6 @@ simple root, because every consumer reads it one root at a time.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import chain, islice
 from math import lcm
 from operator import sub
@@ -54,36 +52,6 @@ from .errors import EnumerationCapError, InvariantViolation, RootSystemError, We
 DEFAULT_NODE_CAP = 60000  # at least 59 049, the size of A4's B(2, 2, 2, 2)
 
 
-class PiecewisePath(namedtuple("PiecewisePath", "segments")):
-    """Canonical piecewise-linear path: merged segments, positive durations.
-
-    ``segments`` is a tuple of ``(direction, duration)`` pairs, each
-    direction a weight and each duration a ``Fraction``.
-    """
-
-    __slots__ = ()
-
-
-def make_path(segments) -> PiecewisePath:
-    """Canonicalize a segment list: drop zero durations, merge equal directions."""
-    merged: list = []
-    total = Fraction(0)
-    for direction, duration in segments:
-        if duration < 0:
-            raise WeightError("negative segment duration")
-        if duration == 0:
-            continue
-        direction = tuple(direction)
-        total += duration
-        if merged and merged[-1][0] == direction:
-            merged[-1] = (direction, merged[-1][1] + duration)
-        else:
-            merged.append((direction, duration))
-    if total != 1:
-        raise WeightError("segment durations must sum to one")
-    return PiecewisePath(tuple(merged))
-
-
 def _dominant(datum: CartanDatum, lam) -> Weight:
     lam = tuple(lam)
     if len(lam) != datum.rank:
@@ -91,104 +59,6 @@ def _dominant(datum: CartanDatum, lam) -> Weight:
     if not is_dominant(lam):
         raise WeightError(f"weight {lam} is not dominant")
     return lam
-
-
-def highest_path(datum: CartanDatum, lam) -> PiecewisePath:
-    """Straight path to a dominant weight."""
-    return PiecewisePath(((_dominant(datum, lam), Fraction(1)),))
-
-
-def path_weight(path: PiecewisePath) -> Weight:
-    """Endpoint of the path; integral on crystal orbits."""
-    rank = len(path.segments[0][0])
-    end = [Fraction(0)] * rank
-    for direction, duration in path.segments:
-        for j in range(rank):
-            end[j] += direction[j] * duration
-    for c in end:
-        if c.denominator != 1:
-            raise InvariantViolation("path endpoint is not an integral weight")
-    return tuple(int(c) for c in end)
-
-
-def _breakpoints(path: PiecewisePath, i: int):
-    """Times and heights of the pairing profile against the i-th coroot."""
-    times = [Fraction(0)]
-    heights = [Fraction(0)]
-    for direction, duration in path.segments:
-        times.append(times[-1] + duration)
-        heights.append(heights[-1] + direction[i - 1] * duration)
-    return times, heights
-
-
-def _min_height(heights) -> Fraction:
-    m = min(heights)
-    if m.denominator != 1:
-        raise InvariantViolation("height minimum is not integral")
-    return m
-
-
-def epsilon_phi(path: PiecewisePath, i: int) -> tuple[int, int]:
-    """Raising and lowering string lengths read off the height profile."""
-    _, heights = _breakpoints(path, i)
-    m = _min_height(heights)
-    end = heights[-1]
-    if end.denominator != 1:
-        raise InvariantViolation("height endpoint is not integral")
-    return int(-m), int(end - m)
-
-
-def _reflect_direction(datum: CartanDatum, i: int, direction) -> Weight:
-    c = direction[i - 1]
-    alpha = datum.simple_root(i)
-    return tuple(v - c * a for v, a in zip(direction, alpha))
-
-
-def _rebuild(datum: CartanDatum, path: PiecewisePath, i: int, lo: Fraction, hi: Fraction) -> PiecewisePath:
-    """Reflect the directions of the window [lo, hi] and keep the rest."""
-    segments = []
-    t = Fraction(0)
-    for direction, duration in path.segments:
-        a, b = t, t + duration
-        windows = (
-            (a, min(b, lo), False),
-            (max(a, lo), min(b, hi), True),
-            (max(a, hi), b, False),
-        )
-        for wlo, whi, reflect in windows:
-            if whi > wlo:
-                d = _reflect_direction(datum, i, direction) if reflect else direction
-                segments.append((d, whi - wlo))
-        t = b
-    return make_path(segments)
-
-
-def lowering_operator(datum: CartanDatum, path: PiecewisePath, i: int):
-    """Root operator pushing the path one step away from dominance.
-
-    Returns None when the profile cannot drop, i.e. the endpoint sits at the
-    minimum.  Otherwise the window between the last minimum and the first
-    later time the profile gains one unit is reflected and the tail is
-    translated, which only changes directions inside the window.
-    """
-    datum.check_index(i)
-    times, heights = _breakpoints(path, i)
-    m = _min_height(heights)
-    if heights[-1] - m < 1:
-        return None
-    idx = max(k for k, h in enumerate(heights) if h == m)
-    t1 = times[idx]
-    target = m + 1
-    t2 = None
-    for k in range(idx, len(path.segments)):
-        if heights[k + 1] >= target:
-            span = times[k + 1] - times[k]
-            rise = heights[k + 1] - heights[k]
-            t2 = times[k] + (target - heights[k]) * span / rise
-            break
-    if t2 is None:
-        raise InvariantViolation("profile never regains one unit after its minimum")
-    return _rebuild(datum, path, i, t1, t2)
 
 
 class CrystalGraph(namedtuple("CrystalGraph", "datum lam f_edge e_edge eps phi weights")):
@@ -322,13 +192,16 @@ def _time_scale(mirrors: list[dict]) -> int:
 
 
 def _lower(path, i: int, scale: int, mirror: dict):
-    """``lowering_operator`` for the 0-based root i on an integer path.
+    """The root operator f_i for the 0-based root i on an integer path.
 
     ``path`` is a canonical tuple of (direction, duration) pairs whose int
     durations sum to ``scale``, so the times are multiples of 1/scale and
     the heights are scaled by ``scale``; ``mirror`` is s_i on the
-    directions.  Returns None when the profile cannot drop.  A minimum that
-    is not a multiple of ``scale``, or a cut time off the grid, raises
+    directions.  Returns None when the profile cannot drop: its end lies
+    less than one unit above its minimum.  Otherwise the window from the
+    last minimum to the first later time the profile regains one unit is
+    reflected by s_i, and the tail is translated.  A minimum that is not a
+    multiple of ``scale``, or a cut time off the grid, raises
     ``InvariantViolation``: the scale is then too coarse for the path.
     """
     height = low = cut = 0

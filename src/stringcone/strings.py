@@ -12,8 +12,8 @@ crystal's per-root columns.  For each letter i a table
 node, so breadth-first numbering puts it before b, and
 ``top_i[b] = top_i[e_i b]`` whenever eps_i(b) > 0.  Each letter of the word
 is then one read of ``eps[i-1]`` at the current nodes, followed by one jump
-of every node to its ``top_i``.  ``_peel`` walks one node edge by edge and
-stays the per-node reference.
+of every node to its ``top_i``.  The tests keep a node-by-node peel, edge
+by edge, as the reference.
 
 ``weighted_points`` keys the images by lambda: the weighted cone's section
 at lambda is the image of B(lambda) (Littelmann 1998, Prop. 1.5).  It
@@ -33,30 +33,6 @@ from .cartan import CartanDatum, Weight, WeylWord, check_longest_word, validate_
 from .characters import weyl_dim
 from .errors import InvariantViolation, WordError
 from .pathcrystal import CrystalCache, CrystalGraph, _cap_error, demazure_crystal
-
-
-def _peel(graph: CrystalGraph, node: int, word: WeylWord) -> tuple[int, ...]:
-    """Peel a node along an already checked longest word."""
-    entries = []
-    current = node
-    for letter in word:
-        t = graph.eps[letter - 1][current]
-        for _ in range(t):
-            current = graph.e_edge[letter - 1][current]
-        entries.append(t)
-    if current != graph.highest:
-        raise InvariantViolation(
-            f"peel along {word} did not end at the highest node"
-        )
-    return tuple(entries)
-
-
-def string_param(graph: CrystalGraph, node: int, word) -> tuple[int, ...]:
-    """Peel a node along the word, recording the maximal raising exponents."""
-    word = check_longest_word(graph.datum, word)
-    if not 0 <= node < graph.size:
-        raise InvariantViolation(f"node {node} out of range")
-    return _peel(graph, node, word)
 
 
 def _peel_nodes(graph: CrystalGraph, nodes, word: WeylWord):

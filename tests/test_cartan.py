@@ -9,7 +9,6 @@ from stringcone.cartan import (
     all_reduced_words,
     apply_word,
     build_cartan,
-    inversion_count,
     is_dominant,
     is_reduced_word,
     longest_word,
@@ -19,6 +18,8 @@ from stringcone.cartan import (
     weyl_group_words,
 )
 from stringcone.errors import EnumerationCapError, RootSystemError, WordError
+
+from oracles import inversion_count
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
              ("C", 2), ("C", 3), ("D", 4), ("G", 2)]

@@ -33,16 +33,37 @@ def _timing(err):
     return timings
 
 
+def _loaded_after(code, modules):
+    """Which of ``modules`` a fresh ``python -S`` has loaded after running ``code``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code += f"\nimport sys; print(' '.join(m for m in {modules!r} if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return proc.stdout.split()
+
+
 def test_import_loads_no_heavy_module():
     # each certificate is one short process, so start-up matters: importing
     # the command line must not pull in dataclasses and its inspect/ast
-    # chain, typing, or the acceptance suite and its random
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import stringcone.cli, sys; print(' '.join(m for m in ('dataclasses',"
-            " 'inspect', 'typing', 'random', 'stringcone.acceptance') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert proc.stdout.split() == []
+    # chain, typing, the acceptance suite and its random, or the rational
+    # arithmetic of fractions and decimal
+    assert _loaded_after("import stringcone.cli", (
+        "dataclasses", "inspect", "typing", "random", "stringcone.acceptance",
+        "fractions", "decimal")) == []
+
+
+def test_runtime_arithmetic_loads_no_fractions():
+    # README: all runtime arithmetic is on integers, so a certificate with a
+    # Demazure face and a polytope section run without the fractions module
+    code = ("import contextlib, io\n"
+            "from stringcone.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    assert main(['degenerate', '--type', 'B', '--rank', '2',"
+            " '--level-bound', '1', '--demazure', '1']) == 0\n"
+            "    assert main(['polytope', '--type', 'B', '--rank', '2',"
+            " '--lambda', '2,1']) == 0")
+    assert _loaded_after(code, ("fractions", "decimal")) == []
 
 
 def test_parse_maps_flags_to_fields():
@@ -139,6 +160,36 @@ def test_cone_writes_text_and_json(tmp_path, capsys):
     assert main(["cone", "--type", "A", "--rank", "2",
                  "--out", str(again)]) == 0
     assert again.read_text() == target.read_text()
+
+
+def test_cone_at_level_bound_zero_is_the_zero_cone(tmp_path, capsys):
+    # B(0) is the zero point alone: no rays, and the facets are the pairs
+    # of equations x_i >= 0 and -x_i >= 0
+    argv = ["cone", "--type", "A", "--rank", "2", "--level-bound", "0"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    units = [tuple(int(k == i) for k in range(5)) for i in range(5)]
+    zero = parse_h_rep(out)
+    assert zero.ambient_dim == 5 and zero.rays == ()
+    assert sorted(zero.facets) == sorted(units + [tuple(-c for c in u) for u in units])
+    target = tmp_path / "zero.txt"
+    assert main(argv + ["--out", str(target)]) == 0
+    capsys.readouterr()
+    assert target.read_text() == out
+    doc = json.loads((tmp_path / "zero.txt.json").read_text())
+    assert (doc["level_bound"], doc["rays"]) == (0, [])
+    assert sorted(map(tuple, doc["facets"])) == sorted(zero.facets)
+
+
+def test_degenerate_with_the_identity_demazure_word(capsys):
+    # --demazure "" is w = e: each Demazure crystal is the highest node
+    argv = ["degenerate", "--type", "A", "--rank", "2", "--demazure", ""]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["demazure_word"] == []
+    assert doc["sections"] and all(s["demazure_count"] == 1 for s in doc["sections"])
+    assert all(doc["checks"].values())
+    assert "demazure_face" in doc["checks"]
 
 
 def test_degenerate_report(tmp_path, capsys):

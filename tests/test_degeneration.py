@@ -735,9 +735,10 @@ def test_generation_misses_any_dropped_basis_element(type_label, level, monkeypa
 
 
 def test_certificate_lanes_cover_every_packed_point(monkeypatch):
-    # B2's level-1 hull misses level-2 points: the data are packed on it,
-    # repacked on the joined cone, and the basis is packed on that cone.
-    # Each width must hold every packed point's facet values and every
+    # B2's level-1 hull misses level-2 points: level_hull packs the level-2
+    # shell on it, and the certificate packs every nonzero data point once
+    # on the joined cone, then the basis on that cone.  Each width must hold
+    # every packed point's facet values, and the lanes a cover reads every
     # difference with a basis element
     packed = []
 
@@ -751,43 +752,51 @@ def test_certificate_lanes_cover_every_packed_point(monkeypatch):
     report = degeneration_certificate(datum, word, level_bound=1)
     images = weighted_points(datum, word, 2)
     data = [lam + psi for lam, image in images.items() if any(lam) for psi in image]
+    shell = [lam + psi for lam, image in images.items() if max(lam) == 2 for psi in image]
     level_one = conic_hull([lam + psi for lam, image in images.items() if max(lam) <= 1
                             for psi in image])
     assert level_one != report.cone  # the level-1 hull misses level-2 points
     basis = [lam + psi for lam, psi in report.hilbert_basis]
-    steps = [(level_one, data), (report.cone, data), (report.cone, basis)]
-    assert [lanes.normals for lanes in packed] == [cone.facets for cone, _ in steps]
-    assert [lanes.count for lanes in packed] == [len(points) for _, points in steps]
-    for lanes, (cone, points) in zip(packed, steps):
-        assert lanes.reach == sum(max(map(abs, r)) for r in cone.rays)
+    reach = sum(max(map(abs, r)) for r in report.cone.rays)
+    steps = [(level_one, shell, 0), (report.cone, data, reach), (report.cone, basis, reach)]
+    assert [lanes.normals for lanes in packed] == [cone.facets for cone, _, _ in steps]
+    assert [lanes.count for lanes in packed] == [len(points) for _, points, _ in steps]
+    assert [lanes.reach for lanes in packed] == [reach for _, _, reach in steps]
+    gens = hilbert_basis(report.cone, (1, 1) + (0,) * 4)
+    assert max(max(map(abs, g)) for g in gens) <= reach
+    for lanes, (cone, points, reach) in zip(packed, steps):
         half = 1 << (lanes.width - 1)
-        gens = hilbert_basis(cone, (1, 1) + (0,) * 4)
-        assert max(max(map(abs, g)) for g in gens) <= lanes.reach
         for u in cone.facets:
             values = [vec_dot(u, x) for x in points]
-            shifts = [vec_dot(u, g) for g in gens]
-            assert -half <= min(values) - max(shifts) <= max(values) - min(shifts) < half
             assert -half <= min(values) <= max(values) < half
+            if reach:
+                shifts = [vec_dot(u, g) for g in gens]
+                assert -half <= min(values) - max(shifts) <= max(values) - min(shifts) < half
+    # the data lanes hold every nonzero point, none outside the final cone
+    assert not any(packed[1].outside())
 
 
 @pytest.mark.parametrize("type_label, rank, level, events", [
-    # A3's level-1 hull holds every check-level point: one pack per level
-    ("A", 3, 1, ["hull", ("pack", 2, False), ("pack", "basis", False)]),
-    ("A", 3, 2, ["hull", ("pack", 2, False), ("pack", 3, False), ("pack", "basis", False)]),
-    # B2's misses 6 level-2 points: the join is followed by one repack
-    ("B", 2, 1, ["hull", ("pack", 2, True), "hull", ("pack", 2, False),
+    # A3's level-1 hull holds every check-level point: one pack per shell
+    ("A", 3, 1, ["hull", ("pack", 2, False), ("pack", "data", False),
                  ("pack", "basis", False)]),
-    # G2's misses points at levels 2 and 3: only the last join is repacked,
-    # since the next level's pack replaces the lanes of level 2
+    ("A", 3, 2, ["hull", ("pack", 2, False), ("pack", 3, False), ("pack", "data", False),
+                 ("pack", "basis", False)]),
+    # B2's misses 6 level-2 points: one join, and no shell is packed again
+    ("B", 2, 1, ["hull", ("pack", 2, True), "hull", ("pack", "data", False),
+                 ("pack", "basis", False)]),
+    # G2's misses points at levels 2 and 3: each shell is packed on the
+    # cone its lower levels joined
     ("G", 2, 2, ["hull", ("pack", 2, True), "hull", ("pack", 3, True), "hull",
-                 ("pack", 3, False), ("pack", "basis", False)]),
+                 ("pack", "data", False), ("pack", "basis", False)]),
 ], ids=["A3-1", "A3-2", "B2-1", "G2-2"])
 def test_certificate_packs_each_level_once_and_repacks_only_after_a_join(
         type_label, rank, level, events, monkeypatch):
-    # the data up to each level are packed once, and again only on a joined
-    # cone; the lanes of the check level serve every data check, and the
-    # basis is packed once more, for the minimal check.  A pack is named by
-    # its point count: the nonzero points up to a level, or the basis
+    # level_hull packs each new shell max(lam) = L once, on the cone of the
+    # levels below it; the certificate then packs the nonzero data once, on
+    # the final cone, whether or not a level joined, for every data check,
+    # and the basis once more, for the minimal check.  A pack is named by
+    # its point count: a shell's, all the nonzero data's, or the basis'
     seen = []
     hull = stringcone.degeneration.conic_hull
     pack = stringcone.degeneration.point_lanes
@@ -808,8 +817,9 @@ def test_certificate_packs_each_level_once_and_repacks_only_after_a_join(
     report = degeneration_certificate(datum, word, level_bound=level)
     assert report.passing
     images = weighted_points(datum, word, level + 1)
-    counts = {top: sum(len(image) for lam, image in images.items()
-                       if any(lam) and max(lam) <= top) for top in range(2, level + 2)}
+    counts = {top: sum(len(image) for lam, image in images.items() if max(lam) == top)
+              for top in range(2, level + 2)}
+    counts["data"] = sum(len(image) for lam, image in images.items() if any(lam))
     counts["basis"] = len(report.hilbert_basis)
     assert len(set(counts.values())) == len(counts)
     assert seen == [event if event == "hull" else ("pack", counts[event[1]], event[2])
@@ -885,12 +895,7 @@ def test_level_hull_is_the_hull_of_all_points(type_label, rank, tops):
         for top in tops:
             points = [lam + psi for lam, image in images.items() if max(lam) <= top
                       for psi in image]
-            cone, lanes = level_hull(images, top)
-            assert cone == conic_hull(points), (word, top)
-            # the lanes hold every nonzero point on the final facets
-            assert lanes.normals == cone.facets
-            assert lanes.count == sum(map(any, points))
-            assert not any(lanes.outside())
+            assert level_hull(images, top) == conic_hull(points), (word, top)
 
 
 @pytest.mark.parametrize("type_label, base, missed", [("B", 26, 6), ("G", 86, 88)])

@@ -3,10 +3,12 @@
 A static check on the source with ``ast``: an import left behind after
 its last use is dead code that still runs at start-up.  ``__init__.py``
 imports to re-export, and ``from __future__`` imports are compiler
-directives, so both are exempt.
+directives, so both are exempt; what ``__init__.py`` re-exports is
+checked against ``__all__`` instead.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,18 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("from operator import and_, mul\nimport os.path\nprint(and_)\n")
     assert [name for name, _ in imported_names(tree) if name not in read_names(tree)] == [
         "mul", "os"]
+
+
+def test_the_package_exports_exactly_what_its_init_imports():
+    # __all__ is sorted and unique, names every import of __init__.py and
+    # nothing else, and each name is defined in a module of the package,
+    # so a test-only oracle cannot come back through the package
+    import stringcone
+
+    tree = ast.parse((SOURCE / "__init__.py").read_text(), "__init__.py")
+    exported = stringcone.__all__
+    assert exported == sorted(set(exported))
+    assert exported == sorted(name for name, _ in imported_names(tree))
+    for name in exported:
+        module = sys.modules[getattr(stringcone, name).__module__]
+        assert Path(module.__file__).resolve().parent == SOURCE.resolve(), name

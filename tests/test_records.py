@@ -13,8 +13,10 @@ from stringcone.degeneration import (
     SectionRecord,
     SeparatingForm,
 )
-from stringcone.pathcrystal import DEFAULT_NODE_CAP, CrystalGraph, PiecewisePath, highest_path
+from stringcone.pathcrystal import DEFAULT_NODE_CAP, CrystalGraph
 from stringcone.polyhedra import RationalCone, SaturationReport, SectionCount
+
+from oracles import PiecewisePath, highest_path
 
 RECORDS = [
     CartanDatum, WeightPolynomial, PiecewisePath, CrystalGraph, RationalCone,

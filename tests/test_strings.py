@@ -17,10 +17,11 @@ from stringcone.strings import (
     dominant_crystals,
     dominant_weights,
     string_image,
-    string_param,
     string_weight,
     weighted_points,
 )
+
+from oracles import string_param
 
 
 def entries(image):
