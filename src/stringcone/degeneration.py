@@ -9,14 +9,16 @@ as ``StringColumns``: a bytes column per letter of the word, in node
 order.  A cone point is ``lam + psi``, and the Hilbert basis holds
 ``(lam, psi)`` pairs.  One routine grows the cone, ``level_hull``, and
 the data are tested on point lanes (``PointLanes``): one int per facet with
-a lane per data point, built from one bytes object per coordinate, which
-``point_columns`` joins from the images' columns, so that containment is
-one AND of the facet ints and the generation check a few shifts and ANDs
-per basis element, with no Python step per point.  The minimal check runs
-the same kernel on the basis, a lane per element.  No image is sorted,
-and a string becomes a tuple only where it is read as one: in the level-1
-hull, a point a level misses, a shared weight of ``build_pairs``, and a
-section the count cannot settle.
+a lane per data point, built from the points' ``StringColumns``, a column
+per coordinate, which ``point_columns`` joins from the images' columns, so
+that containment is one AND of the facet ints and the generation check a
+few shifts and ANDs per basis element, with no Python step per point.  The
+minimal check runs the same kernel on the basis, a lane per element.  A
+Demazure crystal is a set of nodes of B(lambda), so ``demazure_quotient``
+reads its strings from the same images, and each crystal is peeled once.
+No image is sorted, and a string becomes a tuple only where it is read as
+one: in the level-1 hull, a point a level misses, a shared weight of
+``build_pairs``, a Demazure section, and a section the count cannot settle.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .cartan import CartanDatum, apply_word, check_longest_word, check_reduced_w
 from .characters import demazure_character, dimension_of, weyl_dim
 from .errors import DegenerationError, InvariantViolation
 from .linalg import kernel_basis_int, vec_dot
-from .pathcrystal import CrystalCache
+from .pathcrystal import CrystalCache, demazure_crystal
 from .polyhedra import (
     RationalCone,
     conic_hull,
@@ -42,13 +44,7 @@ from .polyhedra import (
     is_face,
     section_lattice_points,
 )
-from .strings import (
-    StringColumns,
-    demazure_strings,
-    dominant_crystals,
-    dominant_weights,
-    weighted_points,
-)
+from .strings import StringColumns, dominant_crystals, weighted_points
 
 
 class SeparatingForm(namedtuple("SeparatingForm", "coefficients")):
@@ -162,27 +158,30 @@ class DemazureQuotient(namedtuple("DemazureQuotient",
     __slots__ = ()
 
 
-def demazure_quotient(datum: CartanDatum, w0_word, w_word, level_bound: int, *,
+def demazure_quotient(datum: CartanDatum, w0_word, w_word, images, *,
                       cone: RationalCone,
                       crystals: CrystalCache | None = None) -> DemazureQuotient:
     """Demazure string sections, their face test in ``cone``, and the tail-vanishing flag.
 
-    The sections run over the dominant weights up to ``level_bound``.  A
-    word is adapted when its length-l(w) prefix is itself a reduced word of
-    w; only then is the image guaranteed to be a coordinate face.
+    ``images`` is ``weighted_points``' lambda-keyed ``StringColumns`` along
+    ``w0_word``, and the sections run over its weights.  B_w(lambda) is a
+    set of nodes of B(lambda), so each section is read from the image at
+    those nodes, sorted, with no second peel.  A word is adapted when its
+    length-l(w) prefix is itself a reduced word of w; only then is the
+    image guaranteed to be a coordinate face.
     """
     w0_word = check_longest_word(datum, w0_word)
     w_word = check_reduced_word(datum, w_word)
     crystals = CrystalCache.for_datum(datum, crystals)
-    image = rho(datum)
+    regular = rho(datum)
     prefix = w0_word[: len(w_word)]
-    adapted = apply_word(datum, prefix, image) == apply_word(datum, w_word, image)
+    adapted = apply_word(datum, prefix, regular) == apply_word(datum, w_word, regular)
     cut = len(w_word)
     sections = []
     weighted = []
     zero_tail = True
-    for lam in dominant_weights(datum.rank, level_bound):
-        dem = demazure_strings(datum, lam, w_word, w0_word, crystals=crystals)
+    for lam, image in images.items():
+        dem = tuple(sorted(image.strings(demazure_crystal(crystals[lam], w_word))))
         sections.append((lam, dem))
         for entries in dem:
             if any(entries[cut:]):
@@ -341,15 +340,14 @@ class PointLanes(namedtuple("PointLanes", "normals lanes ones width count reach"
         return (bits >> (self.width - 1)).to_bytes(self.count * size, "little")[::size]
 
 
-def point_columns(images):
-    """Each coordinate of the points ``lam + psi`` of ``images`` as one bytes object.
+def point_columns(images) -> StringColumns:
+    """The points ``lam + psi`` of ``images`` as one ``StringColumns``, a column per coordinate.
 
-    ``images`` maps each lam to its ``StringColumns``.  Returns ``(columns,
-    size, count)``: entry i of a column is point i's, in enumeration
-    order, as ``size`` little-endian bytes, the fewest that hold every
-    entry, and ``count`` is the number of points.  Entries must be >= 0,
-    as weights and string entries are.  An image's columns are joined as
-    they are, or widened to ``size`` bytes per entry; no point is a tuple.
+    ``images`` maps each lam to its ``StringColumns``.  Entry i of a column
+    is point i's, in enumeration order, as ``size`` little-endian bytes,
+    the fewest that hold every entry.  Entries must be >= 0, as weights and
+    string entries are.  An image's columns are joined as they are, or
+    widened to ``size`` bytes per entry; no point is a tuple.
     """
     images = {lam: image for lam, image in images.items() if len(image)}  # no columns
     count = sum(map(len, images.values()))
@@ -358,7 +356,7 @@ def point_columns(images):
     parts = [[v.to_bytes(size, "little") * len(image) for v in lam]
              + [_widen(column, image.size, size) for column in image.columns]
              for lam, image in images.items()]
-    return list(map(b"".join, zip(*parts))), size, count
+    return StringColumns(list(map(b"".join, zip(*parts))), size, count)
 
 
 def _widen(column: bytes, size: int, wide: int):
@@ -371,8 +369,10 @@ def _widen(column: bytes, size: int, wide: int):
     return spread
 
 
-def point_lanes(normals, columns, reach: int = 0) -> PointLanes:
-    """Pack the values of ``point_columns``' points on ``normals``, one int per normal.
+def point_lanes(normals, points: StringColumns, reach: int = 0) -> PointLanes:
+    """Pack the values of ``points`` on ``normals``, one int per normal.
+
+    ``points`` holds a column per coordinate, as ``point_columns`` returns.
 
     ``reach`` bounds |g|_inf for the vectors g later passed to
     ``PointLanes.cover``.  An entry of ``size`` bytes is at most
@@ -383,7 +383,7 @@ def point_lanes(normals, columns, reach: int = 0) -> PointLanes:
     normal's int is one multiply-add per nonzero coefficient.
     """
     normals = tuple(normals)
-    columns, size, count = columns
+    columns, size, count = points.columns, points.size, len(points)
     top = (1 << 8 * size) - 1
     bound = max((sum(map(abs, u)) for u in normals), default=0) * (top + reach)
     lane = bound.bit_length() // 8 + 1
@@ -399,20 +399,6 @@ def point_lanes(normals, columns, reach: int = 0) -> PointLanes:
             if a:
                 lanes[j] += a * coordinate
     return PointLanes(normals, lanes, ones, width, count, reach)
-
-
-def _missed_points(images, outside: bytes):
-    """The points ``lam + psi`` of ``images`` whose byte in ``outside`` is set.
-
-    ``outside`` holds one byte per point in enumeration order, as
-    ``PointLanes.outside`` returns it; only the flagged strings become tuples.
-    """
-    start = 0
-    for lam, image in images.items():
-        flags = outside[start:start + len(image)]
-        start += len(image)
-        if any(flags):
-            yield from (lam + psi for psi in image.strings(compress(range(len(image)), flags)))
 
 
 def level_hull(images, top: int) -> RationalCone:
@@ -433,10 +419,10 @@ def level_hull(images, top: int) -> RationalCone:
     cone = conic_hull([lam + psi for lam, image in images.items()
                        if max(lam) <= min(top, 1) for psi in image])
     for level in range(2, top + 1):
-        shell = {lam: image for lam, image in images.items() if max(lam) == level}
-        outside = point_lanes(cone.facets, point_columns(shell)).outside()
+        shell = point_columns({lam: image for lam, image in images.items() if max(lam) == level})
+        outside = point_lanes(cone.facets, shell).outside()
         if any(outside):
-            cone = conic_hull(cone.rays + tuple(_missed_points(shell, outside)))
+            cone = conic_hull(cone.rays + tuple(shell.strings(compress(range(len(shell)), outside))))
     return cone
 
 
@@ -530,7 +516,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     ncoords = datum.num_positive_roots
     quotient = None
     if w_word is not None:
-        quotient = demazure_quotient(datum, w0_word, w_word, check_level,
+        quotient = demazure_quotient(datum, w0_word, w_word, images,
                                      cone=cone, crystals=crystals)
     dem_sections = dict(quotient.sections) if quotient is not None else {}
     sections = []
@@ -552,8 +538,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     if any(max(map(abs, v)) > lanes.reach for v in basis_vecs):
         raise DegenerationError("Hilbert basis element beyond its parallelepiped bound")
     generates = all(lanes.cover(basis_vecs))
-    basis_columns = point_columns({(): StringColumns.from_strings(basis_vecs)})
-    basis_lanes = point_lanes(cone.facets, basis_columns, lanes.reach)
+    basis_lanes = point_lanes(cone.facets, StringColumns.from_strings(basis_vecs), lanes.reach)
     del lanes
     minimal = all(sum(basis_lanes.cover((g,))) == 1 for g in basis_vecs)
     timings["hilbert"] = (clock() - t) * 1000.0

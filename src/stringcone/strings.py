@@ -20,9 +20,12 @@ at lambda is the image of B(lambda) (Littelmann 1998, Prop. 1.5).  It
 builds the crystals first, with ``dominant_crystals``, and then peels
 them, so a caller can time the two apart.  Its images are
 ``StringColumns``: one bytes column per letter of the word, in node
-order, with no tuple per string and no sort.  ``string_image`` and
-``demazure_strings`` return sorted entry tuples, for readers that need
-the strings themselves.
+order, with no tuple per string and no sort.  Every runtime reader takes
+these columns, so each crystal is peeled once per word; a Demazure
+section is the image read at the Demazure nodes.  ``string_image`` and
+``demazure_strings`` peel on their own and return sorted entry tuples:
+library API for callers that need the strings themselves, and the tests'
+reference, with no runtime caller.
 """
 
 from __future__ import annotations

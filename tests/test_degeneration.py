@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import stringcone.degeneration
 import stringcone.polyhedra
 import stringcone.strings
-from stringcone.cartan import all_reduced_words, build_cartan, longest_word
+from stringcone.cartan import all_reduced_words, build_cartan, longest_word, weyl_group_words
 from stringcone.cli import main
 from stringcone.degeneration import (
     build_pairs,
@@ -42,6 +42,7 @@ from stringcone.polyhedra import (
 )
 from stringcone.strings import (
     StringColumns,
+    demazure_strings,
     dominant_weights,
     string_image,
     string_weight,
@@ -221,38 +222,81 @@ def test_lattice_relations():
 
 
 @pytest.fixture(scope="module")
-def a2_cone(a2):
+def a2_images(a2):
+    """The images of A2 along (1, 2, 1) up to level 1."""
+    return weighted_points(a2, (1, 2, 1), 1)
+
+
+@pytest.fixture(scope="module")
+def a2_cone(a2_images):
     """The weighted string cone of A2 along (1, 2, 1), hulled at level 1."""
-    images = weighted_points(a2, (1, 2, 1), 1)
-    return conic_hull([lam + psi for lam, image in images.items() for psi in image])
+    return conic_hull([lam + psi for lam, image in a2_images.items() for psi in image])
 
 
-def test_demazure_quotient_simple_reflection(a2, a2_cone):
-    q = demazure_quotient(a2, (1, 2, 1), (1,), 1, cone=a2_cone)
+def test_demazure_quotient_simple_reflection(a2, a2_images, a2_cone):
+    q = demazure_quotient(a2, (1, 2, 1), (1,), a2_images, cone=a2_cone)
     assert q.adapted and q.zero_tail and q.face
     assert q.normal == (0, 0, 0, 1, 0)
     assert [(lam, len(dem)) for lam, dem in q.sections] == [
         ((0, 0), 1), ((0, 1), 1), ((1, 0), 2), ((1, 1), 2)]
 
 
-def test_demazure_quotient_identity(a2, a2_cone):
-    q = demazure_quotient(a2, (1, 2, 1), (), 1, cone=a2_cone)
+def test_demazure_quotient_identity(a2, a2_images, a2_cone):
+    q = demazure_quotient(a2, (1, 2, 1), (), a2_images, cone=a2_cone)
     assert q.adapted and q.zero_tail and q.face
     assert all(len(dem) == 1 for _, dem in q.sections)
 
 
-def test_demazure_quotient_unadapted_prefix(a2, a2_cone):
+def test_demazure_quotient_unadapted_prefix(a2, a2_images, a2_cone):
     # s2 is not a prefix of (1, 2, 1); the quotient is reported, not raised
-    q = demazure_quotient(a2, (1, 2, 1), (2,), 1, cone=a2_cone)
+    q = demazure_quotient(a2, (1, 2, 1), (2,), a2_images, cone=a2_cone)
     assert not q.adapted
     assert not q.zero_tail
 
 
-def test_demazure_quotient_word_validation(a2, a2_cone):
+def test_demazure_quotient_word_validation(a2, a2_images, a2_cone):
     with pytest.raises(WordError):
-        demazure_quotient(a2, (1, 2, 1), (1, 1), 1, cone=a2_cone)
+        demazure_quotient(a2, (1, 2, 1), (1, 1), a2_images, cone=a2_cone)
     with pytest.raises(WordError):
-        demazure_quotient(a2, (1, 2), (1,), 1, cone=a2_cone)
+        demazure_quotient(a2, (1, 2), (1,), a2_images, cone=a2_cone)
+
+
+@pytest.mark.parametrize("type_label", ["A", "B", "C", "G"])
+def test_demazure_sections_match_the_subset_peel(type_label):
+    # each section is read from the image at the Demazure nodes; the
+    # reference peels the Demazure nodes of B(lam) on their own
+    datum = build_cartan(type_label, 2)
+    crystals = CrystalCache(datum)
+    for w0 in all_reduced_words(datum, longest_word(datum)):
+        images = weighted_points(datum, w0, 2, crystals=crystals)
+        cone = level_hull(images, 2)
+        for w in weyl_group_words(datum):
+            q = demazure_quotient(datum, w0, w, images, cone=cone, crystals=crystals)
+            assert q.sections == tuple(
+                (lam, demazure_strings(datum, lam, w, w0, crystals=crystals))
+                for lam in dominant_weights(2, 2)), (w0, w)
+
+
+@pytest.mark.parametrize("type_label, rank, w_word, peels", [
+    ("B", 2, (1,), 9),
+    ("G", 2, (1, 2), 9),  # not adapted to the default word (2, 1, 2, 1, 2, 1)
+    ("A", 3, None, 27),
+], ids=["B2-demazure", "G2-unadapted", "A3"])
+def test_certificate_peels_each_crystal_once(type_label, rank, w_word, peels, monkeypatch):
+    # one peel per image at the check level: the Demazure sections are read
+    # from the images, not peeled a second time
+    calls = []
+    peel = stringcone.strings._peel_nodes
+
+    def counting(graph, nodes, word):
+        calls.append(graph.lam)
+        return peel(graph, nodes, word)
+
+    monkeypatch.setattr(stringcone.strings, "_peel_nodes", counting)
+    datum = build_cartan(type_label, rank)
+    report = degeneration_certificate(datum, longest_word(datum), w_word, level_bound=1)
+    assert len(calls) == len(report.sections) == peels
+    assert calls == [s.lam for s in report.sections]
 
 
 def test_certificate_a1():
@@ -870,13 +914,14 @@ def test_point_columns_widen_narrow_images_beside_a_wide_one():
     images = {lam: stringcone.strings._string_columns(crystals[lam], (1,))
               for lam in [(1,), (256,), (3,)]}
     assert [image.size for image in images.values()] == [1, 2, 1]
-    columns, size, count = point_columns(images)
+    joined = point_columns(images)
     points = [lam + psi for lam, image in images.items() for psi in image]
-    assert (size, count) == (2, len(points)) == (2, 2 + 257 + 4)
-    assert columns == [b"".join(v.to_bytes(2, "little") for v in column)
-                       for column in zip(*points)]
+    assert (joined.size, len(joined)) == (2, len(points)) == (2, 2 + 257 + 4)
+    assert joined.columns == [b"".join(v.to_bytes(2, "little") for v in column)
+                              for column in zip(*points)]
+    assert list(joined) == points
     normals = ((1, -1), (0, 1), (1, -2))
-    lanes = point_lanes(normals, (columns, size, count), 1)
+    lanes = point_lanes(normals, joined, 1)
     assert lanes.outside() == bytes(any(vec_dot(u, x) < 0 for u in normals) for x in points)
     assert lanes.cover([(1, 0)]) == bytes(
         all(vec_dot(u, x) >= vec_dot(u, (1, 0)) for u in normals) for x in points)
