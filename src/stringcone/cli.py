@@ -208,9 +208,9 @@ def _cmd_crystal(config: RunConfig) -> int:
 def _infer_cone(config: RunConfig, datum, timings: dict):
     """The word and the hull of its strings up to the level bound.
 
-    The hull is ``level_hull``'s: the level-1 strings in one hull, then
-    each higher level's new strings packed against it and joined only
-    where they add points.  The milliseconds of the ``crystal``,
+    The hull is ``level_hull``'s: the strings of 0 and the fundamental
+    weights seed it, then each level's new strings are packed against it
+    and inserted only where they add points.  The milliseconds of the ``crystal``,
     ``strings`` and ``hull`` stages go into ``timings``.
     """
     clock = time.perf_counter

@@ -31,8 +31,9 @@ def slack_lanes(normals, reach: int):
     every lane is 0.  The width w covers |y| <= max |u|_1 * reach over the
     normals u, which bounds the lanes of every v with |v|_inf <= reach, and
     of the difference of two such packed values whose lanes are all >= 0.
-    It packs a few vectors, each on its own: the rays of ``_dd_pair`` and
-    the candidates of ``hilbert_basis``.  Many points on one list of
+    It packs a few vectors, each on its own: the rays of the double
+    description (``polyhedra._DoubleDescription``) and the candidates of
+    ``hilbert_basis``.  Many points on one list of
     normals are packed the other way round, one int per normal
     (``degeneration.PointLanes``), as the certificate's data and basis are.
     """

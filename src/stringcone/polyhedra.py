@@ -2,12 +2,16 @@
 
 Double description over exact integers gives minimal V- and H-
 representations; sections, face tests, Hilbert bases, and saturation checks
-ride on top.  One routine, ``_dd_pair``, computes every hull; it decides
-adjacency from the zero sets of the rays, with no elimination.  The
-triangulation reads its faces off the same kind of zero sets, the rays
-each facet vanishes on.  Lineality is encoded as opposite ray pairs and
-equations as opposite facet pairs, which makes dualization a plain swap.
-The redundancy test of ``_dd_pair`` and the reduction test of
+ride on top.  One double-description loop, ``_DoubleDescription.insert``,
+computes every hull; it decides adjacency from the zero sets of the
+rays, with no elimination.  Its state resumes, so a cone can take its
+constraints in batches: ``degeneration.level_hull`` grows the dual of a
+hull one shell of points at a time, and ``conic_hull`` and ``_dd_pair``
+insert everything at once.  The triangulation reads its faces off the
+same kind of zero sets, the rays each facet vanishes on.  Lineality is
+encoded as opposite ray pairs and equations as opposite facet pairs,
+which makes dualization a plain swap.
+The redundancy test of the double description and the reduction test of
 ``hilbert_basis`` pack a vector's values on a list of normals into one int,
 a lane per normal (``linalg.slack_lanes``): one multiply-add per coordinate
 computes all of them, and one addition and mask tests their signs.  Each
@@ -64,8 +68,8 @@ def _canonical_constraints(vectors):
     return sorted(out)
 
 
-def _dd_pair(constraints, dim):
-    """Lineality basis and extreme rays of an intersection of halfspaces.
+class _DoubleDescription:
+    """Lineality basis and extreme rays of an intersection of halfspaces, grown in batches.
 
     Incremental insertion; rays stay primitive.  Each ray carries a bitmask
     of the inserted constraints it is tight on, and adjacency is decided on
@@ -76,64 +80,106 @@ def _dd_pair(constraints, dim):
     for the final cone and are skipped.  The test packs the values of a
     constraint c on the current rays into one int (``slack_lanes``),
     rebuilt after each insertion that changes the rays; every lane c . r
-    obeys |c . r| <= |r|_1 * |c|_inf, which bounds the lane width.
+    obeys |c . r| <= |r|_1 * |c|_inf, which bounds the lane width.  The
+    state resumes: ``insert`` takes a batch at any time, the bits go on
+    from the last batch, and the reach grows to the batch's largest
+    entry, so a later batch of larger entries gets wider lanes.
     """
-    constraints = _canonical_constraints(constraints)
-    reach = max((max(map(abs, c)) for c in constraints), default=0)
-    lineality = [tuple(1 if j == k else 0 for j in range(dim)) for k in range(dim)]
-    rays: dict = {}  # ray -> bitmask of the inserted constraints tight on it
-    columns = None  # packing of the current rays, None once they change
-    bit = 1
-    for c in constraints:
-        lvals = [vec_dot(c, l) for l in lineality]
-        if any(lvals):
-            k = next(i for i, v in enumerate(lvals) if v)
-            l0, p0 = lineality[k], lvals[k]
-            if p0 < 0:
-                l0, p0 = _neg(l0), -p0
-            new_lin = []
-            for pos, (l, pl) in enumerate(zip(lineality, lvals)):
-                if pos == k:
-                    continue
-                new_lin.append(primitive(tuple(a * p0 - b * pl for a, b in zip(l, l0))))
-            lineality = new_lin
-            # every inserted constraint vanishes on l0, so projecting along
-            # l0 keeps a ray's zero set and makes it tight on c
-            projected = {}
-            for r, m in rays.items():
-                pr = vec_dot(c, r)
-                cand = primitive(tuple(a * p0 - b * pr for a, b in zip(r, l0)))
-                if any(cand):
-                    projected[cand] = m | bit
-            projected[l0] = bit - 1
-            rays = projected
+
+    __slots__ = ("dim", "lineality", "rays", "bit", "reach")
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.lineality = [tuple(1 if j == k else 0 for j in range(dim)) for k in range(dim)]
+        self.rays: dict = {}  # ray -> bitmask of the inserted constraints tight on it
+        self.bit = 1
+        self.reach = 0
+
+    def insert(self, constraints):
+        """Intersect the cone with the halfspaces c . x >= 0 of a batch, in canonical order."""
+        constraints = _canonical_constraints(constraints)
+        self.reach = reach = max([self.reach] + [max(map(abs, c)) for c in constraints])
+        dim, lineality, rays, bit = self.dim, self.lineality, self.rays, self.bit
+        columns = None  # packing of the current rays, None once they change
+        for c in constraints:
+            lvals = [vec_dot(c, l) for l in lineality]
+            if any(lvals):
+                k = next(i for i, v in enumerate(lvals) if v)
+                l0, p0 = lineality[k], lvals[k]
+                if p0 < 0:
+                    l0, p0 = _neg(l0), -p0
+                new_lin = []
+                for pos, (l, pl) in enumerate(zip(lineality, lvals)):
+                    if pos == k:
+                        continue
+                    new_lin.append(primitive(tuple(a * p0 - b * pl for a, b in zip(l, l0))))
+                lineality = new_lin
+                # every inserted constraint vanishes on l0, so projecting along
+                # l0 keeps a ray's zero set and makes it tight on c
+                projected = {}
+                for r, m in rays.items():
+                    pr = vec_dot(c, r)
+                    cand = primitive(tuple(a * p0 - b * pr for a, b in zip(r, l0)))
+                    if any(cand):
+                        projected[cand] = m | bit
+                projected[l0] = bit - 1
+                rays = projected
+                columns = None
+                bit <<= 1
+                continue
+            if columns is None:
+                columns, sign = slack_lanes(rays, reach)
+            if (sum(map(mul, c, columns)) + sign) & sign == sign:
+                continue
+            vals = [(r, m, vec_dot(c, r)) for r, m in rays.items()]
+            need = dim - len(lineality) - 2
+            plus = [(r, m, v) for r, m, v in vals if v > 0]
+            minus = [(r, m, v) for r, m, v in vals if v < 0]
+            nxt = {r: (m | bit if v == 0 else m) for r, m, v in vals if v >= 0}
+            # distinct extreme rays have distinct zero sets, so a mask equal to
+            # mp or mm is that ray itself
+            for rp, mp, vp in plus:
+                for rm, mm, vm in minus:
+                    common = mp & mm
+                    if common.bit_count() < need or any(
+                            mk & common == common and mk != mp and mk != mm
+                            for mk in rays.values()):
+                        continue
+                    ray = primitive(tuple(-vm * a + vp * b for a, b in zip(rp, rm)))
+                    nxt[ray] = common | bit
+            rays = nxt
             columns = None
             bit <<= 1
-            continue
-        if columns is None:
-            columns, sign = slack_lanes(rays, reach)
-        if (sum(map(mul, c, columns)) + sign) & sign == sign:
-            continue
-        vals = [(r, m, vec_dot(c, r)) for r, m in rays.items()]
-        need = dim - len(lineality) - 2
-        plus = [(r, m, v) for r, m, v in vals if v > 0]
-        minus = [(r, m, v) for r, m, v in vals if v < 0]
-        nxt = {r: (m | bit if v == 0 else m) for r, m, v in vals if v >= 0}
-        # distinct extreme rays have distinct zero sets, so a mask equal to
-        # mp or mm is that ray itself
-        for rp, mp, vp in plus:
-            for rm, mm, vm in minus:
-                common = mp & mm
-                if common.bit_count() < need or any(
-                        mk & common == common and mk != mp and mk != mm
-                        for mk in rays.values()):
-                    continue
-                ray = primitive(tuple(-vm * a + vp * b for a, b in zip(rp, rm)))
-                nxt[ray] = common | bit
-        rays = nxt
-        columns = None
-        bit <<= 1
-    return tuple(hnf_rows(lineality)), tuple(sorted(rays))
+        self.lineality, self.rays, self.bit = lineality, rays, bit
+
+    def result(self):
+        """The lineality in Hermite form and the sorted rays: canonical for the cone."""
+        return tuple(hnf_rows(self.lineality)), tuple(sorted(self.rays))
+
+    def generators(self):
+        """The rays and both signs of each lineality vector, sorted."""
+        return _generators(*self.result())
+
+    def hull(self) -> RationalCone:
+        """Conic hull of the inserted constraints; its facets are this cone's generators.
+
+        A second, one-shot pass over the facets recovers the extreme rays.
+        """
+        facets = self.generators()
+        lin, rays = _dd_pair(facets, self.dim)
+        return RationalCone(
+            ambient_dim=self.dim,
+            rays=_generators(lin, rays),
+            facets=facets,
+            pointed=not lin,
+        )
+
+
+def _dd_pair(constraints, dim):
+    """Lineality basis and extreme rays of an intersection of halfspaces, in one batch."""
+    cone = _DoubleDescription(dim)
+    cone.insert(constraints)
+    return cone.result()
 
 
 def _generators(lineality, rays):
@@ -156,15 +202,9 @@ def conic_hull(points) -> RationalCone:
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise PolyhedralError("points have inconsistent dimension")
-    dual_lin, dual_rays = _dd_pair(pts, dim)
-    facets = _generators(dual_lin, dual_rays)
-    lin, rays = _dd_pair(facets, dim)
-    return RationalCone(
-        ambient_dim=dim,
-        rays=_generators(lin, rays),
-        facets=facets,
-        pointed=not lin,
-    )
+    dual = _DoubleDescription(dim)
+    dual.insert(pts)
+    return dual.hull()
 
 
 def contains(cone: RationalCone, point) -> bool:

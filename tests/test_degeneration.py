@@ -34,8 +34,10 @@ from stringcone.errors import DegenerationError, InvariantViolation, WordError
 from stringcone.linalg import vec_dot
 from stringcone.pathcrystal import CrystalCache
 from stringcone.polyhedra import (
+    _DoubleDescription,
     _dd_pair,
     conic_hull,
+    contains,
     count_section_points,
     hilbert_basis,
     section_lattice_points,
@@ -445,31 +447,56 @@ def test_minimal_check_rejects_a_sum_of_two_basis_elements(type_label, monkeypat
             assert checks["hilbert_basis_generates"] is True
 
 
+def _record_level_hull(monkeypatch, events, drop=None):
+    """Record ``level_hull``'s dual state in ``events``: ``("insert", batch)`` and ``("hull",)``.
+
+    Each batch of points is listed as inserted; batch number ``drop``
+    (counted from 0) is listed but not inserted.  The one-shot passes of
+    ``conic_hull`` and of the rays run on the unpatched state.
+    """
+    class Recording(_DoubleDescription):
+        __slots__ = ()
+
+        def insert(self, constraints):
+            batch = list(constraints)
+            if sum(event[0] == "insert" for event in events) != drop:
+                super().insert(batch)
+            events.append(("insert", batch))
+
+        def hull(self):
+            events.append(("hull",))
+            return super().hull()
+
+    monkeypatch.setattr(stringcone.degeneration, "_DoubleDescription", Recording)
+
+
+def _batch_sizes(events):
+    return [len(event[1]) for event in events if event[0] == "insert"]
+
+
 def test_demazure_certificate_hulls_only_in_the_hull_stage(a2, monkeypatch):
     # the face test reads the cone's rays and takes no hull of its own; the
     # saturated sections are counted, never listed
     events = []
-    hull = stringcone.polyhedra.conic_hull
     count = stringcone.degeneration.count_section_points
-
-    def recording_hull(points):
-        events.append("conic_hull")
-        return hull(points)
 
     def recording_count(constraints, lam):
         events.append(("count", lam))
         return count(constraints, lam)
 
-    def refuse_listing(*args):
-        raise AssertionError("a saturated section was listed")
+    def refuse(*args):
+        raise AssertionError("a saturated section was listed, or a second hull taken")
 
+    _record_level_hull(monkeypatch, events)
+    monkeypatch.setattr(stringcone.polyhedra, "conic_hull", refuse)
     for module in (stringcone.polyhedra, stringcone.degeneration):
-        monkeypatch.setattr(module, "conic_hull", recording_hull)
-        monkeypatch.setattr(module, "section_lattice_points", refuse_listing)
+        monkeypatch.setattr(module, "section_lattice_points", refuse)
     monkeypatch.setattr(stringcone.degeneration, "count_section_points", recording_count)
     report = degeneration_certificate(a2, (1, 2, 1), (1, 2), level_bound=1, check_level=2)
     assert dict(report.checks)["demazure_face"] is True
-    assert events == ["conic_hull"] + [("count", lam) for lam in dominant_weights(2, 2)]
+    # A2's fundamental points generate its level-2 cone: one insert, one hull
+    assert [event[0] for event in events[:2]] == ["insert", "hull"]
+    assert events[2:] == [("count", lam) for lam in dominant_weights(2, 2)]
 
 
 def test_string_cone_rows_a2():
@@ -568,21 +595,19 @@ def test_certificate_names_a_section_point_missing_from_the_data(a2, monkeypatch
 
 @pytest.mark.parametrize("type_label, missed", [("B", 6), ("G", 88)])
 def test_certificate_fails_on_data_outside_the_final_cone(type_label, missed, monkeypatch):
-    # a join that returns the build-level hull unchanged leaves the missed
-    # points outside the final cone: the counts cannot vouch for those
-    # sections, and the saturation check fails
-    hulls = []
-    original = stringcone.degeneration.conic_hull
-
-    def stale_join(points):
-        hulls.append(original(points) if not hulls else hulls[0])
-        return hulls[-1]
-
-    monkeypatch.setattr(stringcone.degeneration, "conic_hull", stale_join)
+    # a hull that drops its last insert, the level-2 points the lower
+    # levels miss, leaves those points outside the final cone: the counts
+    # cannot vouch for those sections, and the saturation check fails
     datum = build_cartan(type_label, 2)
     word = longest_word(datum)
+    events = []
+    _record_level_hull(monkeypatch, events)
+    assert degeneration_certificate(datum, word, level_bound=1).passing
+    last = len(_batch_sizes(events)) - 1
+    events.clear()
+    _record_level_hull(monkeypatch, events, drop=last)
     report = degeneration_certificate(datum, word, level_bound=1)
-    assert len(hulls) == 2
+    assert _batch_sizes(events)[last] == missed
     assert dict(report.checks)["saturation"] is False
     assert not report.passing
     images = weighted_points(datum, word, 2)
@@ -675,27 +700,24 @@ def test_report_json_deterministic(a2):
 
 
 @pytest.mark.parametrize("type_label, rank, level, sizes", [
-    ("G", 2, 1, [86, 105]),
-    ("B", 2, 1, [26, 14]),
-    ("G", 2, 2, [86, 105, 195]),
-    ("A", 3, 1, [134]),
+    ("G", 2, 1, [22, 3, 88]),
+    ("B", 2, 1, [10, 6]),
+    ("G", 2, 2, [22, 3, 88, 175]),
+    ("A", 3, 1, [15]),
 ])
 def test_certificate_hulls_level_one_then_the_points_each_level_misses(
         type_label, rank, level, sizes, monkeypatch):
-    # each join takes the previous hull's rays and the points it misses,
-    # never the whole enumeration: G2 at level bound 2 hulls level 1, joins
-    # the level-2 points it misses, then the missed level-3 points
-    calls = []
-    original = stringcone.degeneration.conic_hull
-
-    def recording(points):
-        calls.append(len(points))
-        return original(points)
-
-    monkeypatch.setattr(stringcone.degeneration, "conic_hull", recording)
+    # the hull is seeded with the points of 0 and the fundamental weights,
+    # then takes only the points each level misses, never the whole
+    # enumeration, and recovers its rays once: G2 at level bound 2 inserts
+    # its 22 seed points, the 3 level-1 points they miss, then the missed
+    # level-2 and level-3 points
+    events = []
+    _record_level_hull(monkeypatch, events)
     datum = build_cartan(type_label, rank)
     assert degeneration_certificate(datum, longest_word(datum), level_bound=level).passing
-    assert calls == sizes
+    assert _batch_sizes(events) == sizes
+    assert [event[0] for event in events] == ["insert"] * len(sizes) + ["hull"]
 
 
 @pytest.mark.parametrize("type_label, check_level", [
@@ -712,15 +734,11 @@ def test_certificate_cone_is_the_hull_of_the_check_level(type_label, check_level
 
 
 def test_certificate_scans_sections_once(monkeypatch):
-    # B2's level-1 hull misses data points, so the hull is joined with them
-    # first; then each check-level section is counted once and none is listed
+    # B2's fundamental points miss level-2 data points, so the hull takes
+    # them first; then each check-level section is counted once and none
+    # is listed
     events = []
-    hull = stringcone.degeneration.conic_hull
     count = stringcone.degeneration.count_section_points
-
-    def recording_hull(points):
-        events.append("conic_hull")
-        return hull(points)
 
     def recording_count(constraints, lam):
         events.append(("count", lam))
@@ -729,12 +747,14 @@ def test_certificate_scans_sections_once(monkeypatch):
     def refuse_listing(*args):
         raise AssertionError("a saturated section was listed")
 
-    monkeypatch.setattr(stringcone.degeneration, "conic_hull", recording_hull)
+    _record_level_hull(monkeypatch, events)
     monkeypatch.setattr(stringcone.degeneration, "count_section_points", recording_count)
     monkeypatch.setattr(stringcone.degeneration, "section_lattice_points", refuse_listing)
     datum = build_cartan("B", 2)
     report = degeneration_certificate(datum, longest_word(datum), level_bound=1)
-    assert events == ["conic_hull"] * 2 + [("count", lam) for lam in dominant_weights(2, 2)]
+    assert _batch_sizes(events) == [10, 6]
+    assert [event[0] for event in events[:3]] == ["insert", "insert", "hull"]
+    assert events[3:] == [("count", lam) for lam in dominant_weights(2, 2)]
     assert report.certified_level == 2
     assert report.passing
 
@@ -779,9 +799,10 @@ def test_generation_misses_any_dropped_basis_element(type_label, level, monkeypa
 
 
 def test_certificate_lanes_cover_every_packed_point(monkeypatch):
-    # B2's level-1 hull misses level-2 points: level_hull packs the level-2
-    # shell on it, and the certificate packs every nonzero data point once
-    # on the joined cone, then the basis on that cone.  Each width must hold
+    # level_hull packs B2's level-1 shell (1, 1) on the cone of its seed
+    # points, and the level-2 shell on the level-1 cone, which misses
+    # level-2 points; the certificate packs every nonzero data point once
+    # on the final cone, then the basis on that cone.  Each width must hold
     # every packed point's facet values, and the lanes a cover reads every
     # difference with a basis element
     packed = []
@@ -796,13 +817,18 @@ def test_certificate_lanes_cover_every_packed_point(monkeypatch):
     report = degeneration_certificate(datum, word, level_bound=1)
     images = weighted_points(datum, word, 2)
     data = [lam + psi for lam, image in images.items() if any(lam) for psi in image]
-    shell = [lam + psi for lam, image in images.items() if max(lam) == 2 for psi in image]
-    level_one = conic_hull([lam + psi for lam, image in images.items() if max(lam) <= 1
-                            for psi in image])
+
+    def chosen(keep):
+        return [lam + psi for lam, image in images.items() if keep(lam) for psi in image]
+
+    seed = conic_hull(chosen(lambda lam: sum(lam) <= 1))
+    level_one = conic_hull(chosen(lambda lam: max(lam) <= 1))
     assert level_one != report.cone  # the level-1 hull misses level-2 points
     basis = [lam + psi for lam, psi in report.hilbert_basis]
     reach = sum(max(map(abs, r)) for r in report.cone.rays)
-    steps = [(level_one, shell, 0), (report.cone, data, reach), (report.cone, basis, reach)]
+    steps = [(seed, chosen(lambda lam: lam == (1, 1)), 0),
+             (level_one, chosen(lambda lam: max(lam) == 2), 0),
+             (report.cone, data, reach), (report.cone, basis, reach)]
     assert [lanes.normals for lanes in packed] == [cone.facets for cone, _, _ in steps]
     assert [lanes.count for lanes in packed] == [len(points) for _, points, _ in steps]
     assert [lanes.reach for lanes in packed] == [reach for _, _, reach in steps]
@@ -817,57 +843,57 @@ def test_certificate_lanes_cover_every_packed_point(monkeypatch):
                 shifts = [vec_dot(u, g) for g in gens]
                 assert -half <= min(values) - max(shifts) <= max(values) - min(shifts) < half
     # the data lanes hold every nonzero point, none outside the final cone
-    assert not any(packed[1].outside())
+    assert not any(packed[2].outside())
 
 
 @pytest.mark.parametrize("type_label, rank, level, events", [
-    # A3's level-1 hull holds every check-level point: one pack per shell
-    ("A", 3, 1, ["hull", ("pack", 2, False), ("pack", "data", False),
-                 ("pack", "basis", False)]),
-    ("A", 3, 2, ["hull", ("pack", 2, False), ("pack", 3, False), ("pack", "data", False),
-                 ("pack", "basis", False)]),
-    # B2's misses 6 level-2 points: one join, and no shell is packed again
-    ("B", 2, 1, ["hull", ("pack", 2, True), "hull", ("pack", "data", False),
-                 ("pack", "basis", False)]),
-    # G2's misses points at levels 2 and 3: each shell is packed on the
-    # cone its lower levels joined
-    ("G", 2, 2, ["hull", ("pack", 2, True), "hull", ("pack", 3, True), "hull",
+    # A3's seed points generate every check-level point: one pack per shell
+    ("A", 3, 1, ["insert", ("pack", 1, False), ("pack", 2, False), "hull",
+                 ("pack", "data", False), ("pack", "basis", False)]),
+    ("A", 3, 2, ["insert", ("pack", 1, False), ("pack", 2, False), ("pack", 3, False),
+                 "hull", ("pack", "data", False), ("pack", "basis", False)]),
+    # B2's miss 6 level-2 points: one more insert, and no shell is packed again
+    ("B", 2, 1, ["insert", ("pack", 1, False), ("pack", 2, True), "insert", "hull",
+                 ("pack", "data", False), ("pack", "basis", False)]),
+    # G2's miss points at levels 1, 2 and 3: each shell is packed on the
+    # cone of the points inserted before it
+    ("G", 2, 2, ["insert", ("pack", 1, True), "insert", ("pack", 2, True), "insert",
+                 ("pack", 3, True), "insert", "hull",
                  ("pack", "data", False), ("pack", "basis", False)]),
 ], ids=["A3-1", "A3-2", "B2-1", "G2-2"])
 def test_certificate_packs_each_level_once_and_repacks_only_after_a_join(
         type_label, rank, level, events, monkeypatch):
-    # level_hull packs each new shell max(lam) = L once, on the cone of the
-    # levels below it; the certificate then packs the nonzero data once, on
-    # the final cone, whether or not a level joined, for every data check,
-    # and the basis once more, for the minimal check.  A pack is named by
-    # its point count: a shell's, all the nonzero data's, or the basis'
+    # level_hull packs each shell max(lam) = L, sum(lam) >= 2 once, on the
+    # cone of the seed and the shells below it, and recovers the rays once,
+    # at the end; the certificate then packs the nonzero data once, on the
+    # final cone, whether or not a level inserted points, for every data
+    # check, and the basis once more, for the minimal check.  A pack is
+    # named by its point count: a shell's, all the nonzero data's, or the
+    # basis'
     seen = []
-    hull = stringcone.degeneration.conic_hull
     pack = stringcone.degeneration.point_lanes
-
-    def recording_hull(points):
-        seen.append("hull")
-        return hull(points)
 
     def recording_pack(normals, columns, reach=0):
         lanes = pack(normals, columns, reach)
         seen.append(("pack", lanes.count, any(lanes.outside())))
         return lanes
 
-    monkeypatch.setattr(stringcone.degeneration, "conic_hull", recording_hull)
+    _record_level_hull(monkeypatch, seen)
     monkeypatch.setattr(stringcone.degeneration, "point_lanes", recording_pack)
     datum = build_cartan(type_label, rank)
     word = longest_word(datum)
     report = degeneration_certificate(datum, word, level_bound=level)
     assert report.passing
     images = weighted_points(datum, word, level + 1)
-    counts = {top: sum(len(image) for lam, image in images.items() if max(lam) == top)
-              for top in range(2, level + 2)}
+    counts = {top: sum(len(image) for lam, image in images.items()
+                       if max(lam) == top and sum(lam) > 1)
+              for top in range(1, level + 2)}
     counts["data"] = sum(len(image) for lam, image in images.items() if any(lam))
     counts["basis"] = len(report.hilbert_basis)
     assert len(set(counts.values())) == len(counts)
-    assert seen == [event if event == "hull" else ("pack", counts[event[1]], event[2])
-                    for event in events]
+    assert [event[0] if event[0] != "pack" else event for event in seen] == [
+        event if event in ("insert", "hull") else ("pack", counts[event[1]], event[2])
+        for event in events]
 
 
 LANE_ENTRIES = st.one_of(st.integers(0, 9), st.sampled_from([127, 128, 255, 256, 65535, 65536]))
@@ -927,15 +953,35 @@ def test_point_columns_widen_narrow_images_beside_a_wide_one():
         all(vec_dot(u, x) >= vec_dot(u, (1, 0)) for u in normals) for x in points)
 
 
-@pytest.mark.parametrize("type_label, rank, tops", [
-    ("A", 2, range(4)), ("B", 2, range(4)), ("C", 2, range(4)), ("G", 2, range(4)),
-    ("A", 3, [2]),
-], ids=["A2", "B2", "C2", "G2", "A3"])
-def test_level_hull_is_the_hull_of_all_points(type_label, rank, tops):
-    # every reduced word; weights above the top are ignored
+@pytest.mark.parametrize("type_label, rank, tops, words", [
+    ("A", 2, range(4), None), ("B", 2, range(4), None), ("C", 2, range(4), None),
+    ("G", 2, range(4), None), ("A", 3, [2], None),
+    # the default word, and the word whose fundamental points miss the most
+    # level-1 points: 51 of B3's, 76 of C3's
+    ("B", 3, [1], [(3, 2, 3, 1, 2, 3, 1, 2, 1), (1, 3, 2, 3, 1, 2, 1, 3, 2)]),
+    ("C", 3, [1], [(3, 2, 3, 1, 2, 3, 1, 2, 1), (1, 2, 3, 1, 2, 3, 1, 2, 3)]),
+], ids=["A2", "B2", "C2", "G2", "A3", "B3", "C3"])
+def test_level_hull_is_the_hull_of_all_points(type_label, rank, tops, words):
+    # every reduced word unless words are named; weights above the top are
+    # ignored
     datum = build_cartan(type_label, rank)
+    _check_level_hulls(datum, words or all_reduced_words(datum, longest_word(datum)), tops)
+
+
+@pytest.mark.slow
+def test_level_hull_is_the_hull_of_all_points_on_every_rank3_word():
+    for type_label in ("B", "C"):
+        datum = build_cartan(type_label, 3)
+        words = all_reduced_words(datum, longest_word(datum))
+        assert len(words) == 42
+        _check_level_hulls(datum, words, [1])
+    datum = build_cartan("A", 4)
+    _check_level_hulls(datum, [longest_word(datum)], [1])
+
+
+def _check_level_hulls(datum, words, tops):
     crystals = CrystalCache(datum)
-    for word in all_reduced_words(datum, longest_word(datum)):
+    for word in words:
         images = weighted_points(datum, word, max(tops) + 1, crystals=crystals)
         for top in tops:
             points = [lam + psi for lam, image in images.items() if max(lam) <= top
@@ -946,41 +992,35 @@ def test_level_hull_is_the_hull_of_all_points(type_label, rank, tops):
 @pytest.mark.parametrize("type_label, base, missed", [("B", 26, 6), ("G", 86, 88)])
 def test_level_hull_joins_the_rays_and_the_missed_shell_points(
         type_label, base, missed, monkeypatch):
-    # the level-1 hull misses 6 level-2 points of B2 and 88 of G2, and the
-    # one join takes its rays and those points alone
-    calls = []
-    original = stringcone.degeneration.conic_hull
-
-    def recording(points):
-        calls.append((tuple(points), original(points)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(stringcone.degeneration, "conic_hull", recording)
+    # the hull of the 26 level-1 points of B2 (86 of G2) misses 6 level-2
+    # points (88), and the level-2 insert takes those points alone, in
+    # enumeration order; the earlier inserts take level-1 points only
+    events = []
+    _record_level_hull(monkeypatch, events)
     datum = build_cartan(type_label, 2)
     images = weighted_points(datum, longest_word(datum), 2)
-    level_hull(images, 2)
-    assert [len(points) for points, _ in calls] == [base, len(calls[0][1].rays) + missed]
-    rays = calls[0][1].rays
-    joined = calls[1][0]
-    assert joined[:len(rays)] == rays
-    shell = {lam + psi for lam, image in images.items() if max(lam) == 2 for psi in image}
-    assert set(joined[len(rays):]) <= shell
+    cone = level_hull(images, 2)
+    level_one = [lam + psi for lam, image in images.items() if max(lam) <= 1 for psi in image]
+    shell = [lam + psi for lam, image in images.items() if max(lam) == 2 for psi in image]
+    assert len(level_one) == base
+    outside = [x for x in shell if not contains(conic_hull(level_one), x)]
+    assert len(outside) == missed
+    *earlier, (_, last), end = events
+    assert last == outside
+    assert {x for _, batch in earlier for x in batch} <= set(level_one)
+    assert end == ("hull",)
+    assert cone == conic_hull(level_one + shell)
 
 
 def test_cone_command_hulls_the_level_one_strings_once(monkeypatch, capsys):
-    # A3's level-1 hull holds every level-2 string: one hull of 134 points,
-    # not of all 2 996
-    calls = []
-    original = stringcone.degeneration.conic_hull
-
-    def recording(points):
-        calls.append(len(points))
-        return original(points)
-
-    monkeypatch.setattr(stringcone.degeneration, "conic_hull", recording)
+    # A3's 15 seed points, of 0 and the fundamental weights, generate every
+    # level-2 string: one insert of those, not of all 2 996, and one hull
+    events = []
+    _record_level_hull(monkeypatch, events)
     assert main(["cone", "--type", "A", "--rank", "3", "--level-bound", "2"]) == 0
     capsys.readouterr()
-    assert calls == [134]
+    assert [event[0] for event in events] == ["insert", "hull"]
+    assert _batch_sizes(events) == [15]
 
 
 def test_degenerate_reports_a_form_that_fails_a_pair(monkeypatch, capsys):

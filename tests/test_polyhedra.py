@@ -13,6 +13,7 @@ from stringcone.degeneration import string_cone_rows
 from stringcone.errors import PolyhedralError
 from stringcone.linalg import det_int, kernel_basis_int, primitive, rank_int, vec_dot
 from stringcone.polyhedra import (
+    _DoubleDescription,
     _dd_pair,
     _parallelepiped_points,
     _triangulate,
@@ -354,10 +355,37 @@ def test_hull_matches_brute_force(gens):
 @settings(max_examples=80, deadline=None)
 @given(hull_cases(), st.data())
 def test_hull_of_rays_and_further_points_is_the_hull_of_all(gens, data):
-    # the certificate joins its build-level hull with the points it misses
-    # through the hull's rays, lineality included as opposite pairs
+    # a hull's rays, lineality included as opposite pairs, stand for its
+    # points in a later hull
     k = data.draw(st.integers(min_value=1, max_value=len(gens)))
     assert conic_hull(conic_hull(gens[:k]).rays + tuple(gens[k:])) == conic_hull(gens)
+
+
+@settings(max_examples=120, deadline=None)
+@given(hull_cases())
+@example([(1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (1, 1, -1, 0, 1), (0, 0, 0, 1, 1)])
+@example([(1, 2, 0, -1, 0), (-1, -2, 0, 1, 0), (0, 1, 1, 0, 2), (2, 0, -1, 1, 1)])
+def test_double_description_resumes_at_any_split(constraints):
+    # inserting a prefix and then the rest gives one-shot _dd_pair's
+    # canonical result, for lower-dimensional and non-pointed sets too
+    dim = len(constraints[0])
+    whole = _dd_pair(constraints, dim)
+    for k in range(len(constraints) + 1):
+        dd = _DoubleDescription(dim)
+        dd.insert(constraints[:k])
+        dd.insert(constraints[k:])
+        assert dd.result() == whole, k
+
+
+def test_double_description_widens_its_lanes_for_a_later_batch():
+    # the first batch has entries of 1, the second one of 1000: lanes sized
+    # for the first batch would read (-1000, 1) . (1, 0) as nonnegative and
+    # skip the constraint
+    dd = _DoubleDescription(2)
+    dd.insert([(1, 0), (0, 1)])
+    assert dd.result() == ((), ((0, 1), (1, 0)))
+    dd.insert([(-1000, 1)])
+    assert dd.result() == _dd_pair([(1, 0), (0, 1), (-1000, 1)], 2) == ((), ((0, 1), (1, 1000)))
 
 
 def test_hull_at_large_coordinates():
