@@ -412,14 +412,15 @@ def level_hull(images, top: int) -> RationalCone:
     for L = 1, ..., top, is packed on the current facets (``point_lanes``,
     a lane per point in enumeration order), and only its points outside
     are inserted: an insert only grows the cone, so the points of the
-    earlier shells stay in it.  The facets are read off the dual state,
-    and the rays are recovered once, at the end.  The seed is small and
-    nearly enough: the fundamental points generate the level-1 cone of
-    A2-A4, B2 and C2-C3 on their default words, and on any reduced word
-    they miss at most 76 level-1 points of C3, 51 of B3 and 3 of G2.  So
-    the double description runs over a few dozen points, not over all
-    807 level-1 points of C3, and the C3 hull at top 1 takes 1.9 ms
-    instead of 4.2 ms (in-process medians, 2-core Xeon, CPython 3.11).
+    earlier shells stay in it.  The facets and, the hull being pointed,
+    the rays are read off the final dual state (``_DoubleDescription.hull``).
+    The seed is small and nearly enough: the fundamental points generate
+    the level-1 cone of A2-A4, B2 and C2-C3 on their default words, and
+    on any reduced word they miss at most 76 level-1 points of C3, 51 of
+    B3 and 3 of G2.  So the double description runs over a few dozen
+    points, not over all 807 level-1 points of C3, and the C3 hull at
+    top 1 takes 1.9 ms instead of 4.2 ms (in-process medians, 2-core
+    Xeon, CPython 3.11).
     """
     seed = [lam + psi for lam, image in images.items() if sum(lam) <= min(top, 1)
             for psi in image]

@@ -25,14 +25,15 @@ root operators follow Kashiwara's tensor-product rule on the integer
 eps/phi/edge tables of the two factors (Littelmann, *Paths and root
 operators*, 1995: B(lambda) is the component of the concatenation).
 
-Both constructions produce only the lowering edges, through one
-breadth-first search (``_search``) that numbers nodes from the highest one
-in operator order and works a whole level at a time; they differ only in
-how a level's targets are found.  ``_graph`` then derives every other
-table from the edges, in integers.  The two constructions find
-isomorphic graphs, and B(lambda) has no nontrivial automorphism, so the
-shared search numbers them alike and the shared derivation gives
-identical tables.
+Both constructions produce only the lowering edges and number the nodes
+breadth-first from the highest one, node by node in operator order.  The
+path model's search (``_search``) works a whole level at a time; the
+tensor product is one first-in-first-out pass over the pair codes that
+applies Kashiwara's rule inline, so its cost is per node, not per level.
+``_graph`` then derives every other table from the edges, in integers.
+The two constructions find isomorphic graphs, and B(lambda) has no
+nontrivial automorphism, so the shared numbering names their nodes alike
+and the shared derivation gives identical tables.
 
 Every table of a ``CrystalGraph`` is stored column-major, one list per
 simple root, because every consumer reads it one root at a time.
@@ -87,7 +88,7 @@ def _cap_error(lam, node_cap: int) -> EnumerationCapError:
 
 
 def _search(datum: CartanDatum, lam: Weight, start, step, node_cap: int) -> list[list[int]]:
-    """Lowering columns of the crystal below ``start``, breadth-first.
+    """Lowering columns of the path crystal below ``start``, breadth-first.
 
     A whole level at a time: ``step(frontier)`` returns, for each operator
     f_1, ..., f_rank, the targets of the frontier's nodes, None where there
@@ -275,22 +276,37 @@ def _tensor_crystal(datum: CartanDatum, lam: Weight, left: CrystalGraph,
 
     Kashiwara's rule: f_i(a (x) b) is f_i a (x) b when phi_i(a) > eps_i(b),
     and a (x) f_i b otherwise.  The pair (a, b) is coded as
-    ``a * right.size + b``, and each operator maps a whole frontier of codes
-    in one pass over the factors' columns.  Only the lowering columns come
-    from the rule; ``_graph`` derives the other tables from those.
+    ``a * right.size + b``.  One first-in-first-out pass takes the codes in
+    numbering order and applies the rule inline for each operator in turn;
+    a target is numbered the first time it appears, and the cap is checked
+    as it is.  That is the order of a level-by-level breadth-first search.
+    Only the lowering columns come from the rule; ``_graph`` derives the
+    other tables from those.
     """
     width = right.size
-    ops = list(zip(left.f_edge, left.phi, right.f_edge, right.eps))
-
-    def step(codes):
-        heads = [code // width for code in codes]
-        tails = [code % width for code in codes]
-        return [[fa[a] * width + b if pa[a] > eb[b]
-                 else None if fb[b] == -1 else a * width + fb[b]
-                 for a, b in zip(heads, tails)]
-                for fa, pa, fb, eb in ops]
-
-    return _graph(datum, lam, _search(datum, lam, 0, step, node_cap))
+    f_edge = [[] for _ in range(datum.rank)]
+    ops = list(zip(f_edge, left.f_edge, left.phi, right.f_edge, right.eps))
+    index = {0: 0}
+    get = index.get
+    codes = [0]
+    for code in codes:  # the list grows as targets are numbered
+        a, b = divmod(code, width)
+        for f_col, fa, pa, fb, eb in ops:
+            if pa[a] > eb[b]:
+                target = fa[a] * width + b
+            elif fb[b] == -1:
+                f_col.append(-1)
+                continue
+            else:
+                target = code - b + fb[b]
+            node = get(target)
+            if node is None:
+                node = index[target] = len(codes)
+                if node == node_cap:
+                    raise _cap_error(lam, node_cap)
+                codes.append(target)
+            f_col.append(node)
+    return _graph(datum, lam, f_edge)
 
 
 def enumerate_crystal(datum: CartanDatum, lam, *,
@@ -300,28 +316,30 @@ def enumerate_crystal(datum: CartanDatum, lam, *,
     Zero and fundamental weights come from the path model.  Any other lam
     is the component of the highest pair in ``crystals[lam - omega_j]`` (x)
     ``crystals[omega_j]`` (a fresh cache when None), so a level sweep
-    builds each crystal once.  The smaller crystals are built smallest
-    first, which keeps the recursion one level deep.  The node cap is the
-    cache's alone: B(lam) has ``weyl_dim(lam)`` nodes and each smaller
-    crystal no more, so lam is checked against it before any of them is
-    built.
+    builds each crystal once.  The node cap is the cache's alone.  When
+    both factors are cached, the tensor pass runs at once and raises the
+    cap error itself.  Otherwise B(lam) has ``weyl_dim(lam)`` nodes and
+    each smaller crystal no more, so lam is checked against the cap before
+    any of them is built; the missing ones are built smallest first, which
+    keeps the recursion one level deep.
     """
     lam = _dominant(datum, lam)
     crystals = CrystalCache.for_datum(datum, crystals)
     cap = crystals.node_cap
-    if weyl_dim(datum, lam) > cap:
-        raise _cap_error(lam, cap)
     if sum(lam) <= 1:
+        if weyl_dim(datum, lam) > cap:
+            raise _cap_error(lam, cap)
         return _path_crystal(datum, lam, cap)
-    chain = []
-    mu = lam
-    while sum(mu) > 1:
-        mu, omega = _split(mu)
-        chain.append((mu, omega))
-    for mu, omega in reversed(chain):
-        crystals[omega]
-        crystals[mu]
-    left, omega = chain[0]
+    left, omega = _split(lam)
+    if left not in crystals or omega not in crystals:
+        if weyl_dim(datum, lam) > cap:
+            raise _cap_error(lam, cap)
+        chain = [(left, omega)]
+        while sum(chain[-1][0]) > 1:
+            chain.append(_split(chain[-1][0]))
+        for mu, nu in reversed(chain):
+            crystals[nu]
+            crystals[mu]
     return _tensor_crystal(datum, lam, crystals[left], crystals[omega], cap)
 
 

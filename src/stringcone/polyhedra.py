@@ -7,8 +7,11 @@ computes every hull; it decides adjacency from the zero sets of the
 rays, with no elimination.  Its state resumes, so a cone can take its
 constraints in batches: ``degeneration.level_hull`` grows the dual of a
 hull one shell of points at a time, and ``conic_hull`` and ``_dd_pair``
-insert everything at once.  The triangulation reads its faces off the
-same kind of zero sets, the rays each facet vanishes on.  Lineality is
+insert everything at once.  A pointed hull's rays are read off the same
+zero sets: an inserted point spans a ray when no other inserted point is
+tight on every dual ray it is tight on.  Only a hull with lineality
+takes a second pass.  The triangulation reads its faces off the same
+kind of zero sets, the rays each facet vanishes on.  Lineality is
 encoded as opposite ray pairs and equations as opposite facet pairs,
 which makes dualization a plain swap.
 The redundancy test of the double description and the reduction test of
@@ -83,10 +86,12 @@ class _DoubleDescription:
     obeys |c . r| <= |r|_1 * |c|_inf, which bounds the lane width.  The
     state resumes: ``insert`` takes a batch at any time, the bits go on
     from the last batch, and the reach grows to the batch's largest
-    entry, so a later batch of larger entries gets wider lanes.
+    entry, so a later batch of larger entries gets wider lanes.  The
+    constraint of each bit is kept, so ``hull`` can read the extreme rays
+    of the cone they generate off the zero sets.
     """
 
-    __slots__ = ("dim", "lineality", "rays", "bit", "reach")
+    __slots__ = ("dim", "lineality", "rays", "bit", "reach", "inserted")
 
     def __init__(self, dim):
         self.dim = dim
@@ -94,12 +99,14 @@ class _DoubleDescription:
         self.rays: dict = {}  # ray -> bitmask of the inserted constraints tight on it
         self.bit = 1
         self.reach = 0
+        self.inserted = []  # the constraint of each bit, lowest bit first
 
     def insert(self, constraints):
         """Intersect the cone with the halfspaces c . x >= 0 of a batch, in canonical order."""
         constraints = _canonical_constraints(constraints)
         self.reach = reach = max([self.reach] + [max(map(abs, c)) for c in constraints])
         dim, lineality, rays, bit = self.dim, self.lineality, self.rays, self.bit
+        inserted = self.inserted
         columns = None  # packing of the current rays, None once they change
         for c in constraints:
             lvals = [vec_dot(c, l) for l in lineality]
@@ -125,6 +132,7 @@ class _DoubleDescription:
                 projected[l0] = bit - 1
                 rays = projected
                 columns = None
+                inserted.append(c)
                 bit <<= 1
                 continue
             if columns is None:
@@ -149,6 +157,7 @@ class _DoubleDescription:
                     nxt[ray] = common | bit
             rays = nxt
             columns = None
+            inserted.append(c)
             bit <<= 1
         self.lineality, self.rays, self.bit = lineality, rays, bit
 
@@ -163,16 +172,33 @@ class _DoubleDescription:
     def hull(self) -> RationalCone:
         """Conic hull of the inserted constraints; its facets are this cone's generators.
 
-        A second, one-shot pass over the facets recovers the extreme rays.
+        A skipped constraint is a conic combination of earlier inserted
+        ones, so the hull's rays are among the inserted constraints.  One
+        tight on every ray of this cone, the hull's dual, lies in the hull's
+        lineality; without one the hull is pointed, and an inserted
+        constraint spans an extreme ray exactly when it is the only one
+        tight on every ray that is tight on it: the rays tight on it then
+        cut out a face holding no other generator.  A hull with lineality
+        takes a second, one-shot pass over its facets.
         """
         facets = self.generators()
-        lin, rays = _dd_pair(facets, self.dim)
-        return RationalCone(
-            ambient_dim=self.dim,
-            rays=_generators(lin, rays),
-            facets=facets,
-            pointed=not lin,
-        )
+        full = self.bit - 1
+        common = full
+        for mask in self.rays.values():
+            common &= mask
+        if common:
+            lin, rays = _dd_pair(facets, self.dim)
+            return RationalCone(self.dim, _generators(lin, rays), facets, pointed=not lin)
+        face = {}  # bit -> the inserted bits tight on every ray tight on it
+        for mask in self.rays.values():
+            rest = mask
+            while rest:
+                low = rest & -rest
+                face[low] = face.get(low, full) & mask
+                rest ^= low
+        rays = tuple(sorted(c for k, c in enumerate(self.inserted)
+                            if face.get(1 << k, full) == 1 << k))
+        return RationalCone(self.dim, rays, facets, pointed=True)
 
 
 def _dd_pair(constraints, dim):
@@ -194,7 +220,9 @@ def conic_hull(points) -> RationalCone:
     """Cone generated by integer points, with minimal representations.
 
     The dual cone is computed first (the points act as constraints); its
-    generators are the facets, and a second pass recovers the extreme rays.
+    generators are the facets.  The extreme rays are read off its zero
+    sets when the hull is pointed, and recovered by a second pass over the
+    facets when it has lineality.
     """
     pts = [tuple(map(int, p)) for p in points]
     if not pts:

@@ -452,7 +452,7 @@ def _record_level_hull(monkeypatch, events, drop=None):
 
     Each batch of points is listed as inserted; batch number ``drop``
     (counted from 0) is listed but not inserted.  The one-shot passes of
-    ``conic_hull`` and of the rays run on the unpatched state.
+    ``conic_hull`` and of a hull with lineality run on the unpatched state.
     """
     class Recording(_DoubleDescription):
         __slots__ = ()

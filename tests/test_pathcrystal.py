@@ -401,7 +401,7 @@ def _tensor_cases():
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_tensor_cases()))
-def test_level_tensor_matches_node_by_node_tensor(case):
+def test_tensor_pass_matches_node_by_node_tensor(case):
     (label, rank), lam = case
     datum = build_cartan(label, rank)
     crystals = CrystalCache(datum)
@@ -431,25 +431,65 @@ def test_graph_rejects_a_cut_string_at_the_highest_node(label, rank, lam):
             _graph(datum, lam, f_edge)
 
 
-def test_both_constructions_share_one_search(monkeypatch):
-    # every crystal of a sweep is searched once: fundamental ones from the
-    # straight path, the others from the highest pair, coded 0
-    starts = []
-    search = pathcrystal._search
+def _record_calls(monkeypatch, names, calls):
+    """Patch each named ``pathcrystal`` function to append ``(name, lam)`` to ``calls``.
 
-    def recording(datum, lam, start, step, node_cap):
-        starts.append((lam, start))
-        return search(datum, lam, start, step, node_cap)
+    lam is the only argument of ``_split`` and the second of the others.
+    """
+    for name in names:
+        original = getattr(pathcrystal, name)
 
-    monkeypatch.setattr(pathcrystal, "_search", recording)
+        def recording(*args, original=original, name=name):
+            calls.append((name, args[1] if len(args) > 1 else args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(pathcrystal, name, recording)
+
+
+def test_each_crystal_is_built_once_by_one_construction(monkeypatch):
+    # zero and the fundamental crystals come from the path model's search,
+    # every other crystal of the sweep from the tensor pass alone
+    calls = []
+    _record_calls(monkeypatch, ["_path_crystal", "_search", "_tensor_crystal"], calls)
     datum = build_cartan("B", 2)
     crystals = CrystalCache(datum)
     for lam in _weights_up_to(2, 2):
         crystals[lam]
-    assert sorted(lam for lam, _ in starts) == _weights_up_to(2, 2)
-    for lam, start in starts:
-        straight = ((lam, _time_scale(_mirrors(datum, lam))),)
-        assert start == (straight if sum(lam) <= 1 else 0), lam
+    expected = []
+    for lam in _weights_up_to(2, 2):
+        expected += ([("_path_crystal", lam), ("_search", lam)] if sum(lam) <= 1
+                     else [("_tensor_crystal", lam)])
+    assert calls == expected
+
+
+def test_cached_factors_go_straight_to_the_tensor_pass(monkeypatch):
+    # a lexicographic sweep has both factors of each crystal cached, so a
+    # crystal above a fundamental one takes one split and no Weyl dimension
+    calls = []
+    _record_calls(monkeypatch, ["weyl_dim", "_split"], calls)
+    datum = build_cartan("B", 2)
+    crystals = CrystalCache(datum)
+    for lam in _weights_up_to(2, 2):
+        crystals[lam]
+    assert calls == [("weyl_dim" if sum(lam) <= 1 else "_split", lam)
+                     for lam in _weights_up_to(2, 2)]
+
+
+def test_cached_factors_still_meet_the_cap(monkeypatch):
+    # the tensor pass raises the cap error itself, naming lambda
+    datum = build_cartan("B", 2)
+    size = weyl_dim(datum, (2, 2))
+    crystals = CrystalCache(datum, size - 1)
+    for lam in _weights_up_to(2, 2)[:-1]:
+        crystals[lam]
+    calls = []
+    _record_calls(monkeypatch, ["weyl_dim", "_tensor_crystal"], calls)
+    with pytest.raises(EnumerationCapError,
+                       match=re.escape(f"crystal for lambda=(2, 2) exceeded node cap {size - 1}")
+                       + "$"):
+        crystals[(2, 2)]
+    assert calls == [("_tensor_crystal", (2, 2))]
+    assert (2, 2) not in crystals
 
 
 def test_tensor_cap_counts_the_component():

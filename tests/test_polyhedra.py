@@ -13,8 +13,10 @@ from stringcone.degeneration import string_cone_rows
 from stringcone.errors import PolyhedralError
 from stringcone.linalg import det_int, kernel_basis_int, primitive, rank_int, vec_dot
 from stringcone.polyhedra import (
+    RationalCone,
     _DoubleDescription,
     _dd_pair,
+    _generators,
     _parallelepiped_points,
     _triangulate,
     conic_hull,
@@ -375,6 +377,25 @@ def test_double_description_resumes_at_any_split(constraints):
         dd.insert(constraints[:k])
         dd.insert(constraints[k:])
         assert dd.result() == whole, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(hull_cases(), st.integers(min_value=0, max_value=9))
+@example([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3)
+@example([(0, 1, 1, 0), (0, -1, 1, 0), (1, 0, 1, 0), (-1, 0, 1, 0), (1, 1, 1, 0)], 2)
+@example([(1, 0), (-1, 0), (0, 1)], 1)
+@example([(1, 0, 1), (0, 1, 1), (-1, -1, 1)], 0)
+def test_hull_reads_its_rays_off_the_incidence(points, split):
+    # the rays read off the zero sets of the dual state are those of a
+    # primal pass over the facets, for pointed, lower-dimensional and
+    # non-pointed sets inserted in two batches split at a drawn point
+    dim = len(points[0])
+    dual = _DoubleDescription(dim)
+    dual.insert(points[:split])
+    dual.insert(points[split:])
+    facets = dual.generators()
+    lineality, rays = _dd_pair(facets, dim)
+    assert dual.hull() == RationalCone(dim, _generators(lineality, rays), facets, not lineality)
 
 
 def test_double_description_widens_its_lanes_for_a_later_batch():
