@@ -39,6 +39,7 @@ from .pathcrystal import CrystalCache, demazure_crystal
 from .polyhedra import (
     RationalCone,
     _DoubleDescription,
+    _reach,
     count_section_points,
     hilbert_basis,
     is_face,
@@ -433,14 +434,6 @@ def level_hull(images, top: int) -> RationalCone:
         if any(outside):
             dual.insert(shell.strings(compress(range(len(shell)), outside)))
     return dual.hull()
-
-
-def _reach(cone) -> int:
-    """A bound on |g|_inf for a Hilbert basis element g: the sum of |r|_inf over the rays r.
-
-    A basis element is a ray or lies in a half-open parallelepiped of rays.
-    """
-    return sum(max(map(abs, r)) for r in cone.rays)
 
 
 def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,

@@ -26,14 +26,14 @@ eps/phi/edge tables of the two factors (Littelmann, *Paths and root
 operators*, 1995: B(lambda) is the component of the concatenation).
 
 Both constructions produce only the lowering edges and number the nodes
-breadth-first from the highest one, node by node in operator order.  The
-path model's search (``_search``) works a whole level at a time; the
-tensor product is one first-in-first-out pass over the pair codes that
-applies Kashiwara's rule inline, so its cost is per node, not per level.
-``_graph`` then derives every other table from the edges, in integers.
-The two constructions find isomorphic graphs, and B(lambda) has no
-nontrivial automorphism, so the shared numbering names their nodes alike
-and the shared derivation gives identical tables.
+breadth-first from the highest one, node by node in operator order: each
+is one first-in-first-out pass, over the paths or over the pair codes,
+that numbers a target the first time it appears, so its cost is per
+node, not per level.  ``_graph`` then derives eps, phi and the weights
+from the edges, in integers.  The two constructions find isomorphic
+graphs, and B(lambda) has no nontrivial automorphism, so the shared
+numbering names their nodes alike and the shared derivation gives
+identical tables.
 
 Every table of a ``CrystalGraph`` is stored column-major, one list per
 simple root, because every consumer reads it one root at a time.
@@ -42,7 +42,6 @@ simple root, because every consumer reads it one root at a time.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, islice
 from math import lcm
 from operator import sub
 
@@ -62,16 +61,17 @@ def _dominant(datum: CartanDatum, lam) -> Weight:
     return lam
 
 
-class CrystalGraph(namedtuple("CrystalGraph", "datum lam f_edge e_edge eps phi weights")):
+class CrystalGraph(namedtuple("CrystalGraph", "datum lam f_edge eps phi weights")):
     """Crystal of a dominant weight, nodes numbered in search order.
 
     Each table is a tuple of one list per simple root: ``f_edge[i-1][node]``
-    and ``e_edge[i-1][node]`` give the target node of the lowering/raising
-    operator or -1, ``eps[i-1][node]``/``phi[i-1][node]`` cache the string
-    statistics and ``weights[i-1][node]`` is the i-th coordinate of the
-    node weight.  Node 0 is the highest node.  ``f_edge`` is what the
-    search found; ``_graph`` derives every other table from it.  The lists
-    make a graph unhashable.
+    gives the target node of the lowering operator f_i or -1,
+    ``eps[i-1][node]``/``phi[i-1][node]`` cache the string statistics and
+    ``weights[i-1][node]`` is the i-th coordinate of the node weight.
+    Node 0 is the highest node.  ``f_edge`` is what the search found;
+    ``_graph`` derives every other table from it.  There is no raising
+    table: e_i b is the node whose f_i edge ends at b, so a caller who
+    needs e_i inverts ``f_edge``.  The lists make a graph unhashable.
     """
 
     __slots__ = ()
@@ -87,59 +87,27 @@ def _cap_error(lam, node_cap: int) -> EnumerationCapError:
     return EnumerationCapError(f"crystal for lambda={lam} exceeded node cap {node_cap}")
 
 
-def _search(datum: CartanDatum, lam: Weight, start, step, node_cap: int) -> list[list[int]]:
-    """Lowering columns of the path crystal below ``start``, breadth-first.
-
-    A whole level at a time: ``step(frontier)`` returns, for each operator
-    f_1, ..., f_rank, the targets of the frontier's nodes, None where there
-    is no edge.  The targets are numbered node-major, operator by operator,
-    which is the order of a node-by-node search, then dealt back to the
-    columns.  The next frontier is the nodes first numbered in this level.
-    """
-    rank = datum.rank
-    index = {start: 0}
-    setdefault = index.setdefault
-    frontier = [start]
-    f_edge = [[] for _ in range(rank)]
-    while frontier:
-        begin = len(index)
-        ids = [-1 if node is None else setdefault(node, len(index))
-               for node in chain.from_iterable(zip(*step(frontier)))]
-        if len(index) > node_cap:
-            raise _cap_error(lam, node_cap)
-        for i, f_col in enumerate(f_edge):
-            f_col += ids[i::rank]
-        frontier = list(islice(index, begin, None))
-    return f_edge
-
-
 def _graph(datum: CartanDatum, lam: Weight, f_edge) -> CrystalGraph:
     """The crystal whose lowering columns are ``f_edge``; every other table follows.
 
-    ``e_edge`` inverts ``f_edge``.  Every edge lowers the weight by one
-    simple root, so it joins consecutive breadth-first levels: e_i b is
-    numbered before b and f_i b after it.  Hence eps_i(b) is
-    eps_i(e_i b) + 1, read in node order, and phi_i(b) is phi_i(f_i b) + 1,
-    read in reverse node order, both 0 without the edge; the i-th weight
-    coordinate is phi_i - eps_i.  ``lam`` is read only to check node 0's
-    weight.
+    Every edge lowers the weight by one simple root, so it joins
+    consecutive breadth-first levels: e_i b is numbered before b and f_i b
+    after it.  Hence eps_i(f_i b) is eps_i(b) + 1, written in node order
+    (eps_i(b) is final by then), and phi_i(b) is phi_i(f_i b) + 1, read in
+    reverse node order, both 0 without the edge; the i-th weight coordinate
+    is phi_i - eps_i.  ``lam`` is read only to check node 0's weight.
     """
     size = len(f_edge[0])
-    nodes = list(range(size))  # one int object per node, shared by the columns
-    e_edge, eps, phi = [], [], []
+    nodes = list(range(size))  # one int object per node, shared by the loops
+    eps, phi = [], []
     for f_col in f_edge:
         # one spare slot at the end absorbs the writes of the -1 targets
-        e_col = [-1] * (size + 1)
-        for src, dst in zip(nodes, f_col):
-            e_col[dst] = src
-        e_col.pop()
-        e_edge.append(e_col)
-        # here a -1 in the spare slot makes the reads of the -1 targets give 0
-        eps_col = [0] * size + [-1]
-        for node, up in zip(nodes, e_col):
-            eps_col[node] = eps_col[up] + 1
+        eps_col = [0] * (size + 1)
+        for node, down in zip(nodes, f_col):
+            eps_col[down] = eps_col[node] + 1
         eps_col.pop()
         eps.append(eps_col)
+        # here a -1 in the spare slot makes the reads of the -1 targets give 0
         phi_col = [0] * size + [-1]
         for node in reversed(nodes):
             phi_col[node] = phi_col[f_col[node]] + 1
@@ -153,7 +121,6 @@ def _graph(datum: CartanDatum, lam: Weight, f_edge) -> CrystalGraph:
         datum=datum,
         lam=lam,
         f_edge=tuple(f_edge),
-        e_edge=tuple(e_edge),
         eps=tuple(eps),
         phi=tuple(phi),
         weights=tuple(weights),
@@ -249,18 +216,35 @@ def _path_crystal(datum: CartanDatum, lam: Weight, node_cap: int) -> CrystalGrap
     An LS path of shape lam has every time in (1/D) Z, so this is exact
     and no ``Fraction`` is made; ``_lower`` raises ``InvariantViolation``
     on a height minimum or a cut off the grid rather than round it.  D
-    follows from the datum and lam alone.  The paths are the search's
-    nodes and are needed only for the lowering columns; ``_graph`` derives
-    the other tables from those in integers.
+    follows from the datum and lam alone.  One first-in-first-out pass
+    numbers each path the first time f_1, ..., f_rank reach it, checking
+    the cap as it does, in the tensor pass's order; the paths serve only
+    the lowering columns, from which ``_graph`` derives the other tables.
     """
+    if node_cap < 1:  # the highest node alone is over the cap
+        raise _cap_error(lam, node_cap)
     mirrors = _mirrors(datum, lam)
     scale = _time_scale(mirrors)
-    ops = list(enumerate(mirrors))
-
-    def step(paths):
-        return [[_lower(path, i, scale, mirror) for path in paths] for i, mirror in ops]
-
-    return _graph(datum, lam, _search(datum, lam, ((lam, scale),), step, node_cap))
+    f_edge = [[] for _ in mirrors]
+    ops = list(zip(range(datum.rank), mirrors, f_edge))
+    start = ((lam, scale),)
+    index = {start: 0}
+    get = index.get
+    paths = [start]
+    for path in paths:  # the list grows as targets are numbered
+        for i, mirror, f_col in ops:
+            target = _lower(path, i, scale, mirror)
+            if target is None:
+                f_col.append(-1)
+                continue
+            node = get(target)
+            if node is None:
+                node = index[target] = len(paths)
+                if node == node_cap:
+                    raise _cap_error(lam, node_cap)
+                paths.append(target)
+            f_col.append(node)
+    return _graph(datum, lam, f_edge)
 
 
 def _split(lam: Weight) -> tuple[Weight, Weight]:
@@ -316,19 +300,18 @@ def enumerate_crystal(datum: CartanDatum, lam, *,
     Zero and fundamental weights come from the path model.  Any other lam
     is the component of the highest pair in ``crystals[lam - omega_j]`` (x)
     ``crystals[omega_j]`` (a fresh cache when None), so a level sweep
-    builds each crystal once.  The node cap is the cache's alone.  When
-    both factors are cached, the tensor pass runs at once and raises the
-    cap error itself.  Otherwise B(lam) has ``weyl_dim(lam)`` nodes and
-    each smaller crystal no more, so lam is checked against the cap before
-    any of them is built; the missing ones are built smallest first, which
-    keeps the recursion one level deep.
+    builds each crystal once.  The node cap is the cache's alone.  A path
+    crystal, and a tensor crystal whose factors are both cached, is built
+    at once, and its pass raises the cap error itself.  Otherwise B(lam)
+    has ``weyl_dim(lam)`` nodes and each smaller crystal no more, so lam
+    is checked against the cap before any of them is built; the missing
+    ones are built smallest first, which keeps the recursion one level
+    deep.
     """
     lam = _dominant(datum, lam)
     crystals = CrystalCache.for_datum(datum, crystals)
     cap = crystals.node_cap
     if sum(lam) <= 1:
-        if weyl_dim(datum, lam) > cap:
-            raise _cap_error(lam, cap)
         return _path_crystal(datum, lam, cap)
     left, omega = _split(lam)
     if left not in crystals or omega not in crystals:

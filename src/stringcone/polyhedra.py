@@ -551,6 +551,14 @@ def _parallelepiped_points(matrix):
     return tuple(points)
 
 
+def _reach(cone: RationalCone) -> int:
+    """A bound on |h|_inf for a Hilbert basis element h: the sum of |r|_inf over the rays r.
+
+    A basis element is a ray or lies in a half-open parallelepiped of rays.
+    """
+    return sum(max(map(abs, r)) for r in cone.rays)
+
+
 def hilbert_basis(cone: RationalCone, grading):
     """Minimal generating set of the cone's lattice-point semigroup.
 
@@ -562,10 +570,10 @@ def hilbert_basis(cone: RationalCone, grading):
     when subtracting a lower-degree survivor leaves the cone.  Each
     candidate's facet slack (its values on the facet normals) is packed
     once into one int (``slack_lanes``), and h - g lies in the cone
-    exactly when the packed difference has no negative lane.  A candidate
-    is a ray or lies in a half-open parallelepiped of rays, so |h|_inf <=
-    sum over the rays r of |r|_inf, and every lane of a slack or of a
-    slack difference is at most max |u|_1 over the facets u times that.
+    exactly when the packed difference has no negative lane.  Every
+    candidate h has |h|_inf <= ``_reach(cone)``, the certificate's lane
+    reach too, so every lane of a slack or of a slack difference is at
+    most max |u|_1 over the facets u times that.
     """
     if not cone.pointed:
         raise PolyhedralError("Hilbert basis requires a pointed cone")
@@ -581,8 +589,7 @@ def hilbert_basis(cone: RationalCone, grading):
     for simplex in _triangulate(cone):
         candidates.update(_parallelepiped_points(list(zip(*simplex))))
     graded = sorted(candidates, key=lambda c: (vec_dot(grading, c), c))
-    reach = sum(max(map(abs, r)) for r in cone.rays)
-    columns, sign = slack_lanes(cone.facets, reach)
+    columns, sign = slack_lanes(cone.facets, _reach(cone))
     basis = []  # (degree, packed facet slack, point) of each survivor
     for h in graded:
         gh = vec_dot(grading, h)

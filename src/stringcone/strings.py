@@ -7,13 +7,14 @@ of the Demazure subset then vanish beyond position l(w).
 
 Whole images are peeled a letter at a time (``_peel_nodes``) on the
 crystal's per-root columns.  For each letter i a table
-``top_i[b] = e_i^{eps_i(b)} b`` is filled in node order from the columns
-``eps[i-1]`` and ``e_edge[i-1]``: e_i b is one step nearer the highest
-node, so breadth-first numbering puts it before b, and
-``top_i[b] = top_i[e_i b]`` whenever eps_i(b) > 0.  Each letter of the word
-is then one read of ``eps[i-1]`` at the current nodes, followed by one jump
-of every node to its ``top_i``.  The tests keep a node-by-node peel, edge
-by edge, as the reference.
+``top_i[b] = e_i^{eps_i(b)} b`` is filled in node order from the lowering
+column ``f_edge[i-1]`` alone: e_i b is one step nearer the highest node,
+so breadth-first numbering puts it before b, and
+``top_i[f_i b] = top_i[b]`` is written once ``top_i[b]`` is final; a node
+with no incoming i-edge is its own top.  Each letter of the word is then
+one read of ``eps[i-1]`` at the current nodes, followed by one jump of
+every node to its ``top_i``.  The tests keep a node-by-node peel, edge by
+edge, as the reference.
 
 ``weighted_points`` keys the images by lambda: the weighted cone's section
 at lambda is the image of B(lambda) (Littelmann 1998, Prop. 1.5).  It
@@ -43,15 +44,20 @@ def _peel_nodes(graph: CrystalGraph, nodes, word: WeylWord):
 
     Yields one list per letter of the word, entry j for ``nodes``' j-th
     node: one pass per letter over all the nodes, with the ``top_i``
-    tables built once per simple root.  The check that every peel ends at
-    the highest node runs when the last column has been taken.
+    tables built once per simple root from ``f_edge`` alone: top_i(f_i b)
+    = top_i(b), and any other node is its own top.  The check that every
+    peel ends at the highest node runs when the last column has been
+    taken.
     """
+    # one int object per node, shared by the tables; the spare slot at the
+    # end absorbs the writes of the -1 targets
+    ids = list(range(graph.size + 1))
     tops = []
-    for eps_col, e_col in zip(graph.eps, graph.e_edge):
-        top = []
-        append = top.append
-        for node, t, up in zip(range(graph.size), eps_col, e_col):
-            append(top[up] if t else node)
+    for f_col in graph.f_edge:
+        top = ids.copy()
+        for node, down in zip(ids, f_col):
+            top[down] = top[node]
+        top.pop()
         tops.append(top)
     current = list(nodes)
     for letter in word:

@@ -7,8 +7,12 @@ routine the package computes another way:
   ``highest_path``, ``lowering_operator``, ``epsilon_phi``,
   ``path_weight``), in ``Fraction`` times, against the integer-time
   kernel ``pathcrystal._lower`` and the crystals built from it;
-- ``string_param``, a node peeled edge by edge, against the whole-image
-  peel ``strings._peel_nodes``;
+  ``rational_crystal`` builds its crystal with a search of its own, a
+  whole level at a time (``_search``), so the runtime passes'
+  first-in-first-out numbering is checked against a different one;
+- ``string_params``, nodes peeled edge by edge on the raising columns
+  that ``raising_edges`` inverts from ``f_edge``, against the
+  whole-image peel ``strings._peel_nodes``;
 - ``inversion_count``, the positive roots a word sends negative, against
   the rho test of ``cartan.is_reduced_word``.
 """
@@ -17,10 +21,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain, islice
 
 from stringcone.cartan import _apply_word_to_root, check_longest_word, validate_word
 from stringcone.errors import InvariantViolation, WeightError
-from stringcone.pathcrystal import _dominant
+from stringcone.pathcrystal import _dominant, _graph
 
 
 class PiecewisePath(namedtuple("PiecewisePath", "segments")):
@@ -151,28 +156,74 @@ def lowering_operator(datum, path: PiecewisePath, i: int):
     return _rebuild(datum, path, i, t1, t2)
 
 
-def _peel(graph, node: int, word) -> tuple[int, ...]:
-    """Peel a node along an already checked longest word."""
-    entries = []
-    current = node
-    for letter in word:
-        t = graph.eps[letter - 1][current]
-        for _ in range(t):
-            current = graph.e_edge[letter - 1][current]
-        entries.append(t)
-    if current != graph.highest:
-        raise InvariantViolation(
-            f"peel along {word} did not end at the highest node"
-        )
-    return tuple(entries)
+def _search(rank: int, start, step) -> list[list[int]]:
+    """Lowering columns of the crystal below ``start``, breadth-first.
+
+    A whole level at a time: ``step(frontier)`` returns, for each operator
+    f_1, ..., f_rank, the targets of the frontier's nodes, None where there
+    is no edge.  The targets are numbered node-major, operator by operator,
+    which is the order of a node-by-node search, then dealt back to the
+    columns.  The next frontier is the nodes first numbered in this level.
+    """
+    index = {start: 0}
+    setdefault = index.setdefault
+    frontier = [start]
+    f_edge = [[] for _ in range(rank)]
+    while frontier:
+        begin = len(index)
+        ids = [-1 if node is None else setdefault(node, len(index))
+               for node in chain.from_iterable(zip(*step(frontier)))]
+        for i, f_col in enumerate(f_edge):
+            f_col += ids[i::rank]
+        frontier = list(islice(index, begin, None))
+    return f_edge
 
 
-def string_param(graph, node: int, word) -> tuple[int, ...]:
-    """Peel a node along the word, recording the maximal raising exponents."""
+def rational_crystal(datum, lam):
+    """The crystal below ``highest_path`` by ``lowering_operator``, the reference."""
+    ops = range(1, datum.rank + 1)
+
+    def step(paths):
+        return [[lowering_operator(datum, path, i) for path in paths] for i in ops]
+
+    return _graph(datum, lam, _search(datum.rank, highest_path(datum, lam), step))
+
+
+def raising_edges(graph) -> list[list[int]]:
+    """The raising columns: e_i b is the node whose f_i edge ends at b, else -1."""
+    e_edge = []
+    for f_col in graph.f_edge:
+        e_col = [-1] * graph.size
+        for src, dst in enumerate(f_col):
+            if dst != -1:
+                e_col[dst] = src
+        e_edge.append(e_col)
+    return e_edge
+
+
+def string_params(graph, nodes, word) -> list[tuple[int, ...]]:
+    """Peel each node along the word edge by edge, recording the maximal raising exponents.
+
+    The raising columns are inverted from ``f_edge`` once for all the nodes.
+    """
     word = check_longest_word(graph.datum, word)
-    if not 0 <= node < graph.size:
-        raise InvariantViolation(f"node {node} out of range")
-    return _peel(graph, node, word)
+    e_edge = raising_edges(graph)
+    params = []
+    for node in nodes:
+        if not 0 <= node < graph.size:
+            raise InvariantViolation(f"node {node} out of range")
+        entries = []
+        for letter in word:
+            t = graph.eps[letter - 1][node]
+            for _ in range(t):
+                node = e_edge[letter - 1][node]
+            entries.append(t)
+        if node != graph.highest:
+            raise InvariantViolation(
+                f"peel along {word} did not end at the highest node"
+            )
+        params.append(tuple(entries))
+    return params
 
 
 def inversion_count(datum, word) -> int:

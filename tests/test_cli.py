@@ -264,6 +264,16 @@ def test_crystal_cap_names_the_requested_weight(capsys):
     assert "lambda=(2, 2)" in err
 
 
+def test_path_model_cap_from_the_command_line(capsys):
+    # D4's B(omega_2) has 28 nodes: the path model's own pass meets the cap
+    argv = ["crystal", "--type", "D", "--rank", "4", "--lambda", "0,1,0,0", "--cap"]
+    assert main(argv + ["27"]) == 4
+    assert capsys.readouterr().err == (
+        "error[crystal]: crystal for lambda=(0, 1, 0, 0) exceeded node cap 27\n")
+    assert main(argv + ["28"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "nodes 28"
+
+
 @pytest.mark.parametrize("command", [
     ["cone"], ["degenerate"], ["polytope", "--lambda", "1,1"],
 ])

@@ -16,7 +16,6 @@ from stringcone.pathcrystal import (
     _graph,
     _mirrors,
     _path_crystal,
-    _search,
     _split,
     _tensor_crystal,
     _time_scale,
@@ -25,7 +24,17 @@ from stringcone.pathcrystal import (
     enumerate_crystal,
 )
 
-from oracles import epsilon_phi, highest_path, lowering_operator, make_path, path_weight
+from oracles import (
+    epsilon_phi,
+    highest_path,
+    lowering_operator,
+    make_path,
+    path_weight,
+    raising_edges,
+    rational_crystal,
+)
+
+TABLES = ("f_edge", "eps", "phi", "weights")
 
 
 def test_make_path_merges_and_validates():
@@ -81,7 +90,8 @@ def test_tables_hold_one_column_per_simple_root(lam):
     datum = build_cartan("B", 3)
     graph = enumerate_crystal(datum, lam)
     assert graph.size == weyl_dim(datum, lam)
-    for table in ("f_edge", "e_edge", "eps", "phi", "weights"):
+    assert type(graph)._fields == ("datum", "lam") + TABLES
+    for table in TABLES:
         columns = getattr(graph, table)
         assert len(columns) == datum.rank, table
         assert all(type(col) is list and len(col) == graph.size for col in columns), table
@@ -107,29 +117,29 @@ def test_crystal_size_matches_weyl_dim(label, rank, lam):
     assert graph.size == weyl_dim(datum, lam)
 
 
-def test_edge_tables_are_mutually_inverse():
+def test_lowering_columns_are_injective():
+    # each node has at most one incoming i-edge, and eps_i > 0 exactly when
+    # it has one
     datum = build_cartan("B", 2)
-    graph = enumerate_crystal(datum, (1, 1))
-    for node in range(graph.size):
-        for pos in range(datum.rank):
-            down = graph.f_edge[pos][node]
-            if down >= 0:
-                assert graph.e_edge[pos][down] == node
-            up = graph.e_edge[pos][node]
-            if up >= 0:
-                assert graph.f_edge[pos][up] == node
+    for lam in [(1, 0), (1, 1), (2, 1)]:
+        graph = enumerate_crystal(datum, lam)
+        for f_col, eps_col in zip(graph.f_edge, graph.eps):
+            targets = [dst for dst in f_col if dst != -1]
+            assert len(set(targets)) == len(targets), lam
+            assert sorted(targets) == [node for node, t in enumerate(eps_col) if t > 0], lam
 
 
 def test_statistics_consistency():
     datum = build_cartan("A", 2)
     graph = enumerate_crystal(datum, (2, 1))
+    e_edge = raising_edges(graph)
     for node in range(graph.size):
         for pos in range(datum.rank):
             # phi - eps equals the weight paired with the coroot
             mu = graph.weights[pos][node]
             assert graph.phi[pos][node] - graph.eps[pos][node] == mu
             assert (graph.f_edge[pos][node] >= 0) == (graph.phi[pos][node] > 0)
-            assert (graph.e_edge[pos][node] >= 0) == (graph.eps[pos][node] > 0)
+            assert (e_edge[pos][node] >= 0) == (graph.eps[pos][node] > 0)
 
 
 def test_node_cap():
@@ -194,7 +204,7 @@ def test_tensor_product_matches_path_model(label, rank, lam):
     datum = build_cartan(label, rank)
     graph = enumerate_crystal(datum, lam)
     oracle = _path_crystal(datum, lam, DEFAULT_NODE_CAP)
-    for table in ("f_edge", "e_edge", "eps", "phi", "weights"):
+    for table in TABLES:
         assert getattr(graph, table) == getattr(oracle, table), table
     assert graph.lam == oracle.lam == lam
 
@@ -217,17 +227,6 @@ def test_path_model_runs_only_on_fundamental_crystals(monkeypatch):
     assert sorted(seen) == sorted(fundamental * 2)
 
 
-def _rational_crystal(datum, lam):
-    """The crystal below ``highest_path`` by ``lowering_operator``, the reference."""
-    ops = range(1, datum.rank + 1)
-
-    def step(paths):
-        return [[lowering_operator(datum, path, i) for path in paths] for i in ops]
-
-    return _graph(datum, lam, _search(datum, lam, highest_path(datum, lam), step,
-                                      DEFAULT_NODE_CAP))
-
-
 def _fundamental_and_zero(rank):
     return [(0,) * rank] + [tuple(int(k == j) for k in range(rank)) for j in range(rank)]
 
@@ -248,8 +247,8 @@ RATIONAL_CASES = [
 def test_integer_path_model_matches_the_rational_one(label, rank, lam):
     datum = build_cartan(label, rank)
     graph = _path_crystal(datum, lam, DEFAULT_NODE_CAP)
-    oracle = _rational_crystal(datum, lam)
-    for table in ("f_edge", "e_edge", "eps", "phi", "weights"):
+    oracle = rational_crystal(datum, lam)
+    for table in TABLES:
         assert getattr(graph, table) == getattr(oracle, table), table
 
 
@@ -267,7 +266,7 @@ def test_a_too_coarse_time_scale_is_caught(monkeypatch):
     # G2's 7-dimensional crystal has its zero-weight path turn at t = 1/2
     datum = build_cartan("G", 2)
     lam = next(lam for lam in [(1, 0), (0, 1)] if weyl_dim(datum, lam) == 7)
-    assert _rational_crystal(datum, lam).size == 7
+    assert rational_crystal(datum, lam).size == 7
     monkeypatch.setattr(pathcrystal, "_time_scale", lambda mirrors: 1)
     with pytest.raises(InvariantViolation, match="time grid 1/1"):
         _path_crystal(datum, lam, DEFAULT_NODE_CAP)
@@ -379,13 +378,8 @@ def _tensor_by_node(datum, lam, left, right):
                  zip(at(left.eps, a), at(right.eps, b), at(left.weights, a)))
            for a, b in pairs]
     phi = [tuple(e + w for e, w in zip(row, wt)) for row, wt in zip(eps, weights)]
-    e_rows = [[-1] * rank for _ in f_rows]
-    for src, row in enumerate(f_rows):
-        for pos, dst in enumerate(row):
-            if dst != -1:
-                e_rows[dst][pos] = src
     # the rows are the reference; the graph stores one column per simple root
-    tables = {"f_edge": f_rows, "e_edge": e_rows, "eps": eps, "phi": phi, "weights": weights}
+    tables = {"f_edge": f_rows, "eps": eps, "phi": phi, "weights": weights}
     return {name: tuple(map(list, zip(*rows))) for name, rows in tables.items()}
 
 
@@ -447,32 +441,53 @@ def _record_calls(monkeypatch, names, calls):
 
 
 def test_each_crystal_is_built_once_by_one_construction(monkeypatch):
-    # zero and the fundamental crystals come from the path model's search,
-    # every other crystal of the sweep from the tensor pass alone
+    # zero and the fundamental crystals come from the path model, every
+    # other crystal of the sweep from the tensor pass alone
     calls = []
-    _record_calls(monkeypatch, ["_path_crystal", "_search", "_tensor_crystal"], calls)
+    _record_calls(monkeypatch, ["_path_crystal", "_tensor_crystal"], calls)
     datum = build_cartan("B", 2)
     crystals = CrystalCache(datum)
     for lam in _weights_up_to(2, 2):
         crystals[lam]
-    expected = []
-    for lam in _weights_up_to(2, 2):
-        expected += ([("_path_crystal", lam), ("_search", lam)] if sum(lam) <= 1
-                     else [("_tensor_crystal", lam)])
-    assert calls == expected
+    assert calls == [("_path_crystal" if sum(lam) <= 1 else "_tensor_crystal", lam)
+                     for lam in _weights_up_to(2, 2)]
 
 
 def test_cached_factors_go_straight_to_the_tensor_pass(monkeypatch):
     # a lexicographic sweep has both factors of each crystal cached, so a
-    # crystal above a fundamental one takes one split and no Weyl dimension
+    # crystal above a fundamental one takes one split, and no crystal of
+    # the sweep needs a Weyl dimension
     calls = []
     _record_calls(monkeypatch, ["weyl_dim", "_split"], calls)
     datum = build_cartan("B", 2)
     crystals = CrystalCache(datum)
     for lam in _weights_up_to(2, 2):
         crystals[lam]
-    assert calls == [("weyl_dim" if sum(lam) <= 1 else "_split", lam)
-                     for lam in _weights_up_to(2, 2)]
+    assert calls == [("_split", lam) for lam in _weights_up_to(2, 2) if sum(lam) > 1]
+
+
+def test_path_model_meets_the_cap_itself(monkeypatch):
+    # D4's adjoint crystal B(omega_2) has 28 nodes; its pass raises as it
+    # numbers node 27 under a cap of 27, with no Weyl dimension asked
+    datum = build_cartan("D", 4)
+    lam = (0, 1, 0, 0)
+    calls = []
+    _record_calls(monkeypatch, ["weyl_dim", "_path_crystal"], calls)
+    crystals = CrystalCache(datum, 27)
+    with pytest.raises(EnumerationCapError,
+                       match=re.escape(f"crystal for lambda={lam} exceeded node cap 27") + "$"):
+        crystals[lam]
+    assert calls == [("_path_crystal", lam)]
+    assert lam not in crystals
+    assert CrystalCache(datum, 28)[lam].size == 28
+
+
+def test_a_cap_below_one_refuses_the_zero_crystal():
+    datum = build_cartan("A", 2)
+    for cap in (0, -1):
+        with pytest.raises(EnumerationCapError,
+                           match=rf"lambda=\(0, 0\) exceeded node cap {cap}$"):
+            CrystalCache(datum, cap)[(0, 0)]
 
 
 def test_cached_factors_still_meet_the_cap(monkeypatch):

@@ -21,7 +21,7 @@ from stringcone.strings import (
     weighted_points,
 )
 
-from oracles import string_param
+from oracles import string_params
 
 
 def entries(image):
@@ -49,7 +49,7 @@ def test_image_is_sorted_and_injective():
 def test_string_param_of_highest_is_zero():
     datum = build_cartan("A", 2)
     graph = enumerate_crystal(datum, (2, 1))
-    assert string_param(graph, graph.highest, (1, 2, 1)) == (0, 0, 0)
+    assert string_params(graph, [graph.highest], (1, 2, 1)) == [(0, 0, 0)]
 
 
 def test_string_weight_oracle():
@@ -213,7 +213,7 @@ def test_string_image_matches_node_by_node_peel(label, rank, lam):
     graph = crystals[lam]
     words = all_reduced_words(datum, longest_word(datum))
     for word in words[::max(1, len(words) // 5)]:
-        expected = sorted(string_param(graph, node, word) for node in range(graph.size))
+        expected = sorted(string_params(graph, range(graph.size), word))
         assert list(string_image(datum, lam, word, crystals=crystals)) == expected, word
 
 
@@ -225,7 +225,7 @@ def test_demazure_strings_match_node_by_node_peel():
     for w0 in all_reduced_words(datum, longest_word(datum))[::10]:
         for w in weyl_group_words(datum)[::6]:
             nodes = demazure_crystal(graph, w)
-            expected = sorted(string_param(graph, node, w0) for node in nodes)
+            expected = sorted(string_params(graph, nodes, w0))
             assert list(demazure_strings(datum, lam, w, w0, crystals=crystals)) == expected
 
 
@@ -264,15 +264,14 @@ def test_demazure_images_carry_the_demazure_character(label, rank, top):
 def test_peel_that_misses_the_highest_node_raises():
     # two copies of B(0): node 1 has no raising edge but is not the highest
     datum = build_cartan("A", 1)
-    graph = CrystalGraph(datum=datum, lam=(0,), f_edge=([-1, -1],),
-                         e_edge=([-1, -1],), eps=([0, 0],), phi=([0, 0],),
-                         weights=([0, 0],))
+    graph = CrystalGraph(datum=datum, lam=(0,), f_edge=([-1, -1],), eps=([0, 0],),
+                         phi=([0, 0],), weights=([0, 0],))
     crystals = CrystalCache(datum)
     crystals[(0,)] = graph
     with pytest.raises(InvariantViolation, match="did not end at the highest node"):
         string_image(datum, (0,), (1,), crystals=crystals)
     with pytest.raises(InvariantViolation, match="did not end at the highest node"):
-        string_param(graph, 1, (1,))
+        string_params(graph, [1], (1,))
 
 
 def _braid_moves(datum, word, image):
