@@ -20,20 +20,20 @@ independent reference they compare the kernel with.
 
 The path model builds only the crystals of zero and of the fundamental
 weights, and stays the oracle for the others.  Every other B(lambda) is the
-component of the highest pair in B(lambda - omega_j) (x) B(omega_j), whose
-root operators follow Kashiwara's tensor-product rule on the integer
-eps/phi/edge tables of the two factors (Littelmann, *Paths and root
+component of the highest pair in B(lambda - nu) (x) B(nu), nu about half of
+lambda, whose root operators follow Kashiwara's tensor-product rule on the
+integer eps/phi/edge tables of the two factors (Littelmann, *Paths and root
 operators*, 1995: B(lambda) is the component of the concatenation).
 
 Both constructions produce only the lowering edges and number the nodes
 breadth-first from the highest one, node by node in operator order: each
 is one first-in-first-out pass, over the paths or over the pair codes,
 that numbers a target the first time it appears, so its cost is per
-node, not per level.  ``_graph`` then derives eps, phi and the weights
-from the edges, in integers.  The two constructions find isomorphic
-graphs, and B(lambda) has no nontrivial automorphism, so the shared
-numbering names their nodes alike and the shared derivation gives
-identical tables.
+node, not per level.  ``_graph`` then derives eps and phi from the
+edges, in integers; a weight is phi - eps, computed when read.  The two
+constructions, and any choice of nu, find isomorphic graphs, and
+B(lambda) has no nontrivial automorphism, so the shared numbering names
+their nodes alike and the shared derivation gives identical tables.
 
 Every table of a ``CrystalGraph`` is stored column-major, one list per
 simple root, because every consumer reads it one root at a time.
@@ -61,24 +61,30 @@ def _dominant(datum: CartanDatum, lam) -> Weight:
     return lam
 
 
-class CrystalGraph(namedtuple("CrystalGraph", "datum lam f_edge eps phi weights")):
+class CrystalGraph(namedtuple("CrystalGraph", "datum lam f_edge eps phi")):
     """Crystal of a dominant weight, nodes numbered in search order.
 
     Each table is a tuple of one list per simple root: ``f_edge[i-1][node]``
-    gives the target node of the lowering operator f_i or -1,
-    ``eps[i-1][node]``/``phi[i-1][node]`` cache the string statistics and
-    ``weights[i-1][node]`` is the i-th coordinate of the node weight.
+    gives the target node of the lowering operator f_i or -1, and
+    ``eps[i-1][node]``/``phi[i-1][node]`` cache the string statistics.
     Node 0 is the highest node.  ``f_edge`` is what the search found;
-    ``_graph`` derives every other table from it.  There is no raising
-    table: e_i b is the node whose f_i edge ends at b, so a caller who
-    needs e_i inverts ``f_edge``.  The lists make a graph unhashable.
+    ``_graph`` derives eps and phi from it.  No weight table is stored:
+    ``weights`` computes the columns phi_i - eps_i on each read.  There is
+    no raising table either: e_i b is the node whose f_i edge ends at b, so
+    a caller who needs e_i inverts ``f_edge``.  The lists make a graph
+    unhashable.
     """
 
     __slots__ = ()
 
     @property
     def size(self) -> int:
-        return len(self.weights[0])
+        return len(self.eps[0])
+
+    @property
+    def weights(self) -> tuple:
+        """Column i-1 holds each node's i-th weight coordinate; built anew on each read."""
+        return tuple(list(map(sub, p, e)) for p, e in zip(self.phi, self.eps))
 
     highest = 0
 
@@ -88,14 +94,14 @@ def _cap_error(lam, node_cap: int) -> EnumerationCapError:
 
 
 def _graph(datum: CartanDatum, lam: Weight, f_edge) -> CrystalGraph:
-    """The crystal whose lowering columns are ``f_edge``; every other table follows.
+    """The crystal whose lowering columns are ``f_edge``; eps and phi follow.
 
     Every edge lowers the weight by one simple root, so it joins
     consecutive breadth-first levels: e_i b is numbered before b and f_i b
     after it.  Hence eps_i(f_i b) is eps_i(b) + 1, written in node order
     (eps_i(b) is final by then), and phi_i(b) is phi_i(f_i b) + 1, read in
-    reverse node order, both 0 without the edge; the i-th weight coordinate
-    is phi_i - eps_i.  ``lam`` is read only to check node 0's weight.
+    reverse node order, both 0 without the edge.  ``lam`` is read only to
+    check node 0's weight, phi_i(0) - eps_i(0).
     """
     size = len(f_edge[0])
     nodes = list(range(size))  # one int object per node, shared by the loops
@@ -113,18 +119,10 @@ def _graph(datum: CartanDatum, lam: Weight, f_edge) -> CrystalGraph:
             phi_col[node] = phi_col[f_col[node]] + 1
         phi_col.pop()
         phi.append(phi_col)
-    weights = [list(map(sub, p, e)) for p, e in zip(phi, eps)]
-    top = tuple(col[0] for col in weights)
+    top = tuple(p[0] - e[0] for p, e in zip(phi, eps))
     if top != lam:
         raise InvariantViolation(f"highest node of the crystal for lambda={lam} has weight {top}")
-    return CrystalGraph(
-        datum=datum,
-        lam=lam,
-        f_edge=tuple(f_edge),
-        eps=tuple(eps),
-        phi=tuple(phi),
-        weights=tuple(weights),
-    )
+    return CrystalGraph(datum, lam, tuple(f_edge), tuple(eps), tuple(phi))
 
 
 def _mirrors(datum: CartanDatum, lam: Weight) -> list[dict]:
@@ -248,24 +246,32 @@ def _path_crystal(datum: CartanDatum, lam: Weight, node_cap: int) -> CrystalGrap
 
 
 def _split(lam: Weight) -> tuple[Weight, Weight]:
-    """(lam - omega_j, omega_j) for the first j with lam_j > 0."""
-    j = next(k for k, c in enumerate(lam) if c > 0)
-    omega = tuple(int(k == j) for k in range(len(lam)))
-    return tuple(c - o for c, o in zip(lam, omega)), omega
+    """(lam - nu, nu), nu the first floor(sum lam / 2) units of lam, coordinate by coordinate.
+
+    For sum lam >= 2 both parts are nonzero, dominant and at most lam in
+    every coordinate, and their sums differ by at most one.
+    """
+    rest = sum(lam) // 2
+    nu = []
+    for c in lam:
+        nu.append(min(c, rest))
+        rest -= nu[-1]
+    return tuple(map(sub, lam, nu)), tuple(nu)
 
 
 def _tensor_crystal(datum: CartanDatum, lam: Weight, left: CrystalGraph,
                     right: CrystalGraph, node_cap: int) -> CrystalGraph:
     """Component of the highest pair (0, 0) in ``left`` (x) ``right``.
 
-    Kashiwara's rule: f_i(a (x) b) is f_i a (x) b when phi_i(a) > eps_i(b),
-    and a (x) f_i b otherwise.  The pair (a, b) is coded as
-    ``a * right.size + b``.  One first-in-first-out pass takes the codes in
-    numbering order and applies the rule inline for each operator in turn;
-    a target is numbered the first time it appears, and the cap is checked
-    as it is.  That is the order of a level-by-level breadth-first search.
-    Only the lowering columns come from the rule; ``_graph`` derives the
-    other tables from those.
+    The factors are the crystals of any two dominant weights summing to
+    ``lam``, such as the two from ``_split``.  Kashiwara's rule: f_i(a (x) b)
+    is f_i a (x) b when phi_i(a) > eps_i(b), and a (x) f_i b otherwise.
+    The pair (a, b) is coded as ``a * right.size + b``.  One
+    first-in-first-out pass takes the codes in numbering order and applies
+    the rule inline for each operator in turn; a target is numbered the
+    first time it appears, and the cap is checked as it is.  That is the
+    order of a level-by-level breadth-first search.  Only the lowering
+    columns come from the rule; ``_graph`` derives eps and phi from those.
     """
     width = right.size
     f_edge = [[] for _ in range(datum.rank)]
@@ -298,32 +304,25 @@ def enumerate_crystal(datum: CartanDatum, lam, *,
     """Crystal of a dominant weight, nodes numbered breadth-first in operator order.
 
     Zero and fundamental weights come from the path model.  Any other lam
-    is the component of the highest pair in ``crystals[lam - omega_j]`` (x)
-    ``crystals[omega_j]`` (a fresh cache when None), so a level sweep
-    builds each crystal once.  The node cap is the cache's alone.  A path
-    crystal, and a tensor crystal whose factors are both cached, is built
-    at once, and its pass raises the cap error itself.  Otherwise B(lam)
-    has ``weyl_dim(lam)`` nodes and each smaller crystal no more, so lam
-    is checked against the cap before any of them is built; the missing
-    ones are built smallest first, which keeps the recursion one level
-    deep.
+    is the component of the highest pair in ``crystals[lam - nu]`` (x)
+    ``crystals[nu]`` (a fresh cache when None), nu about half of lam
+    (``_split``), so a level sweep builds each crystal once.  The node cap
+    is the cache's alone.  A path crystal, and a tensor crystal whose
+    factors are both cached, is built at once, and its pass raises the cap
+    error itself.  Otherwise B(lam) has ``weyl_dim(lam)`` nodes and each
+    factor, at most lam in every coordinate, no more, so lam is checked
+    against the cap before any of them is built; the missing factors are
+    then built the same way, halving the weight at each level.
     """
     lam = _dominant(datum, lam)
     crystals = CrystalCache.for_datum(datum, crystals)
     cap = crystals.node_cap
     if sum(lam) <= 1:
         return _path_crystal(datum, lam, cap)
-    left, omega = _split(lam)
-    if left not in crystals or omega not in crystals:
-        if weyl_dim(datum, lam) > cap:
-            raise _cap_error(lam, cap)
-        chain = [(left, omega)]
-        while sum(chain[-1][0]) > 1:
-            chain.append(_split(chain[-1][0]))
-        for mu, nu in reversed(chain):
-            crystals[nu]
-            crystals[mu]
-    return _tensor_crystal(datum, lam, crystals[left], crystals[omega], cap)
+    left, right = _split(lam)
+    if (left not in crystals or right not in crystals) and weyl_dim(datum, lam) > cap:
+        raise _cap_error(lam, cap)
+    return _tensor_crystal(datum, lam, crystals[left], crystals[right], cap)
 
 
 class CrystalCache(dict):

@@ -274,6 +274,17 @@ def test_path_model_cap_from_the_command_line(capsys):
     assert capsys.readouterr().out.splitlines()[1] == "nodes 28"
 
 
+@pytest.mark.slow
+def test_the_default_cap_holds_for_a1(capsys):
+    # B(59999) of A1 has 60 000 nodes, the default cap, and is built from
+    # halves; one unit more is over the cap
+    assert main(["crystal", "--type", "A", "--rank", "1", "--lambda", "59999"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "nodes 60000"
+    assert main(["crystal", "--type", "A", "--rank", "1", "--lambda", "60000"]) == 4
+    assert capsys.readouterr().err == (
+        "error[crystal]: crystal for lambda=(60000,) exceeded node cap 60000\n")
+
+
 @pytest.mark.parametrize("command", [
     ["cone"], ["degenerate"], ["polytope", "--lambda", "1,1"],
 ])

@@ -90,7 +90,7 @@ def test_tables_hold_one_column_per_simple_root(lam):
     datum = build_cartan("B", 3)
     graph = enumerate_crystal(datum, lam)
     assert graph.size == weyl_dim(datum, lam)
-    assert type(graph)._fields == ("datum", "lam") + TABLES
+    assert type(graph)._fields == ("datum", "lam", "f_edge", "eps", "phi")
     for table in TABLES:
         columns = getattr(graph, table)
         assert len(columns) == datum.rank, table
@@ -133,11 +133,17 @@ def test_statistics_consistency():
     datum = build_cartan("A", 2)
     graph = enumerate_crystal(datum, (2, 1))
     e_edge = raising_edges(graph)
+    weights = graph.weights
+    # the highest node has weight lambda, and each f_i lowers it by alpha_i
+    assert [col[0] for col in weights] == [2, 1]
+    for i, f_col in enumerate(graph.f_edge, start=1):
+        alpha = datum.simple_root(i)
+        for node, dst in enumerate(f_col):
+            if dst != -1:
+                assert [col[dst] for col in weights] == [
+                    col[node] - a for col, a in zip(weights, alpha)], (i, node)
     for node in range(graph.size):
         for pos in range(datum.rank):
-            # phi - eps equals the weight paired with the coroot
-            mu = graph.weights[pos][node]
-            assert graph.phi[pos][node] - graph.eps[pos][node] == mu
             assert (graph.f_edge[pos][node] >= 0) == (graph.phi[pos][node] > 0)
             assert (e_edge[pos][node] >= 0) == (graph.eps[pos][node] > 0)
 
@@ -166,7 +172,7 @@ def test_the_cache_holds_the_only_cap():
 
 
 def test_cap_is_checked_before_any_crystal_is_built(monkeypatch):
-    # the chain below (10**4, 0) has 10**4 crystals; none may be started
+    # the halves of (10**4, 0), and theirs, are missing; none may be started
     def refuse(*args, **kwargs):
         raise AssertionError("crystal built")
 
@@ -337,11 +343,12 @@ def test_path_tables_match_the_path_statistics(label, rank):
                 if dst == len(paths):
                     paths.append(lowering_operator(datum, paths[node], i))
         assert len(paths) == graph.size == weyl_dim(datum, lam)
+        weights = graph.weights
         for node, path in enumerate(paths):
             stats = [epsilon_phi(path, i) for i in range(1, rank + 1)]
             assert [col[node] for col in graph.eps] == [e for e, _ in stats], (lam, node)
             assert [col[node] for col in graph.phi] == [p for _, p in stats], (lam, node)
-            assert tuple(col[node] for col in graph.weights) == path_weight(path), (lam, node)
+            assert tuple(col[node] for col in weights) == path_weight(path), (lam, node)
 
 
 def _tensor_by_node(datum, lam, left, right):
@@ -372,10 +379,12 @@ def _tensor_by_node(datum, lam, left, right):
     def at(table, node):
         return [col[node] for col in table]
 
-    weights = [tuple(x + y for x, y in zip(at(left.weights, a), at(right.weights, b)))
+    # each read of ``weights`` computes the table, so read it once per factor
+    left_weights, right_weights = left.weights, right.weights
+    weights = [tuple(x + y for x, y in zip(at(left_weights, a), at(right_weights, b)))
                for a, b in pairs]
     eps = [tuple(max(ea, eb - wa) for ea, eb, wa in
-                 zip(at(left.eps, a), at(right.eps, b), at(left.weights, a)))
+                 zip(at(left.eps, a), at(right.eps, b), at(left_weights, a)))
            for a, b in pairs]
     phi = [tuple(e + w for e, w in zip(row, wt)) for row, wt in zip(eps, weights)]
     # the rows are the reference; the graph stores one column per simple root
@@ -505,6 +514,29 @@ def test_cached_factors_still_meet_the_cap(monkeypatch):
         crystals[(2, 2)]
     assert calls == [("_tensor_crystal", (2, 2))]
     assert (2, 2) not in crystals
+
+
+@pytest.mark.parametrize("label,rank", [("A", 1)] + FUNDAMENTAL_TYPES)
+def test_split_halves_lambda_into_dominant_parts(label, rank):
+    datum = build_cartan(label, rank)
+    for lam in _weights_up_to(rank, 3):
+        if sum(lam) < 2:
+            continue
+        left, right = _split(lam)
+        for part in (left, right):
+            assert pathcrystal._dominant(datum, part) == part and any(part), (lam, part)
+            assert all(p <= c for p, c in zip(part, lam)), (lam, part)
+        assert tuple(map(sum, zip(left, right))) == lam
+        assert abs(sum(left) - sum(right)) <= 1, lam
+
+
+def test_a_missing_factor_is_built_from_halves():
+    # B(1000) of A1 takes about log2(1000) halvings, not the 999 crystals
+    # below it one unit at a time
+    datum = build_cartan("A", 1)
+    crystals = CrystalCache(datum)
+    assert enumerate_crystal(datum, (1000,), crystals=crystals).size == 1001
+    assert len(crystals) <= 20
 
 
 def test_tensor_cap_counts_the_component():

@@ -265,7 +265,7 @@ def test_peel_that_misses_the_highest_node_raises():
     # two copies of B(0): node 1 has no raising edge but is not the highest
     datum = build_cartan("A", 1)
     graph = CrystalGraph(datum=datum, lam=(0,), f_edge=([-1, -1],), eps=([0, 0],),
-                         phi=([0, 0],), weights=([0, 0],))
+                         phi=([0, 0],))
     crystals = CrystalCache(datum)
     crystals[(0,)] = graph
     with pytest.raises(InvariantViolation, match="did not end at the highest node"):
