@@ -201,7 +201,8 @@ def _cmd_crystal(config: RunConfig) -> int:
     edges = edge_lines(graph)
     lines.append(f"edges {len(edges)}")
     lines.extend(edges)
-    _emit("\n".join(lines) + "\n", config.out)
+    lines.append("")
+    _emit("\n".join(lines), config.out)
     return 0
 
 
@@ -288,7 +289,8 @@ def _cmd_polytope(config: RunConfig) -> int:
         lines.append(" ".join([str(const)] + [str(c) for c in u[n:]]))
     lines.append(f"points {found}")
     lines += _point_lines(columns, order, segments)
-    text = "\n".join(lines) + "\n"
+    lines.append("")  # the final newline: one join builds the text, no + copies it
+    text = "\n".join(lines)
     timings["format"] = (clock() - t) * 1000.0
     _emit(text, config.out)
     _print_timing(timings)

@@ -5,8 +5,8 @@ points, the binomial relation lattice, a linear form separating equal-weight
 string pairs, and (optionally) the Demazure face data, together with the
 outcome of every verification check.  The enumeration is read as
 ``weighted_points`` returns it, one string image per weight lambda, held
-as ``StringColumns``: a bytes column per letter of the word, in node
-order.  A cone point is ``lam + psi``, and the Hilbert basis holds
+as ``StringColumns``: an unsigned int ``array`` per letter of the word,
+in node order.  A cone point is ``lam + psi``, and the Hilbert basis holds
 ``(lam, psi)`` pairs.  One routine grows the cone, ``level_hull``, and
 the data are tested on point lanes (``PointLanes``): one int per facet with
 a lane per data point, built from the points' ``StringColumns``, a column
@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import time
+from array import array
 from collections import Counter, namedtuple
 from functools import reduce
 from itertools import chain, compress, repeat
@@ -45,7 +47,7 @@ from .polyhedra import (
     is_face,
     section_lattice_points,
 )
-from .strings import StringColumns, dominant_crystals, weighted_points
+from .strings import StringColumns, _typecode, dominant_crystals, weighted_points
 
 
 class SeparatingForm(namedtuple("SeparatingForm", "coefficients")):
@@ -73,14 +75,13 @@ def build_pairs(datum: CartanDatum, word, images):
     word = check_longest_word(datum, word)
     pairs = []
     for lam, image in images.items():
-        values = image.values()
-        tops = [max(column) for column in values]
+        tops = [max(column) for column in image.columns]
         totals = [0] * datum.rank
         for letter, top in zip(word, tops):
             totals[letter - 1] += top
         radix = max(totals) + 1  # above every per-root total
         keys = [0] * len(image)
-        for letter, column in zip(word, values):
+        for letter, column in zip(word, image.columns):
             keys = list(map(add, keys, map(mul, column, repeat(radix ** (letter - 1)))))
         counts = Counter(keys)
         if len(counts) == len(keys):
@@ -345,29 +346,23 @@ def point_columns(images) -> StringColumns:
     """The points ``lam + psi`` of ``images`` as one ``StringColumns``, a column per coordinate.
 
     ``images`` maps each lam to its ``StringColumns``.  Entry i of a column
-    is point i's, in enumeration order, as ``size`` little-endian bytes,
-    the fewest that hold every entry.  Entries must be >= 0, as weights and
-    string entries are.  An image's columns are joined as they are, or
-    widened to ``size`` bytes per entry; no point is a tuple.
+    is point i's, in enumeration order, in an ``array`` of the narrowest
+    typecode that holds the weights and every image's typecode: an image's
+    columns are converted to it with ``array(code, column)``.  Entries must
+    be >= 0, as weights and string entries are; no point is a tuple.
     """
     images = {lam: image for lam, image in images.items() if len(image)}  # no columns
     count = sum(map(len, images.values()))
-    top = max(chain.from_iterable(images), default=0)
-    size = max([1, (top.bit_length() + 7) // 8] + [image.size for image in images.values()])
-    parts = [[v.to_bytes(size, "little") * len(image) for v in lam]
-             + [_widen(column, image.size, size) for column in image.columns]
-             for lam, image in images.items()]
-    return StringColumns(list(map(b"".join, zip(*parts))), size, count)
-
-
-def _widen(column: bytes, size: int, wide: int):
-    """A column of ``size``-byte little-endian entries as ``wide``-byte ones."""
-    if size == wide:
-        return column
-    spread = bytearray(len(column) // size * wide)
-    for k in range(size):
-        spread[k::wide] = column[k::size]
-    return spread
+    code = _typecode(max([0, *chain.from_iterable(images)]
+                         + [(1 << 8 * image.size) - 1 for image in images.values()]))
+    columns = []
+    for lam, image in images.items():
+        parts = [array(code, [v]) * len(image) for v in lam]
+        parts += [array(code, column) for column in image.columns]
+        columns = columns or [array(code) for _ in parts]
+        for column, part in zip(columns, parts):
+            column += part
+    return StringColumns(columns, array(code).itemsize, count)
 
 
 def point_lanes(normals, points: StringColumns, reach: int = 0) -> PointLanes:
@@ -380,8 +375,9 @@ def point_lanes(normals, points: StringColumns, reach: int = 0) -> PointLanes:
     top = 2**(8*size) - 1, so every value u . x and u . (x - g) is at most
     max |u|_1 * (top + reach) in size; the lanes are the fewest whole
     bytes that hold that bound and a sign bit.  Each coordinate is spread
-    once into one int, its bytes at the low end of each lane, and each
-    normal's int is one multiply-add per nonzero coefficient.
+    once into one int, byte k of each entry at byte k of its lane: offset k
+    of the entry in ``memoryview(column).cast("B")``, or size - 1 - k on a
+    big-endian host.  Each normal's int is one multiply-add per nonzero coefficient.
     """
     normals = tuple(normals)
     columns, size, count = points.columns, points.size, len(points)
@@ -392,9 +388,11 @@ def point_lanes(normals, points: StringColumns, reach: int = 0) -> PointLanes:
     ones = int.from_bytes(b"\x01".ljust(lane, b"\0") * count, "little")
     lanes = [ones << (width - 1)] * len(normals)
     spread = bytearray(count * lane)
+    offsets = range(size) if sys.byteorder == "little" else range(size - 1, -1, -1)
     for column, coefficients in zip(columns, zip(*normals)):
-        for k in range(size):
-            spread[k::lane] = column[k::size]
+        raw = memoryview(column).cast("B")
+        for k, offset in enumerate(offsets):
+            spread[k::lane] = raw[offset::size]
         coordinate = int.from_bytes(spread, "little")
         for j, a in enumerate(coefficients):
             if a:
@@ -547,11 +545,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
 
     t = clock()
     relations = lattice_relations(basis_vecs)
-    balance = all(
-        all(sum(v[i] * g[c] for i, g in enumerate(basis_vecs)) == 0
-            for c in range(n + ncoords))
-        for v in relations
-    )
+    balance = all(vec_dot(v, col) == 0 for v in relations for col in zip(*basis_vecs))
     timings["relations"] = (clock() - t) * 1000.0
 
     t = clock()

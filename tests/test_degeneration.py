@@ -5,6 +5,7 @@ import math
 import operator
 import re
 import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -934,7 +935,8 @@ def test_point_lanes_match_the_dot_products(case):
 
 def test_point_columns_widen_narrow_images_beside_a_wide_one():
     # A1's image at 256 takes two bytes per entry, so every column of the
-    # points is two bytes wide; the lanes hold each point's facet values
+    # points is an "H" array, the byte images converted to it; the lanes
+    # hold each point's facet values
     datum = build_cartan("A", 1)
     crystals = CrystalCache(datum)
     images = {lam: stringcone.strings._string_columns(crystals[lam], (1,))
@@ -943,8 +945,8 @@ def test_point_columns_widen_narrow_images_beside_a_wide_one():
     joined = point_columns(images)
     points = [lam + psi for lam, image in images.items() for psi in image]
     assert (joined.size, len(joined)) == (2, len(points)) == (2, 2 + 257 + 4)
-    assert joined.columns == [b"".join(v.to_bytes(2, "little") for v in column)
-                              for column in zip(*points)]
+    assert joined.columns == [array("H", column) for column in zip(*points)]
+    assert [column.typecode for column in joined.columns] == ["H", "H"]
     assert list(joined) == points
     normals = ((1, -1), (0, 1), (1, -2))
     lanes = point_lanes(normals, joined, 1)

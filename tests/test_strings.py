@@ -1,3 +1,4 @@
+from array import array
 from collections import Counter
 
 import pytest
@@ -84,7 +85,8 @@ def test_weighted_points_a1():
     # node order: the highest node first
     assert {lam: tuple(image) for lam, image in images.items()} == {
         (0,): ((0,),), (1,): ((0,), (1,))}
-    assert images[(1,)].columns == [b"\x00\x01"] and images[(1,)].size == 1
+    assert images[(1,)].columns == [array("B", [0, 1])] and images[(1,)].size == 1
+    assert images[(1,)].columns[0].typecode == "B"
 
 
 def test_weighted_points_a2_level_one():
@@ -327,14 +329,15 @@ def test_braid_moves_predict_every_a3_image_from_one_peel():
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3)])
 def test_string_columns_hold_the_sorted_image(label, rank):
     # two words each: the columns' rows, sorted, are string_image's tuples,
-    # and the columns are bytes, one per letter, one entry per node
+    # and the columns are byte arrays, one per letter, one entry per node
     datum = build_cartan(label, rank)
     crystals = CrystalCache(datum)
     words = all_reduced_words(datum, longest_word(datum))
     for word in (words[0], words[-1]):
         for lam, image in weighted_points(datum, word, 2, crystals=crystals).items():
             assert len(image.columns) == len(word) and image.size == 1
-            assert all(type(c) is bytes and len(c) == len(image) for c in image.columns)
+            assert all(type(c) is array and c.typecode == "B" and len(c) == len(image)
+                       for c in image.columns)
             assert len(image) == crystals[lam].size
             expected = string_image(datum, lam, word, crystals=crystals)
             assert sorted(zip(*image.columns)) == list(expected), (word, lam)
@@ -363,7 +366,7 @@ def test_wide_string_columns_round_trip_and_stay_injective(monkeypatch):
     graph = enumerate_crystal(datum, (256,))
     image = strings._string_columns(graph, (1,))
     assert image.size == 2 and len(image) == 257
-    assert image.columns == [b"".join(v.to_bytes(2, "little") for v in range(257))]
+    assert image.columns == [array("H", range(257))] and image.columns[0].typecode == "H"
     assert list(image) == [(v,) for v in range(257)]
     assert list(image.strings([256, 3])) == [(256,), (3,)]
     assert image == strings.StringColumns.from_strings((v,) for v in range(257))
@@ -371,6 +374,21 @@ def test_wide_string_columns_round_trip_and_stay_injective(monkeypatch):
     monkeypatch.setattr(strings, "_peel_nodes", _merged(strings._peel_nodes, 256, 1))
     with pytest.raises(InvariantViolation, match="not injective"):
         strings._string_columns(graph, (1,))
+
+
+def test_a1_image_at_256_reads_each_entry_whole():
+    # node 256's entry is 256, one item of an "H" array, not a byte of it
+    image = weighted_points(build_cartan("A", 1), (1,), 256)[(256,)]
+    assert image.columns[0][256] == 256
+    assert image.columns[0].typecode == "H" and image.size == 2
+
+
+@pytest.mark.parametrize("top, code", [
+    (0, "B"), (255, "B"), (256, "H"), (65535, "H"), (65536, "I"),
+    (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q")])
+def test_typecode_is_the_narrowest_that_holds_the_top(top, code):
+    assert strings._typecode(top) == code
+    assert array(code, [top])[0] == top
 
 
 @pytest.mark.slow
