@@ -5,13 +5,21 @@ tuples of integers in the simple-root basis, and Weyl words are tuples of
 1-based simple-reflection indices.  The word ``(j1, ..., jm)`` denotes the
 product ``s_j1 * s_j2 * ... * s_jm``, so when a word acts on a weight the
 rightmost letter is applied first.
+
+Every reduced word of the longest element the package builds comes from
+one walk, ``_ascend``: it carries w^-1 rho and appends the smallest
+ascent until that weight is -rho.  From the empty word it gives
+``longest_word`` (reversed), from a reduced word w the word
+``adapted_word`` whose prefix is w.  ``check_dominant`` is the one check
+that admits a weight: the datum's rank and no negative coordinate.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul
 
-from .errors import EnumerationCapError, RootSystemError, WordError
+from .errors import EnumerationCapError, RootSystemError, WeightError, WordError
 
 Weight = tuple[int, ...]
 RootVector = tuple[int, ...]
@@ -83,14 +91,8 @@ def _matrix_and_symmetrizers(type_label: str, rank: int):
     raise RootSystemError(f"unsupported type {type_label!r}")
 
 
-def _root_pairing(matrix, i: int, root) -> int:
-    """Pairing of ``root`` (simple-root coordinates) with the i-th coroot."""
-    row = matrix[i - 1]
-    return sum(row[j] * root[j] for j in range(len(root)))
-
-
 def _reflect_root(matrix, i: int, root) -> RootVector:
-    c = _root_pairing(matrix, i, root)
+    c = sum(map(mul, matrix[i - 1], root))  # <root, alpha_i^vee>
     out = list(root)
     out[i - 1] -= c
     return tuple(out)
@@ -147,6 +149,16 @@ def is_dominant(weight) -> bool:
     return all(c >= 0 for c in weight)
 
 
+def check_dominant(datum: CartanDatum, lam) -> Weight:
+    """The weight as a tuple; WeightError unless it is dominant of the datum's rank."""
+    lam = tuple(lam)
+    if len(lam) != datum.rank:
+        raise WeightError(f"weight {lam} has wrong rank")
+    if not is_dominant(lam):
+        raise WeightError(f"weight {lam} is not dominant")
+    return lam
+
+
 def reflect_weight(datum: CartanDatum, i: int, weight) -> Weight:
     """Apply the simple reflection s_i to a weight in fundamental coordinates."""
     datum.check_index(i)
@@ -169,13 +181,6 @@ def apply_word(datum: CartanDatum, word, weight) -> Weight:
     for letter in reversed(word):
         mu = reflect_weight(datum, letter, mu)
     return mu
-
-
-def _apply_word_to_root(datum: CartanDatum, word, root) -> RootVector:
-    img = tuple(root)
-    for letter in reversed(word):
-        img = _reflect_root(datum.cartan_matrix, letter, img)
-    return img
 
 
 def is_reduced_word(datum: CartanDatum, word) -> bool:
@@ -212,23 +217,29 @@ def check_longest_word(datum: CartanDatum, word) -> WeylWord:
     return word
 
 
+def _ascend(datum: CartanDatum, letters) -> WeylWord:
+    """The reduced word ``letters`` extended by ascents to a reduced word of w0.
+
+    mu = w^-1 rho for the product w of the letters so far.  Appending s_i
+    lengthens w exactly when mu_i > 0 (as in ``is_reduced_word``), and mu
+    becomes s_i mu; the walk appends the smallest such i until mu = -rho.
+    """
+    word = list(letters)
+    mu = apply_word(datum, word[::-1], rho(datum))
+    while i := next((k for k, c in enumerate(mu, 1) if c > 0), 0):
+        mu = reflect_weight(datum, i, mu)
+        word.append(i)
+    return check_longest_word(datum, word)
+
+
 def longest_word(datum: CartanDatum) -> WeylWord:
     """Canonical reduced word for the longest element.
 
-    Walks the negative of rho toward dominance, always reflecting at the
-    smallest descent; each step crosses exactly one wall, so the letters in
-    reverse order form a reduced word of full length.
+    The walk from -rho toward dominance, reflecting at the smallest
+    negative coordinate, read in reverse order.  That walk is ``_ascend``'s
+    from rho, negated, so its letters are the same.
     """
-    mu = tuple(-c for c in rho(datum))
-    letters = []
-    while any(c < 0 for c in mu):
-        i = next(k + 1 for k, c in enumerate(mu) if c < 0)
-        mu = reflect_weight(datum, i, mu)
-        letters.append(i)
-    word = tuple(reversed(letters))
-    if len(word) != datum.num_positive_roots or not is_reduced_word(datum, word):
-        raise RootSystemError("longest-word construction failed")
-    return word
+    return _ascend(datum, ())[::-1]
 
 
 def _braid_orders(datum: CartanDatum):
@@ -272,26 +283,7 @@ def all_reduced_words(datum: CartanDatum, word):
 
 def adapted_word(datum: CartanDatum, w_word) -> WeylWord:
     """Extend a reduced word to a reduced longest word having it as prefix."""
-    w_word = check_reduced_word(datum, w_word)
-    total = datum.num_positive_roots
-    letters = list(w_word)
-    simples = [
-        tuple(1 if j == i else 0 for j in range(datum.rank)) for i in range(datum.rank)
-    ]
-    while len(letters) < total:
-        for i in range(1, datum.rank + 1):
-            # Appending s_i lengthens the product exactly when the current
-            # element keeps alpha_i positive.
-            img = _apply_word_to_root(datum, tuple(letters), simples[i - 1])
-            if all(c >= 0 for c in img):
-                letters.append(i)
-                break
-        else:
-            raise WordError("no ascent found; word cannot be extended")
-    result = tuple(letters)
-    if not is_reduced_word(datum, result):
-        raise WordError("adapted-word construction failed")
-    return result
+    return _ascend(datum, check_reduced_word(datum, w_word))
 
 
 def weyl_group_words(datum: CartanDatum):

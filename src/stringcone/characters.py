@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cartan import CartanDatum, check_reduced_word, is_dominant, longest_word
+from .cartan import CartanDatum, check_dominant, check_reduced_word, longest_word
 from .errors import WeightError
 
 
@@ -51,11 +51,7 @@ def weyl_dim(datum: CartanDatum, lam) -> int:
     simple-root coordinates k, both pairings are proportional to
     ``sum_i k_i * d_i * (mu_i)`` and the root-length normalizations cancel.
     """
-    lam = tuple(lam)
-    if len(lam) != datum.rank:
-        raise WeightError(f"weight {lam} has wrong rank")
-    if not is_dominant(lam):
-        raise WeightError(f"weight {lam} is not dominant")
+    lam = check_dominant(datum, lam)
     d = datum.symmetrizers
     num = den = 1
     for root in datum.positive_roots:
@@ -98,10 +94,7 @@ def demazure_character(datum: CartanDatum, lam, word) -> WeightPolynomial:
     rightmost letter acting first.
     """
     word = check_reduced_word(datum, word)
-    lam = tuple(lam)
-    if not is_dominant(lam):
-        raise WeightError(f"weight {lam} is not dominant")
-    poly = monomial(lam)
+    poly = monomial(check_dominant(datum, lam))
     for letter in reversed(word):
         poly = demazure_operator(datum, letter, poly)
     return poly

@@ -347,8 +347,9 @@ def point_columns(images) -> StringColumns:
 
     ``images`` maps each lam to its ``StringColumns``.  Entry i of a column
     is point i's, in enumeration order, in an ``array`` of the narrowest
-    typecode that holds the weights and every image's typecode: an image's
-    columns are converted to it with ``array(code, column)``.  Entries must
+    typecode that holds the weights and every image's typecode: an image
+    column of another typecode is converted to it with ``array(code,
+    column)``, one of that typecode is appended as it is.  Entries must
     be >= 0, as weights and string entries are; no point is a tuple.
     """
     images = {lam: image for lam, image in images.items() if len(image)}  # no columns
@@ -358,7 +359,8 @@ def point_columns(images) -> StringColumns:
     columns = []
     for lam, image in images.items():
         parts = [array(code, [v]) * len(image) for v in lam]
-        parts += [array(code, column) for column in image.columns]
+        parts += [column if column.typecode == code else array(code, column)
+                  for column in image.columns]
         columns = columns or [array(code) for _ in parts]
         for column, part in zip(columns, parts):
             column += part

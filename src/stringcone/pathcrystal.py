@@ -45,20 +45,11 @@ from collections import namedtuple
 from math import lcm
 from operator import sub
 
-from .cartan import CartanDatum, Weight, check_reduced_word, is_dominant
+from .cartan import CartanDatum, Weight, check_dominant, check_reduced_word
 from .characters import weyl_dim
-from .errors import EnumerationCapError, InvariantViolation, RootSystemError, WeightError
+from .errors import EnumerationCapError, InvariantViolation, RootSystemError
 
 DEFAULT_NODE_CAP = 60000  # at least 59 049, the size of A4's B(2, 2, 2, 2)
-
-
-def _dominant(datum: CartanDatum, lam) -> Weight:
-    lam = tuple(lam)
-    if len(lam) != datum.rank:
-        raise WeightError(f"weight {lam} has wrong rank")
-    if not is_dominant(lam):
-        raise WeightError(f"weight {lam} is not dominant")
-    return lam
 
 
 class CrystalGraph(namedtuple("CrystalGraph", "datum lam f_edge eps phi")):
@@ -314,7 +305,7 @@ def enumerate_crystal(datum: CartanDatum, lam, *,
     against the cap before any of them is built; the missing factors are
     then built the same way, halving the weight at each level.
     """
-    lam = _dominant(datum, lam)
+    lam = check_dominant(datum, lam)
     crystals = CrystalCache.for_datum(datum, crystals)
     cap = crystals.node_cap
     if sum(lam) <= 1:

@@ -34,7 +34,8 @@ from __future__ import annotations
 from array import array
 from operator import mul
 
-from .cartan import CartanDatum, Weight, WeylWord, check_longest_word, validate_word
+from .cartan import (CartanDatum, Weight, WeylWord, check_dominant, check_longest_word,
+                     validate_word)
 from .characters import weyl_dim
 from .errors import InvariantViolation, WordError
 from .pathcrystal import CrystalCache, CrystalGraph, _cap_error, demazure_crystal
@@ -163,10 +164,16 @@ def string_weight(datum: CartanDatum, lam, word, entries) -> Weight:
 
     lam minus the sum of t * alpha_i over the string; the j-th coordinate
     of alpha_i is ``cartan_matrix[j][i-1]``, so the exponents are summed
-    per simple root and paired with each Cartan matrix row.
+    per simple root and paired with each Cartan matrix row.  WeightError
+    unless lam is dominant, WordError unless ``entries`` has one entry per
+    letter.
     """
+    lam = check_dominant(datum, lam)
+    word = validate_word(datum, word)
+    if len(entries) != len(word):
+        raise WordError(f"string {tuple(entries)} needs one entry per letter of {word}")
     totals = [0] * datum.rank
-    for letter, t in zip(validate_word(datum, word), entries):
+    for letter, t in zip(word, entries):
         totals[letter - 1] += t
     return tuple(c - sum(map(mul, row, totals)) for c, row in zip(lam, datum.cartan_matrix))
 

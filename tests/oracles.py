@@ -14,7 +14,9 @@ routine the package computes another way:
   that ``raising_edges`` inverts from ``f_edge``, against the
   whole-image peel ``strings._peel_nodes``;
 - ``inversion_count``, the positive roots a word sends negative, against
-  the rho test of ``cartan.is_reduced_word``.
+  the rho test of ``cartan.is_reduced_word``, and ``adapted_word_by_roots``,
+  a word extended at the first simple root its product keeps positive,
+  against the rho walk of ``cartan.adapted_word``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, islice
 
-from stringcone.cartan import _apply_word_to_root, check_longest_word, validate_word
+from stringcone.cartan import _reflect_root, check_dominant, check_longest_word, validate_word
 from stringcone.errors import InvariantViolation, WeightError
-from stringcone.pathcrystal import _dominant, _graph
+from stringcone.pathcrystal import _graph
 
 
 class PiecewisePath(namedtuple("PiecewisePath", "segments")):
@@ -60,7 +62,7 @@ def make_path(segments) -> PiecewisePath:
 
 def highest_path(datum, lam) -> PiecewisePath:
     """Straight path to a dominant weight."""
-    return PiecewisePath(((_dominant(datum, lam), Fraction(1)),))
+    return PiecewisePath(((check_dominant(datum, lam), Fraction(1)),))
 
 
 def path_weight(path: PiecewisePath):
@@ -226,6 +228,14 @@ def string_params(graph, nodes, word) -> list[tuple[int, ...]]:
     return params
 
 
+def _apply_word_to_root(datum, word, root):
+    """Act by the word's product on a root in simple-root coordinates."""
+    img = tuple(root)
+    for letter in reversed(word):
+        img = _reflect_root(datum.cartan_matrix, letter, img)
+    return img
+
+
 def inversion_count(datum, word) -> int:
     """Number of positive roots the word's product sends negative."""
     word = validate_word(datum, word)
@@ -235,3 +245,17 @@ def inversion_count(datum, word) -> int:
         if any(c < 0 for c in img):
             count += 1
     return count
+
+
+def adapted_word_by_roots(datum, w_word):
+    """``w_word`` extended to one letter per positive root by ascents.
+
+    Each step appends the smallest i whose simple root the product of the
+    letters so far keeps positive: appending s_i then lengthens it.
+    """
+    letters = list(validate_word(datum, w_word))
+    simples = [tuple(int(j == i) for j in range(datum.rank)) for i in range(datum.rank)]
+    while len(letters) < datum.num_positive_roots:
+        letters.append(next(i for i in range(1, datum.rank + 1)
+                            if min(_apply_word_to_root(datum, letters, simples[i - 1])) >= 0))
+    return tuple(letters)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from stringcone.cartan import (
     all_reduced_words,
     apply_word,
     build_cartan,
+    check_dominant,
     is_dominant,
     is_reduced_word,
     longest_word,
@@ -17,9 +19,12 @@ from stringcone.cartan import (
     validate_word,
     weyl_group_words,
 )
-from stringcone.errors import EnumerationCapError, RootSystemError, WordError
+from stringcone.characters import demazure_character, weyl_dim
+from stringcone.errors import EnumerationCapError, RootSystemError, WeightError, WordError
+from stringcone.pathcrystal import enumerate_crystal
+from stringcone.strings import string_weight
 
-from oracles import inversion_count
+from oracles import adapted_word_by_roots, inversion_count
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
              ("C", 2), ("C", 3), ("D", 4), ("G", 2)]
@@ -96,6 +101,24 @@ def test_reflect_weight():
     assert is_dominant((0, 2)) and not is_dominant((-1, 2))
 
 
+@pytest.mark.parametrize("call", [
+    enumerate_crystal,
+    weyl_dim,
+    lambda datum, lam: demazure_character(datum, lam, (1,)),
+    lambda datum, lam: string_weight(datum, lam, (1, 2, 1), (0, 0, 0)),
+], ids=["enumerate_crystal", "weyl_dim", "demazure_character", "string_weight"])
+@pytest.mark.parametrize("lam,reason", [((1,), "wrong rank"), ((1, 0, 0), "wrong rank"),
+                                        ((-1, 0), "not dominant"), ((2, -1), "not dominant")],
+                         ids=["short", "long", "negative-first", "negative-last"])
+def test_every_weight_is_admitted_by_one_check(call, lam, reason):
+    datum = build_cartan("A", 2)
+    assert check_dominant(datum, [2, 1]) == (2, 1)
+    with pytest.raises(WeightError, match=f"^weight {re.escape(str(lam))} (has|is) {reason}$"):
+        check_dominant(datum, lam)
+    with pytest.raises(WeightError, match=reason):
+        call(datum, lam)
+
+
 def test_apply_word_rightmost_first():
     datum = build_cartan("A", 2)
     # word (1,2) means s1 after s2
@@ -105,11 +128,12 @@ def test_apply_word_rightmost_first():
 
 
 def test_longest_words():
-    assert longest_word(build_cartan("A", 1)) == (1,)
-    assert longest_word(build_cartan("A", 2)) == (1, 2, 1)
-    assert longest_word(build_cartan("B", 2)) == (2, 1, 2, 1)
-    g2 = build_cartan("G", 2)
-    assert len(longest_word(g2)) == 6
+    pinned = {("A", 1): (1,), ("A", 2): (1, 2, 1), ("A", 3): (1, 2, 3, 1, 2, 1),
+              ("A", 4): (1, 2, 3, 4, 1, 2, 3, 1, 2, 1),
+              ("B", 2): (2, 1, 2, 1), ("B", 3): (3, 2, 3, 1, 2, 3, 1, 2, 1),
+              ("C", 2): (2, 1, 2, 1), ("C", 3): (3, 2, 3, 1, 2, 3, 1, 2, 1),
+              ("D", 4): (4, 2, 3, 1, 2, 4, 1, 2, 3, 1, 2, 1), ("G", 2): (2, 1, 2, 1, 2, 1)}
+    assert {case: longest_word(build_cartan(*case)) for case in ALL_TYPES} == pinned
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])
@@ -177,12 +201,13 @@ def test_adapted_word_a2():
     assert adapted_word(datum, (2,))[:1] == (2,)
 
 
-@pytest.mark.parametrize("label,rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])
+@pytest.mark.parametrize("label,rank", ALL_TYPES)
 def test_adapted_word_prefix_property(label, rank):
     datum = build_cartan(label, rank)
     base = rho(datum)
     for w in weyl_group_words(datum):
         full = adapted_word(datum, w)
+        assert full == adapted_word_by_roots(datum, w), w
         assert len(full) == datum.num_positive_roots
         assert is_reduced_word(datum, full)
         prefix = full[: len(w)]

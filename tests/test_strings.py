@@ -63,6 +63,9 @@ def test_string_weight_oracle():
     assert string_weight(g2, (1, 1), (1, 2), (2, 1)) == (-2, 5)
     with pytest.raises(WordError):
         string_weight(datum, (1, 0), (1, 3), (0, 1))
+    for short_or_long in ((1,), (0, 1, 1, 0)):
+        with pytest.raises(WordError, match="one entry per letter"):
+            string_weight(datum, (1, 1), (1, 2, 1), short_or_long)
 
 
 def test_words_must_be_reduced_and_full_length():
