@@ -257,7 +257,7 @@ def section_constraints(cone, datum: CartanDatum, word):
     The rows must hold on the cone's rays, so they hold on the cone and
     leave its sections unchanged; a row that fails raises.  With the
     facets they bound every free coordinate of a section from below and
-    above once the later ones are fixed, as ``section_blocks`` and
+    above once the later ones are fixed, as ``section_runs`` and
     ``count_section_points`` ask: x_k >= 0 and Littelmann's phi-bound on
     x_k by lambda and the coordinates after k.
     """
@@ -314,9 +314,10 @@ class PointLanes(namedtuple("PointLanes", "normals lanes ones width count reach"
     def cover(self, vectors) -> bytes:
         """One byte per point x: 1 where x - g is >= 0 on every normal for some g, else 0.
 
-        Each vector g needs |g|_inf <= ``reach``.  For each g the lanes
-        shifted by -(u . g) are ANDed over the normals and their sign
-        bits ORed over the vectors.  When g is >= 0 on every normal, x - g
+        Each vector g needs |g|_inf <= ``reach``; one beyond it raises
+        ``DegenerationError``.  For each g the lanes shifted by -(u . g)
+        are ANDed over the normals and their sign bits ORed over the
+        vectors.  When g is >= 0 on every normal, x - g
         is so only if x is, so the AND starts from the points inside and
         skips the normals g is 0 on.  No shifted lane is kept: caching one
         per distinct (normal, u . g) saves time but raises the peak memory.
@@ -327,7 +328,7 @@ class PointLanes(namedtuple("PointLanes", "normals lanes ones width count reach"
         covered = 0
         for g in vectors:
             if max(map(abs, g), default=0) > self.reach:
-                raise ValueError(f"vector {g} is beyond the lanes' reach {self.reach}")
+                raise DegenerationError(f"vector {g} is beyond the lanes' reach {self.reach}")
             shifts = [vec_dot(u, g) for u in self.normals]
             on_side = min(shifts, default=0) >= 0
             common = inside if on_side else sign
@@ -437,17 +438,17 @@ def level_hull(images, top: int) -> RationalCone:
 
 
 def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
-                             level_bound: int = 2, check_level: int | None = None,
+                             level_bound: int = 2,
                              *, crystals: CrystalCache | None = None) -> DegenerationReport:
     """Run the full pipeline and record every check outcome.
 
-    The cone is the conic hull of the enumeration at check_level (one
-    level higher than level_bound by default), which ``level_hull`` builds
-    up to the check level.  Then every nonzero data point is packed once
-    on the final facets, a lane per point: the data's point lanes.  Any
-    data point outside the cone fails ``saturation``.  The build level
-    picks only the separating form's pairs.  Each section is counted once
-    under the facets and the string cone's rows (``_counted_saturation``);
+    The cone is the conic hull of the enumeration at the check level,
+    ``level_bound + 1``, which ``level_hull`` builds up to that level.
+    Then every nonzero data point is packed once on the final facets, a
+    lane per point: the data's point lanes.  Any data point outside the
+    cone fails ``saturation``.  The build level picks only the separating
+    form's pairs.  Each section is counted once under the facets and the
+    string cone's rows (``_counted_saturation``);
     every data point lies in the cone and an image is injective, so a
     section whose count equals its image's size is that image, and its
     record takes its count from the image.  A section whose count differs
@@ -456,7 +457,8 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     by the Hilbert basis (``PointLanes.cover``).  The lanes hold u . x and
     u . (x - g) for every data point x and basis element g, since a basis
     element has |g|_inf <= the lanes' reach, the sum over the rays r of
-    |r|_inf (it is a ray or lies in a half-open parallelepiped of rays).
+    |r|_inf (it is a ray or lies in a half-open parallelepiped of rays);
+    ``cover`` raises on an element beyond it.
 
     The weight-zero image is the zero point alone, which every cone holds,
     so the lanes leave it out.  ``generates`` asks that every other data
@@ -484,10 +486,7 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
         w_word = check_reduced_word(datum, w_word)
     if level_bound < 1:
         raise DegenerationError("level bound must be at least 1")
-    if check_level is None:
-        check_level = level_bound + 1
-    if check_level < level_bound:
-        raise DegenerationError("check level cannot be below the build level")
+    check_level = level_bound + 1
     timings: dict = {}
     crystals = CrystalCache.for_datum(datum, crystals)
     clock = time.perf_counter
@@ -537,8 +536,6 @@ def degeneration_certificate(datum: CartanDatum, w0_word, w_word=None,
     grading = (1,) * n + (0,) * ncoords
     basis_vecs = hilbert_basis(cone, grading)
     basis_points = tuple((v[:n], v[n:]) for v in basis_vecs)
-    if any(max(map(abs, v)) > lanes.reach for v in basis_vecs):
-        raise DegenerationError("Hilbert basis element beyond its parallelepiped bound")
     generates = all(lanes.cover(basis_vecs))
     basis_lanes = point_lanes(cone.facets, StringColumns.from_strings(basis_vecs), lanes.reach)
     del lanes

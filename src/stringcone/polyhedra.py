@@ -36,8 +36,8 @@ image is injective.  ``section_runs`` orders the nonempty runs by key
 and files their ranks in that order under each x_0 they cover, walking
 x_0 from the top down, which lists a section in lexicographic order with
 no point sort and no tail tuple: ``polytope`` prints its points from
-per-integer text pieces, and ``section_blocks`` maps the ranks to tail
-tuples.  ``section_lattice_points`` flattens the blocks into points, and
+per-integer text pieces, and ``section_lattice_points`` maps the ranks
+to tail tuples and flattens the segments into points.
 ``saturation_check``, a test oracle, compares each section with the
 sorted string image of its weight, read from the lambda-keyed images of
 ``strings.weighted_points``.
@@ -239,12 +239,15 @@ def contains(cone: RationalCone, point) -> bool:
     return all(vec_dot(u, point) >= 0 for u in cone.facets)
 
 
-def _section_runs(rows, nfree):
-    """Tail columns, keys and x_0 bounds ``(columns, keys, los, his)`` of const + coeffs . x >= 0.
+def _section_runs(constraints, lam):
+    """Tail columns, keys and x_0 bounds ``(columns, keys, los, his)`` of the section at lam.
 
     The one scan behind ``section_runs`` and ``count_section_points``.
-    Each row is read once and filed under its first nonzero free coordinate
-    k, which it bounds from below when c_k > 0 and from above when c_k < 0.
+    Each constraint u gives a row const + coeffs . x >= 0, with const the
+    dot of its first len(lam) entries with lam and coeffs the rest, over
+    the free coordinates x_0 ... x_{m-1}.  Each row is read once and
+    filed under its first nonzero free coordinate k, which it bounds from
+    below when c_k > 0 and from above when c_k < 0.
     Either bound is a floor, floor((d + t . x) / |c_k|): a row bounding
     from above keeps its constant and coefficients, and a row bounding from
     below negates them and adds |c_k| - 1 to the constant, which turns its
@@ -271,6 +274,9 @@ def _section_runs(rows, nfree):
     too, and ``los`` and ``his`` are lists.  Every free coordinate needs a
     row bounding it from below and one bounding it from above.
     """
+    n = len(lam)
+    rows = [(vec_dot(u[:n], lam), u[n:]) for u in constraints]
+    nfree = len(rows[0][1]) if rows else 0
     if nfree <= 0:
         raise PolyhedralError("section leaves no free coordinates")
     # per side (0 below, 1 above) and coordinate k: (d, |c_k|, t_{k+1},
@@ -342,13 +348,6 @@ def _section_runs(rows, nfree):
     return fixed[1:], keys, los, his
 
 
-def _runs_at(constraints, lam):
-    lam = tuple(lam)
-    n = len(lam)
-    rows = [(vec_dot(u[:n], lam), u[n:]) for u in constraints]
-    return _section_runs(rows, len(rows[0][1]) if rows else 0)
-
-
 def section_runs(constraints, lam):
     """The runs of a section and their filing by x_0, as ``(columns, order, segments)``.
 
@@ -369,7 +368,7 @@ def section_runs(constraints, lam):
     all of whose runs start at x_0 = 0, never needs.  An empty section has
     no segments.
     """
-    columns, keys, los, his = _runs_at(constraints, lam)
+    columns, keys, los, his = _section_runs(constraints, lam)
     columns = list(map(list, columns))
     # one int object per number, shared by the run numbers and the ranks;
     # the keys are kept only for the sort
@@ -400,48 +399,34 @@ def section_runs(constraints, lam):
     return columns, order, segments
 
 
-def section_blocks(constraints, lam):
-    """Integer x with u . (lam + x) >= 0 for every constraint u, as ``((x_0, tails), ...)``.
+def section_lattice_points(constraints, lam):
+    """Integer x with u . (lam + x) >= 0 for every constraint u, as a sorted tuple.
 
-    The segments of ``section_runs``, with each rank mapped to its run's
-    tail tuple and every x_0 of a segment sharing one tuple of tails.  No
-    box is computed: every free coordinate needs a constraint bounding it
-    from below and one bounding it from above, once the later coordinates
-    are fixed.  A string cone's facets with Littelmann's rows
-    (``degeneration.section_constraints``) give both.  The blocks run
-    through x_0 in ascending order and each tail block is in lexicographic
-    order, so the points ``(x_0,) + tail`` come out in lexicographic
-    order.  An empty section yields no blocks.
+    The points ``(x_0,) + tail`` of ``section_runs``' segments, each x_0
+    of a segment with the tails of its live runs, which is lexicographic
+    order with no point sort.  No box is computed: every free coordinate
+    needs a constraint bounding it from below and one bounding it from
+    above, once the later coordinates are fixed.  A string cone's facets
+    with Littelmann's rows (``degeneration.section_constraints``) give
+    both.  An empty section yields no points.
     """
     columns, order, segments = section_runs(constraints, lam)
     tails = list(zip(*columns)) if columns else [()]
     tails = list(map(tails.__getitem__, order))
-    blocks = []
-    for x0, stop, live in segments:
-        blocks.extend(zip(range(x0, stop), repeat(tuple(map(tails.__getitem__, live)))))
-    return tuple(blocks)
-
-
-def section_lattice_points(constraints, lam):
-    """Integer points of the section of ``constraints`` at lam, as a sorted tuple.
-
-    The points of ``section_blocks``, flattened: the free coordinates of
-    each point.  An empty section yields no points.
-    """
-    return tuple((x0,) + tail for x0, tails in section_blocks(constraints, lam)
-                 for tail in tails)
+    return tuple((x0,) + tails[rank] for start, stop, live in segments
+                 for x0 in range(start, stop) for rank in live)
 
 
 def count_section_points(constraints, lam) -> int:
     """Number of integer x with u . (lam + x) >= 0 for every constraint u.
 
-    The runs of ``section_blocks``, counted, not listed.  So every free
+    The runs of ``_section_runs``, counted, not listed.  So every free
     coordinate needs a row bounding it from below and one bounding it from
     above.  A string cone's rows give both: x_k >= 0 and Littelmann's
     phi-bound on x_k by lambda and the coordinates after k ("Cones,
     crystals, and patterns", Prop. 1.5).
     """
-    *_, los, his = _runs_at(constraints, lam)
+    *_, los, his = _section_runs(constraints, lam)
     return sum(map(len, map(range, los, map(add, his, repeat(1)))))
 
 
@@ -631,7 +616,7 @@ class SaturationReport(namedtuple("SaturationReport", "level_bound sections"
 def saturation_check(constraints, images, level_bound: int) -> SaturationReport:
     """Compare integral sections of ``constraints`` with the lambda-keyed string images.
 
-    The constraints bound each section as ``section_blocks`` asks.  A
+    The constraints bound each section as ``section_runs`` asks.  A
     section is a sorted tuple of distinct points, and each image is sorted
     into one (``StringColumns`` hold their strings in node order), so
     equal tuples settle a weight; sets are built only where they differ.

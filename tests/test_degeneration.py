@@ -7,6 +7,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -313,7 +314,7 @@ def test_certificate_a1():
 
 
 def test_certificate_a2(a2):
-    report = degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2)
+    report = degeneration_certificate(a2, (1, 2, 1), level_bound=1)
     assert report.passing
     assert report.certified_level == 2
     assert len(report.hilbert_basis) == 6
@@ -353,7 +354,7 @@ def test_certificate_peels_each_image_once(a2, monkeypatch):
         if (getattr(module, "__name__", "").startswith("stringcone")
                 and getattr(module, "string_image", None) is stringcone.strings.string_image):
             monkeypatch.setattr(module, "string_image", refuse)
-    report = degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2)
+    report = degeneration_certificate(a2, (1, 2, 1), level_bound=1)
     assert report.passing
     assert peeled == list(dominant_weights(2, 2))
 
@@ -376,7 +377,7 @@ def test_hilbert_path_needs_no_rational_elimination(a2, monkeypatch):
             if getattr(module, "__name__", "").startswith("stringcone"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
     assert hilbert_basis(conic_hull([(2, 4)]), (1, 1)) == ((1, 2),)
-    report = degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2)
+    report = degeneration_certificate(a2, (1, 2, 1), level_bound=1)
     assert report.passing
     assert len(report.hilbert_basis) == 6
 
@@ -387,7 +388,7 @@ def test_basis_sums_are_the_enumerated_points(type_label):
     # breadth-first search, is an enumerated point and reaches all of them
     datum = build_cartan(type_label, 2)
     for word in all_reduced_words(datum, longest_word(datum)):
-        report = degeneration_certificate(datum, word, level_bound=1, check_level=2)
+        report = degeneration_certificate(datum, word, level_bound=1)
         assert report.passing
         basis = [lam + psi for lam, psi in report.hilbert_basis]
         reached = {(0,) * len(basis[0])}
@@ -493,7 +494,7 @@ def test_demazure_certificate_hulls_only_in_the_hull_stage(a2, monkeypatch):
     for module in (stringcone.polyhedra, stringcone.degeneration):
         monkeypatch.setattr(module, "section_lattice_points", refuse)
     monkeypatch.setattr(stringcone.degeneration, "count_section_points", recording_count)
-    report = degeneration_certificate(a2, (1, 2, 1), (1, 2), level_bound=1, check_level=2)
+    report = degeneration_certificate(a2, (1, 2, 1), (1, 2), level_bound=1)
     assert dict(report.checks)["demazure_face"] is True
     # A2's fundamental points generate its level-2 cone: one insert, one hull
     assert [event[0] for event in events[:2]] == ["insert", "hull"]
@@ -574,7 +575,7 @@ def test_certificate_rejects_a_row_failing_on_a_ray(a2, monkeypatch):
     monkeypatch.setattr(stringcone.degeneration, "string_cone_rows",
                         lambda datum, word: ((0, 0, -1, 0, 0),))
     with pytest.raises(InvariantViolation, match="fails on cone ray"):
-        degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2)
+        degeneration_certificate(a2, (1, 2, 1), level_bound=1)
 
 
 def test_certificate_names_a_section_point_missing_from_the_data(a2, monkeypatch):
@@ -591,7 +592,7 @@ def test_certificate_names_a_section_point_missing_from_the_data(a2, monkeypatch
     monkeypatch.setattr(stringcone.degeneration, "weighted_points", dropping)
     with pytest.raises(DegenerationError,
                        match=re.escape(f"lambda=(2, 2) psi={dropped} is absent")):
-        degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2)
+        degeneration_certificate(a2, (1, 2, 1), level_bound=1)
 
 
 @pytest.mark.parametrize("type_label, missed", [("B", 6), ("G", 88)])
@@ -657,8 +658,7 @@ def test_a4_cli_report_at_the_default_cap(capsys):
 
 
 def test_certificate_with_demazure_word(a2):
-    report = degeneration_certificate(a2, (1, 2, 1), (1,),
-                                      level_bound=1, check_level=2)
+    report = degeneration_certificate(a2, (1, 2, 1), (1,), level_bound=1)
     assert report.passing
     names = [name for name, _ in report.checks]
     assert names[-3:] == ["demazure_counts_match", "demazure_zero_tail",
@@ -670,12 +670,10 @@ def test_certificate_with_demazure_word(a2):
 def test_certificate_level_validation(a2):
     with pytest.raises(DegenerationError):
         degeneration_certificate(a2, (1, 2, 1), level_bound=0)
-    with pytest.raises(DegenerationError):
-        degeneration_certificate(a2, (1, 2, 1), level_bound=2, check_level=1)
 
 
 def test_report_json_shape(a2):
-    report = degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2)
+    report = degeneration_certificate(a2, (1, 2, 1), level_bound=1)
     text = report_to_json(report)
     assert text.endswith("\n")
     data = json.loads(text)
@@ -694,9 +692,9 @@ def test_report_json_shape(a2):
 
 def test_report_json_deterministic(a2):
     first = report_to_json(
-        degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2))
+        degeneration_certificate(a2, (1, 2, 1), level_bound=1))
     second = report_to_json(
-        degeneration_certificate(a2, (1, 2, 1), level_bound=1, check_level=2))
+        degeneration_certificate(a2, (1, 2, 1), level_bound=1))
     assert first == second
 
 
@@ -725,10 +723,11 @@ def test_certificate_hulls_level_one_then_the_points_each_level_misses(
     ("B", 2), ("C", 2), ("G", 2), ("G", 3),
 ])
 def test_certificate_cone_is_the_hull_of_the_check_level(type_label, check_level):
+    # the check level is one past the level bound
     datum = build_cartan(type_label, 2)
     for word in all_reduced_words(datum, longest_word(datum)):
-        report = degeneration_certificate(datum, word, level_bound=1,
-                                          check_level=check_level)
+        report = degeneration_certificate(datum, word, level_bound=check_level - 1)
+        assert report.certified_level == check_level
         points = [lam + psi for lam, image in
                   weighted_points(datum, word, check_level).items() for psi in image]
         assert report.cone == conic_hull(points)
@@ -765,7 +764,7 @@ def test_hilbert_checks_reject_a_wrong_basis(type_label, monkeypatch):
     # the lane checks must see a missing generator and a redundant one
     datum = build_cartan(type_label, 2)
     word = longest_word(datum)
-    basis = list(degeneration_certificate(datum, word, level_bound=1, check_level=2)
+    basis = list(degeneration_certificate(datum, word, level_bound=1)
                  .hilbert_basis)
     vecs = [lam + psi for lam, psi in basis]
     top = max(vecs, key=lambda v: (sum(v[:2]), v))
@@ -776,7 +775,7 @@ def test_hilbert_checks_reject_a_wrong_basis(type_label, monkeypatch):
     ]:
         monkeypatch.setattr(stringcone.degeneration, "hilbert_basis",
                             lambda cone, grading, wrong=wrong: tuple(sorted(wrong)))
-        report = degeneration_certificate(datum, word, level_bound=1, check_level=2)
+        report = degeneration_certificate(datum, word, level_bound=1)
         assert dict(report.checks)[failing] is False
 
 
@@ -929,7 +928,7 @@ def test_point_lanes_match_the_dot_products(case):
     assert lanes.cover(vectors) == bytes(
         any(all(vec_dot(u, x) >= vec_dot(u, g) for u in normals) for g in vectors)
         for x in order)
-    with pytest.raises(ValueError, match="beyond the lanes' reach"):
+    with pytest.raises(DegenerationError, match="beyond the lanes' reach"):
         lanes.cover([(reach + 1,) * dim])
 
 
@@ -953,6 +952,29 @@ def test_point_columns_widen_narrow_images_beside_a_wide_one():
     assert lanes.outside() == bytes(any(vec_dot(u, x) < 0 for u in normals) for x in points)
     assert lanes.cover([(1, 0)]) == bytes(
         all(vec_dot(u, x) >= vec_dot(u, (1, 0)) for u in normals) for x in points)
+
+
+def test_point_lanes_read_big_endian_columns(monkeypatch):
+    # a big-endian host stores each "H" entry high byte first: the same
+    # points, byteswapped and read as big-endian, give the same lanes
+    datum = build_cartan("A", 1)
+    crystals = CrystalCache(datum)
+    images = {lam: stringcone.strings._string_columns(crystals[lam], (1,))
+              for lam in [(1,), (256,), (3,)]}
+    joined = point_columns(images)
+    assert [column.typecode for column in joined.columns] == ["H", "H"]
+    swapped = [array("H", column) for column in joined.columns]
+    for column in swapped:
+        column.byteswap()
+    normals = ((1, -1), (0, 1), (1, -2), (-1, 3))
+    vectors = [(1, 0), (0, 1), (2, -1)]
+    little = point_lanes(normals, joined, 2)
+    assert 0 < sum(little.outside()) < len(joined)
+    monkeypatch.setattr(stringcone.degeneration, "sys", SimpleNamespace(byteorder="big"))
+    big = point_lanes(normals, StringColumns(swapped, joined.size, len(joined)), 2)
+    assert big == little
+    assert big.outside() == little.outside()
+    assert big.cover(vectors) == little.cover(vectors)
 
 
 @pytest.mark.parametrize("type_label, rank, tops, words", [

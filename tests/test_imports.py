@@ -4,7 +4,9 @@ A static check on the source with ``ast``: an import left behind after
 its last use is dead code that still runs at start-up.  ``__init__.py``
 imports to re-export, and ``from __future__`` imports are compiler
 directives, so both are exempt; what ``__init__.py`` re-exports is
-checked against ``__all__`` instead.
+checked against ``__all__`` instead.  Every source file of the
+repository also parses with the grammar of Python 3.10, the oldest
+version ``pyproject.toml`` admits.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "stringcone"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "stringcone"
 MODULES = sorted(path.name for path in SOURCE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -60,3 +63,12 @@ def test_the_package_exports_exactly_what_its_init_imports():
     for name in exported:
         module = sys.modules[getattr(stringcone, name).__module__]
         assert Path(module.__file__).resolve().parent == SOURCE.resolve(), name
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # the grammar check only: a 3.11 library call still passes it
+    paths = sorted(path for top in ("src", "tests", "perfbench")
+                   for path in (ROOT / top).rglob("*.py"))
+    assert SOURCE / "cli.py" in paths and ROOT / "perfbench" / "run.py" in paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

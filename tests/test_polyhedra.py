@@ -1,6 +1,5 @@
 import itertools
 import random
-from operator import itemgetter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,7 +26,6 @@ from stringcone.polyhedra import (
     is_face,
     parse_h_rep,
     saturation_check,
-    section_blocks,
     section_lattice_points,
     section_runs,
 )
@@ -70,7 +68,7 @@ def test_section_one_dimensional():
 def test_section_unbounded():
     # no facet bounds x from above: the scan names the coordinate, with no box
     cone = conic_hull([(1, 0), (0, 1)])
-    for listing in (section_lattice_points, section_blocks):
+    for listing in (section_lattice_points, section_runs):
         with pytest.raises(PolyhedralError, match="coordinate 0 unbounded"):
             listing(cone.facets, (1,))
 
@@ -79,7 +77,7 @@ def test_empty_section_is_not_unbounded():
     # The recession direction (1,) does not matter: no point has lambda = -1.
     cone = conic_hull([(1, 0), (0, 1), (0, -1)])
     assert section_lattice_points(cone.facets, (-1,)) == ()
-    assert section_blocks(cone.facets, (-1,)) == ()
+    assert section_runs(cone.facets, (-1,)) == ([], [], [])
 
 
 def test_count_section_points_cases():
@@ -126,17 +124,23 @@ def test_count_matches_brute_force(case):
 
 @settings(max_examples=150, deadline=None)
 @given(bounded_rows())
-def test_blocks_match_brute_force(case):
-    # the blocks flatten to the brute-force points in lexicographic order,
-    # one nonempty block per x_0, in ascending order
+def test_segments_match_brute_force(case):
+    # the points are the brute-force points in lexicographic order, and the
+    # segments cover each x_0 of a point once, in ascending order, with
+    # live runs
     rows, lam = case
     nfree = len(rows[0]) - 2
     box = itertools.product(range(-3, 4), repeat=nfree)
     expected = tuple(x for x in box if all(vec_dot(u, lam + x) >= 0 for u in rows))
-    blocks = section_blocks(rows, lam)
-    assert tuple((x0,) + tail for x0, tails in blocks for tail in tails) == expected
-    assert [x0 for x0, _ in blocks] == sorted({x[0] for x in expected})
-    assert all(tails for _, tails in blocks)
+    assert section_lattice_points(rows, lam) == expected
+    _check_segments(section_runs(rows, lam), expected)
+
+
+def _check_segments(runs, points):
+    *_, segments = runs
+    assert [x0 for start, stop, _ in segments
+            for x0 in range(start, stop)] == sorted({p[0] for p in points})
+    assert all(live for *_, live in segments)
 
 
 def test_is_face_cases():
@@ -512,7 +516,7 @@ SEVERAL_STARTS = ([(0, -3, 1, -3), (-2, -2, -3, 0), (3, 1, 1, -1), (-3, 2, 2, 2)
 @example(SEVERAL_STARTS)
 def test_filing_matches_naive_enumeration(case):
     # the int-key order and the index filing against a sort of the
-    # brute-force points: the blocks, and polytope's text of the points
+    # brute-force points: the points, and polytope's text of them
     gens, lam = case
     cone = conic_hull(gens)
     n = len(lam)
@@ -520,9 +524,7 @@ def test_filing_matches_naive_enumeration(case):
     rows, weight = _boxed(cone.facets, n, nfree, 3), lam + (1,)
     box = itertools.product(range(-3, 4), repeat=nfree)
     points = sorted(p for p in box if contains(cone, lam + p))
-    assert section_blocks(rows, weight) == tuple(
-        (x0, tuple(p[1:] for p in group))
-        for x0, group in itertools.groupby(points, itemgetter(0)))
+    assert section_lattice_points(rows, weight) == tuple(points)
     text = "\n".join(_point_lines(*section_runs(rows, weight)))
     assert text == "\n".join(" ".join(map(str, p)) for p in points)
 
@@ -568,12 +570,10 @@ def test_wide_section_matches_brute_force(case):
     box = itertools.product(range(-2 * lam[0], 2 * lam[0] + 1), repeat=nfree)
     assert points == tuple(p for p in box if contains(cone, lam + p))
     assert count_section_points(constraints, lam) == len(points)
-    blocks = section_blocks(constraints, lam)
-    assert [x0 for x0, _ in blocks] == sorted({p[0] for p in points})
-    assert all(tails for _, tails in blocks)
+    _check_segments(section_runs(constraints, lam), points)
 
 
-def test_blocks_flatten_to_the_images_and_the_counts():
+def test_sections_are_the_images_and_the_counts():
     # every A3 word: the level-2 cone is saturated, so each section at
     # lambda <= (2, 2, 2) is its sorted string image, and its size is the
     # count under the facets and the string cone's rows
@@ -583,11 +583,9 @@ def test_blocks_flatten_to_the_images_and_the_counts():
         cone = conic_hull([lam + psi for lam, image in images.items() for psi in image])
         constraints = cone.facets + string_cone_rows(datum, word)
         for lam, image in images.items():
-            blocks = section_blocks(constraints, lam)
-            flat = tuple((x0,) + tail for x0, tails in blocks for tail in tails)
-            assert flat == section_lattice_points(constraints, lam) == tuple(sorted(image)), (
-                word, lam)
-            assert count_section_points(constraints, lam) == len(flat), (word, lam)
+            points = section_lattice_points(constraints, lam)
+            assert points == tuple(sorted(image)), (word, lam)
+            assert count_section_points(constraints, lam) == len(points), (word, lam)
 
 
 @st.composite
